@@ -94,4 +94,8 @@ SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example join_viewer --
   BENCH_join.json > "$shootout_tmp/join_b.txt"
 cmp "$shootout_tmp/join_a.txt" "$shootout_tmp/join_b.txt"
 
+echo "==> perfbench: the wall-clock benchmark package builds and its determinism self-test passes"
+cargo build --release --bins --manifest-path perfbench/Cargo.toml
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

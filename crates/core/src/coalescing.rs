@@ -12,9 +12,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::combiner::Combiner;
 use crate::error::TreeError;
 use crate::stats::Phase;
+#[cfg(feature = "oracle")]
+use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
 /// Append-only coalescing contraction tree. See the module docs.
@@ -23,6 +24,10 @@ pub struct CoalescingTree<V> {
     root: Option<Arc<V>>,
     /// Delta awaiting background coalescing (split mode only).
     pending: Option<Arc<V>>,
+    /// Modeled bytes of `root`; with `pending_bytes`, the footprint.
+    root_bytes: u64,
+    /// Modeled bytes of `pending`.
+    pending_bytes: u64,
     /// Whether split processing is enabled.
     split: bool,
     /// Total number of appended leaves.
@@ -35,6 +40,8 @@ impl<V> CoalescingTree<V> {
         CoalescingTree {
             root: None,
             pending: None,
+            root_bytes: 0,
+            pending_bytes: 0,
             split: false,
             len: 0,
         }
@@ -45,16 +52,32 @@ impl<V> CoalescingTree<V> {
     /// Reduce task receives two parts.
     pub fn with_split_processing() -> Self {
         CoalescingTree {
-            root: None,
-            pending: None,
             split: true,
-            len: 0,
+            ..Self::new()
         }
     }
 
     /// Whether split processing is enabled.
     pub fn split_processing(&self) -> bool {
         self.split
+    }
+
+    /// Folds `delta` into the root (merging in `phase` when a root exists).
+    fn coalesce<K>(&mut self, cx: &mut TreeCx<'_, K, V>, phase: Phase, delta: Arc<V>) {
+        let root = match &self.root {
+            Some(root) => cx.merge(phase, root, &delta),
+            None => delta,
+        };
+        self.root_bytes = cx.value_bytes(&root);
+        self.root = Some(root);
+    }
+
+    /// Coalesces the pending delta, if any, charging `phase`.
+    fn flush_pending<K>(&mut self, cx: &mut TreeCx<'_, K, V>, phase: Phase) {
+        if let Some(pending) = self.pending.take() {
+            self.pending_bytes = 0;
+            self.coalesce(cx, phase, pending);
+        }
     }
 }
 
@@ -79,6 +102,8 @@ impl<V> Clone for CoalescingTree<V> {
         CoalescingTree {
             root: self.root.clone(),
             pending: self.pending.clone(),
+            root_bytes: self.root_bytes,
+            pending_bytes: self.pending_bytes,
             split: self.split,
             len: self.len,
         }
@@ -99,7 +124,9 @@ where
         self.len = live.len();
         cx.note_added(self.len as u64);
         self.pending = None;
+        self.pending_bytes = 0;
         self.root = cx.fold(Phase::Foreground, live);
+        self.root_bytes = self.root.as_deref().map_or(0, |v| cx.value_bytes(v));
     }
 
     fn advance(
@@ -120,12 +147,7 @@ where
 
         // If the previous delta was never coalesced in the background,
         // coalesce it now on the critical path.
-        if let Some(pending) = self.pending.take() {
-            self.root = Some(match &self.root {
-                Some(root) => cx.merge(Phase::Foreground, root, &pending),
-                None => pending,
-            });
-        }
+        self.flush_pending(cx, Phase::Foreground);
 
         // Combine the newly appended leaves into a single delta (C'2).
         let delta = cx.fold(Phase::Foreground, live).expect("live is non-empty");
@@ -133,23 +155,16 @@ where
         if let (true, Some(root)) = (self.split, &self.root) {
             // Foreground stops here; reduce_parts() exposes {root, delta}.
             cx.reuse(root); // the previous root is reused as-is
+            self.pending_bytes = cx.value_bytes(&delta);
             self.pending = Some(delta);
         } else {
-            self.root = Some(match &self.root {
-                Some(root) => cx.merge(Phase::Foreground, root, &delta),
-                None => delta,
-            });
+            self.coalesce(cx, Phase::Foreground, delta);
         }
         Ok(())
     }
 
     fn preprocess(&mut self, cx: &mut TreeCx<'_, K, V>) {
-        if let Some(pending) = self.pending.take() {
-            self.root = Some(match &self.root {
-                Some(root) => cx.merge(Phase::Background, root, &pending),
-                None => pending,
-            });
-        }
+        self.flush_pending(cx, Phase::Background);
     }
 
     fn root(&self) -> Option<Arc<V>> {
@@ -170,12 +185,13 @@ where
         self.len
     }
 
-    fn memo_bytes(&self, combiner: &dyn Combiner<K, V>, key: &K) -> u64 {
-        self.root
-            .iter()
-            .chain(self.pending.iter())
-            .map(|v| combiner.value_bytes(key, v))
-            .sum()
+    fn memo_bytes(&self) -> u64 {
+        self.root_bytes + self.pending_bytes
+    }
+
+    #[cfg(feature = "oracle")]
+    fn memo_layout(&self) -> MemoLayout<V> {
+        MemoLayout::Each(self.root.iter().chain(&self.pending).cloned().collect())
     }
 
     fn kind(&self) -> TreeKind {

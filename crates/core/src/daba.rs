@@ -34,13 +34,14 @@
 //! need), roughly halving the memoization footprint that the distributed
 //! cache replicates.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::combiner::Combiner;
 use crate::error::TreeError;
 use crate::stats::Phase;
+#[cfg(feature = "oracle")]
+use crate::tree::MemoLayout;
 use crate::tree::{TreeCx, TreeKind, WindowAggregator};
 
 /// One repaired entry: the suffix aggregate from this leaf to the end of its
@@ -101,6 +102,12 @@ struct TwinStacks<V> {
     paced: bool,
     /// Whether repaired entries drop their raw leaf (DABA Lite).
     lite: bool,
+    /// Modeled bytes of every distinct allocation held above, the root
+    /// excepted: the memoization footprint. Shared allocations count once:
+    /// a segment's newest entry aggregates just its own leaf, a one-leaf
+    /// back's running total is that leaf, and freezing hands `back_agg`
+    /// over to `mid_agg`.
+    memo: u64,
 }
 
 impl<V> Clone for TwinStacks<V> {
@@ -115,6 +122,7 @@ impl<V> Clone for TwinStacks<V> {
             root: self.root.clone(),
             paced: self.paced,
             lite: self.lite,
+            memo: self.memo,
         }
     }
 }
@@ -131,6 +139,7 @@ impl<V> TwinStacks<V> {
             root: None,
             paced,
             lite,
+            memo: 0,
         }
     }
 
@@ -146,6 +155,7 @@ impl<V> TwinStacks<V> {
         self.back.clear();
         self.back_agg = None;
         self.root = None;
+        self.memo = 0;
     }
 
     fn entry(&self, val: Arc<V>, agg: Arc<V>) -> Entry<V> {
@@ -163,7 +173,16 @@ impl<V> TwinStacks<V> {
             return;
         };
         let agg = match self.mid_done.last() {
-            Some(newer) => cx.merge(Phase::Foreground, &v, &newer.agg),
+            Some(newer) => {
+                let agg = cx.merge(Phase::Foreground, &v, &newer.agg);
+                self.memo += cx.value_bytes(&agg);
+                if self.lite {
+                    // The lite entry keeps only the aggregate.
+                    self.memo -= cx.value_bytes(&v);
+                }
+                agg
+            }
+            // The newest leaf is its own suffix aggregate: one allocation.
             None => Arc::clone(&v),
         };
         let entry = self.entry(v, agg);
@@ -196,14 +215,26 @@ impl<V> TwinStacks<V> {
             self.repair_step(cx);
         }
         self.front = std::mem::take(&mut self.mid_done);
-        self.mid_agg = None;
+        // The frozen segment's total goes, unless the segment was one leaf:
+        // then the total is that leaf, which the new front still holds.
+        if let Some(total) = self.mid_agg.take() {
+            let newest = self.front.first();
+            if !newest.is_some_and(|e| Arc::ptr_eq(&e.agg, &total)) {
+                self.memo -= cx.value_bytes(&total);
+            }
+        }
     }
 
     fn evict<K>(&mut self, cx: &mut TreeCx<'_, K, V>) {
         if self.front.is_empty() {
             self.flip(cx);
         }
-        self.front.pop();
+        if let Some(oldest) = self.front.pop() {
+            self.memo -= cx.value_bytes(&oldest.agg);
+            if let Some(val) = oldest.val.filter(|val| !Arc::ptr_eq(val, &oldest.agg)) {
+                self.memo -= cx.value_bytes(&val);
+            }
+        }
         // The exposed suffix aggregate is the memoized total of the
         // remaining segment — the structure's payoff on every eviction.
         if let Some(top) = self.front.last() {
@@ -216,8 +247,17 @@ impl<V> TwinStacks<V> {
     }
 
     fn insert<K>(&mut self, cx: &mut TreeCx<'_, K, V>, v: Arc<V>) {
+        self.memo += cx.value_bytes(&v);
         self.back_agg = Some(match self.back_agg.take() {
-            Some(acc) => cx.merge(Phase::Foreground, &acc, &v),
+            Some(acc) => {
+                let total = cx.merge(Phase::Foreground, &acc, &v);
+                self.memo += cx.value_bytes(&total);
+                // A one-leaf back's total is that leaf, which the back keeps.
+                if !Arc::ptr_eq(&acc, &self.back[0]) {
+                    self.memo -= cx.value_bytes(&acc);
+                }
+                total
+            }
             None => Arc::clone(&v),
         });
         self.back.push_back(v);
@@ -239,9 +279,18 @@ impl<V> TwinStacks<V> {
         let mut acc: Option<Arc<V>> = None;
         for v in live.into_iter().rev() {
             let agg = match &acc {
-                Some(newer) => cx.merge(Phase::Foreground, &v, newer),
+                Some(newer) => {
+                    let agg = cx.merge(Phase::Foreground, &v, newer);
+                    self.memo += cx.value_bytes(&agg);
+                    agg
+                }
                 None => Arc::clone(&v),
             };
+            // The leaf stays unless a lite entry drops it; the newest leaf
+            // always stays, as its own aggregate.
+            if !self.lite || acc.is_none() {
+                self.memo += cx.value_bytes(&v);
+            }
             acc = Some(Arc::clone(&agg));
             let entry = self.entry(v, agg);
             self.front.push(entry);
@@ -274,29 +323,15 @@ impl<V> TwinStacks<V> {
         Ok(())
     }
 
-    /// Counts each distinct memoized allocation once (entries at a segment
-    /// boundary share the leaf's allocation with their aggregate).
-    fn memo_bytes<K>(&self, combiner: &dyn Combiner<K, V>, key: &K) -> u64 {
-        let mut seen: HashSet<*const V> = HashSet::new();
-        let mut bytes = 0u64;
-        let mut count = |v: &Arc<V>, seen: &mut HashSet<*const V>| {
-            if seen.insert(Arc::as_ptr(v)) {
-                bytes += combiner.value_bytes(key, v);
-            }
-        };
-        for entry in self.front.iter().chain(&self.mid_done) {
-            if let Some(val) = &entry.val {
-                count(val, &mut seen);
-            }
-            count(&entry.agg, &mut seen);
-        }
-        for v in self.mid_pending.iter().chain(&self.back) {
-            count(v, &mut seen);
-        }
-        for acc in [&self.mid_agg, &self.back_agg].into_iter().flatten() {
-            count(acc, &mut seen);
-        }
-        bytes
+    /// Every holder of an allocation, shared ones once per holder.
+    #[cfg(feature = "oracle")]
+    fn memo_layout(&self) -> MemoLayout<V> {
+        let entries = self.front.iter().chain(&self.mid_done);
+        let held = entries
+            .flat_map(|e| e.val.iter().chain(std::iter::once(&e.agg)))
+            .chain(self.mid_pending.iter().chain(&self.back))
+            .chain(self.mid_agg.iter().chain(&self.back_agg));
+        MemoLayout::Shared(held.cloned().collect())
     }
 
     fn debug(&self, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -377,8 +412,13 @@ macro_rules! twin_stack_aggregator {
                 self.core.len()
             }
 
-            fn memo_bytes(&self, combiner: &dyn Combiner<K, V>, key: &K) -> u64 {
-                self.core.memo_bytes(combiner, key)
+            fn memo_bytes(&self) -> u64 {
+                self.core.memo
+            }
+
+            #[cfg(feature = "oracle")]
+            fn memo_layout(&self) -> MemoLayout<V> {
+                self.core.memo_layout()
             }
 
             fn kind(&self) -> TreeKind {
@@ -586,7 +626,7 @@ mod tests {
                 let mut cx = TreeCx::new(&combiner, &key, &mut stats);
                 tree.advance(&mut cx, 1, leaves(&[64 + i])).unwrap();
             }
-            footprints.push(tree.memo_bytes(&combiner, &key));
+            footprints.push(tree.memo_bytes());
         }
         assert!(
             footprints[1] < footprints[0],

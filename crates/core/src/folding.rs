@@ -19,9 +19,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::combiner::Combiner;
 use crate::error::TreeError;
 use crate::stats::Phase;
+#[cfg(feature = "oracle")]
+use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
 /// Variable-width self-adjusting contraction tree. See the module docs.
@@ -29,6 +30,12 @@ pub struct FoldingTree<V> {
     /// `levels[0]` are the leaf slots (power-of-two length); `levels[h]`
     /// halves in length as `h` grows; the last level is the root.
     levels: Vec<Vec<Option<Arc<V>>>>,
+    /// Modeled bytes each slot of `levels` adds to the footprint: a leaf's
+    /// size, a merged node's size, 0 for void slots and for pass-through
+    /// nodes (they share their only child's allocation).
+    bytes: Vec<Vec<u64>>,
+    /// Sum of `bytes`: the memoization footprint.
+    memo: u64,
     /// First live slot: slots `start..start+len` hold the window.
     start: usize,
     /// Number of live leaves.
@@ -44,6 +51,8 @@ impl<V> FoldingTree<V> {
     pub fn new() -> Self {
         FoldingTree {
             levels: vec![vec![None]],
+            bytes: vec![vec![0]],
+            memo: 0,
             start: 0,
             len: 0,
             rebuild_factor: None,
@@ -71,39 +80,58 @@ impl<V> FoldingTree<V> {
     /// Resets to the canonical empty state.
     fn clear(&mut self) {
         self.levels = vec![vec![None]];
+        self.bytes = vec![vec![0]];
+        self.memo = 0;
         self.start = 0;
         self.len = 0;
     }
 
-    /// Recomputes the parent of two (possibly void) children.
-    fn join<K>(
-        cx: &mut TreeCx<'_, K, V>,
-        left: Option<&Arc<V>>,
-        right: Option<&Arc<V>>,
-    ) -> Option<Arc<V>> {
-        match (left, right) {
-            (Some(l), Some(r)) => Some(cx.merge(Phase::Foreground, l, r)),
-            (Some(l), None) => Some(Arc::clone(l)),
-            (None, Some(r)) => Some(Arc::clone(r)),
-            (None, None) => None,
-        }
+    /// Stores `value` in slot `i` of level `h`, charging `bytes` to the
+    /// footprint in place of what the old occupant charged.
+    fn write(&mut self, h: usize, i: usize, value: Option<Arc<V>>, bytes: u64) {
+        self.memo = self.memo - self.bytes[h][i] + bytes;
+        self.bytes[h][i] = bytes;
+        self.levels[h][i] = value;
     }
 
-    /// Full bottom-up construction over the current leaf level.
+    /// Stores leaf `value` (or voids the slot) in leaf slot `i`.
+    fn write_leaf<K>(&mut self, cx: &TreeCx<'_, K, V>, i: usize, value: Option<Arc<V>>) {
+        let bytes = value.as_deref().map_or(0, |v| cx.value_bytes(v));
+        self.write(0, i, value, bytes);
+    }
+
+    /// Moves leaf slot `from` into the (void) leaf slot `to`.
+    fn move_leaf(&mut self, from: usize, to: usize) {
+        let value = self.levels[0][from].take();
+        let bytes = std::mem::take(&mut self.bytes[0][from]);
+        self.memo -= bytes;
+        self.write(0, to, value, bytes);
+    }
+
+    /// Full bottom-up construction over the current leaf level (the only
+    /// level left: see `do_rebuild`).
     fn build_internal<K>(&mut self, cx: &mut TreeCx<'_, K, V>) {
+        debug_assert_eq!(self.levels.len(), 1);
         let mut width = self.capacity() / 2;
         let mut child_level = 0;
-        self.levels.truncate(1);
         while width >= 1 {
             let mut level = Vec::with_capacity(width);
+            let mut bytes = Vec::with_capacity(width);
             for i in 0..width {
-                let value = {
+                let (value, b) = {
                     let children = &self.levels[child_level];
-                    Self::join(cx, children[2 * i].as_ref(), children[2 * i + 1].as_ref())
+                    cx.join(
+                        Phase::Foreground,
+                        children[2 * i].as_ref(),
+                        children[2 * i + 1].as_ref(),
+                    )
                 };
                 level.push(value);
+                bytes.push(b);
+                self.memo += b;
             }
             self.levels.push(level);
+            self.bytes.push(bytes);
             child_level += 1;
             width /= 2;
         }
@@ -113,26 +141,34 @@ impl<V> FoldingTree<V> {
     /// new root; the right half starts void.
     fn unfold(&mut self) {
         let cap = self.capacity();
-        for level in self.levels.iter_mut() {
+        for (level, bytes) in self.levels.iter_mut().zip(&mut self.bytes) {
             let width = level.len();
             level.extend(std::iter::repeat_with(|| None).take(width));
+            bytes.resize(2 * width, 0);
         }
-        // New root level: left child is the old root, right child void.
+        // New root level: left child is the old root, right child void, so
+        // the new root passes the old one through and adds no bytes.
         let old_root = self.levels.last().and_then(|l| l[0].clone());
         self.levels.push(vec![old_root]);
+        self.bytes.push(vec![0]);
         debug_assert_eq!(self.capacity(), cap * 2);
     }
 
     /// Halves the capacity by promoting the right child of the root, valid
-    /// only when the whole left half of the leaf level is void.
+    /// only when the whole left half of the leaf level is void. The dropped
+    /// nodes (possibly stale until the caller propagates) return what they
+    /// charged.
     fn fold(&mut self) {
         let half = self.capacity() / 2;
         debug_assert!(self.start >= half, "fold requires a void left half");
         self.levels.pop(); // drop the root level
-        for level in self.levels.iter_mut() {
+        let mut freed: u64 = self.bytes.pop().map_or(0, |root| root.iter().sum());
+        for (level, bytes) in self.levels.iter_mut().zip(&mut self.bytes) {
             let keep = level.len() / 2;
             level.drain(..keep);
+            freed += bytes.drain(..keep).sum::<u64>();
         }
+        self.memo -= freed;
         self.start -= half;
     }
 
@@ -144,7 +180,7 @@ impl<V> FoldingTree<V> {
             let mut parents: Vec<usize> = dirty.iter().map(|i| i / 2).collect();
             parents.dedup();
             for &p in &parents {
-                let value = {
+                let (value, bytes) = {
                     let children = &self.levels[child_level];
                     let left = children[2 * p].as_ref();
                     let right = children[2 * p + 1].as_ref();
@@ -158,9 +194,9 @@ impl<V> FoldingTree<V> {
                     if let (Some(r), false) = (right, r_dirty) {
                         cx.reuse(r);
                     }
-                    Self::join(cx, left, right)
+                    cx.join(Phase::Foreground, left, right)
                 };
-                self.levels[child_level + 1][p] = value;
+                self.write(child_level + 1, p, value, bytes);
             }
             dirty = parents;
         }
@@ -169,9 +205,13 @@ impl<V> FoldingTree<V> {
     fn do_rebuild<K>(&mut self, cx: &mut TreeCx<'_, K, V>, live: Vec<Arc<V>>) {
         let n = live.len();
         let cap = n.max(1).next_power_of_two();
+        let mut leaf_bytes: Vec<u64> = live.iter().map(|v| cx.value_bytes(v)).collect();
+        leaf_bytes.resize(cap, 0);
         let mut leaf_level: Vec<Option<Arc<V>>> = live.into_iter().map(Some).collect();
         leaf_level.resize_with(cap, || None);
+        self.memo = leaf_bytes.iter().sum();
         self.levels = vec![leaf_level];
+        self.bytes = vec![leaf_bytes];
         self.start = 0;
         self.len = n;
         self.build_internal(cx);
@@ -207,6 +247,8 @@ impl<V> Clone for FoldingTree<V> {
     fn clone(&self) -> Self {
         FoldingTree {
             levels: self.levels.clone(),
+            bytes: self.bytes.clone(),
+            memo: self.memo,
             start: self.start,
             len: self.len,
             rebuild_factor: self.rebuild_factor,
@@ -249,7 +291,7 @@ where
 
         // Drop the oldest `remove` leaves: mark their slots void.
         for i in self.start..self.start + remove {
-            self.levels[0][i] = None;
+            self.write(0, i, None, 0);
             dirty.push(i);
         }
         self.start += remove;
@@ -268,7 +310,7 @@ where
                 self.unfold();
             }
             let slot = self.end();
-            self.levels[0][slot] = Some(value);
+            self.write_leaf(cx, slot, Some(value));
             dirty.push(slot);
             self.len += 1;
         }
@@ -327,13 +369,13 @@ where
             // `[a - k + at, a + at)` receives the new leaves. Ascending
             // order is safe because every target slot precedes its source.
             for i in a..a + at {
-                self.levels[0][i - k] = self.levels[0][i].take();
+                self.move_leaf(i, i - k);
                 dirty.push(i - k);
                 dirty.push(i);
             }
             for (j, v) in values.into_iter().enumerate() {
                 let slot = a - k + at + j;
-                self.levels[0][slot] = Some(v);
+                self.write_leaf(cx, slot, Some(v));
                 dirty.push(slot);
             }
             self.start = a - k;
@@ -345,13 +387,13 @@ where
                 self.unfold();
             }
             for i in (a + at..a + self.len).rev() {
-                self.levels[0][i + k] = self.levels[0][i].take();
+                self.move_leaf(i, i + k);
                 dirty.push(i);
                 dirty.push(i + k);
             }
             for (j, v) in values.into_iter().enumerate() {
                 let slot = a + at + j;
-                self.levels[0][slot] = Some(v);
+                self.write_leaf(cx, slot, Some(v));
                 dirty.push(slot);
             }
             self.len += k;
@@ -383,19 +425,19 @@ where
         // Void the evicted range, then close the gap by shifting whichever
         // side is smaller.
         for i in a + at..a + at + count {
-            self.levels[0][i] = None;
+            self.write(0, i, None, 0);
             dirty.push(i);
         }
         if at <= suffix {
             for i in (a..a + at).rev() {
-                self.levels[0][i + count] = self.levels[0][i].take();
+                self.move_leaf(i, i + count);
                 dirty.push(i);
                 dirty.push(i + count);
             }
             self.start = a + count;
         } else {
             for i in a + at + count..a + self.len {
-                self.levels[0][i - count] = self.levels[0][i].take();
+                self.move_leaf(i, i - count);
                 dirty.push(i);
                 dirty.push(i - count);
             }
@@ -439,27 +481,13 @@ where
         self.len
     }
 
-    fn memo_bytes(&self, combiner: &dyn Combiner<K, V>, key: &K) -> u64 {
-        // Pass-through nodes share the child's allocation; count each
-        // distinct allocation once.
-        let mut bytes = 0;
-        for (h, level) in self.levels.iter().enumerate() {
-            for (i, slot) in level.iter().enumerate() {
-                let Some(v) = slot else { continue };
-                let pass_through = h > 0 && {
-                    let children = &self.levels[h - 1];
-                    [children.get(2 * i), children.get(2 * i + 1)]
-                        .into_iter()
-                        .flatten()
-                        .flatten()
-                        .any(|c| Arc::ptr_eq(c, v))
-                };
-                if !pass_through {
-                    bytes += combiner.value_bytes(key, v);
-                }
-            }
-        }
-        bytes
+    fn memo_bytes(&self) -> u64 {
+        self.memo
+    }
+
+    #[cfg(feature = "oracle")]
+    fn memo_layout(&self) -> MemoLayout<V> {
+        MemoLayout::Levels(self.levels.clone())
     }
 
     fn kind(&self) -> TreeKind {
@@ -945,7 +973,7 @@ mod tests {
         let mut tree = FoldingTree::new();
         tree.rebuild(&mut cx, leaves(&[1, 2, 3]));
         // 3 leaves + C(1,2) + pass-through(3) + root = 5 distinct * 16 bytes.
-        let bytes = WindowAggregator::<u8, u64>::memo_bytes(&tree, &combiner, &key);
+        let bytes = WindowAggregator::<u8, u64>::memo_bytes(&tree);
         assert_eq!(bytes, 5 * 16);
     }
 }

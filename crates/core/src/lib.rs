@@ -103,6 +103,8 @@ pub use randomized::RandomizedFoldingTree;
 pub use rotating::RotatingTree;
 pub use stats::{Phase, PhaseWork, UpdateStats};
 pub use strawman::StrawmanTree;
+#[cfg(feature = "oracle")]
+pub use tree::MemoLayout;
 pub use tree::{
     build_contraction_tree, build_tree, ContractionTree, ParseTreeKindError, TreeCx, TreeKind,
     WindowAggregator,

@@ -19,12 +19,15 @@ pub struct MemoCache<V> {
     generation: u64,
     hits: u64,
     misses: u64,
+    /// Sum of the live entries' sizes, as given to [`MemoCache::put`].
+    bytes: u64,
 }
 
 #[derive(Debug)]
 struct Entry<V> {
     value: Arc<V>,
     last_used: u64,
+    bytes: u64,
 }
 
 // Manual impls: every cached value sits behind an `Arc`, so a cache clone
@@ -36,6 +39,7 @@ impl<V> Clone for MemoCache<V> {
             generation: self.generation,
             hits: self.hits,
             misses: self.misses,
+            bytes: self.bytes,
         }
     }
 }
@@ -45,6 +49,7 @@ impl<V> Clone for Entry<V> {
         Entry {
             value: Arc::clone(&self.value),
             last_used: self.last_used,
+            bytes: self.bytes,
         }
     }
 }
@@ -63,6 +68,7 @@ impl<V> MemoCache<V> {
             generation: 0,
             hits: 0,
             misses: 0,
+            bytes: 0,
         }
     }
 
@@ -82,16 +88,19 @@ impl<V> MemoCache<V> {
         }
     }
 
-    /// Inserts (or refreshes) a computed aggregate under `id`.
-    pub fn put(&mut self, id: u64, value: Arc<V>) {
+    /// Inserts (or refreshes) a computed aggregate under `id`; `bytes` is
+    /// its modeled size, counted in [`MemoCache::bytes`] while it lives.
+    pub fn put(&mut self, id: u64, value: Arc<V>, bytes: u64) {
         let generation = self.generation;
-        self.entries.insert(
-            id,
-            Entry {
-                value,
-                last_used: generation,
-            },
-        );
+        self.bytes += bytes;
+        let entry = Entry {
+            value,
+            last_used: generation,
+            bytes,
+        };
+        if let Some(old) = self.entries.insert(id, entry) {
+            self.bytes -= old.bytes;
+        }
     }
 
     /// Starts a new generation, evicting every entry not used since the
@@ -101,7 +110,15 @@ impl<V> MemoCache<V> {
     pub fn sweep(&mut self) -> usize {
         let current = self.generation;
         let before = self.entries.len();
-        self.entries.retain(|_, e| e.last_used == current);
+        let mut freed = 0;
+        self.entries.retain(|_, e| {
+            let keep = e.last_used == current;
+            if !keep {
+                freed += e.bytes;
+            }
+            keep
+        });
+        self.bytes -= freed;
         self.generation += 1;
         before - self.entries.len()
     }
@@ -126,9 +143,15 @@ impl<V> MemoCache<V> {
         self.misses
     }
 
-    /// Sums `size_of` over all cached values (memoization footprint).
-    pub fn footprint(&self, mut size_of: impl FnMut(&V) -> u64) -> u64 {
-        self.entries.values().map(|e| size_of(&e.value)).sum()
+    /// Memoization footprint: the sizes the live entries were put with.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Every cached value, in no particular order.
+    #[cfg(feature = "oracle")]
+    pub fn values(&self) -> impl Iterator<Item = &Arc<V>> {
+        self.entries.values().map(|e| &e.value)
     }
 }
 
@@ -140,7 +163,7 @@ mod tests {
     fn get_put_roundtrip() {
         let mut cache = MemoCache::new();
         assert!(cache.get(1).is_none());
-        cache.put(1, Arc::new(10u32));
+        cache.put(1, Arc::new(10u32), 4);
         assert_eq!(*cache.get(1).unwrap(), 10);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -149,8 +172,8 @@ mod tests {
     #[test]
     fn sweep_evicts_untouched_entries() {
         let mut cache = MemoCache::new();
-        cache.put(1, Arc::new(1u8));
-        cache.put(2, Arc::new(2u8));
+        cache.put(1, Arc::new(1u8), 1);
+        cache.put(2, Arc::new(2u8), 1);
         cache.sweep(); // both were written this generation: both survive
         assert_eq!(cache.len(), 2);
 
@@ -166,17 +189,34 @@ mod tests {
     #[test]
     fn footprint_sums_value_sizes() {
         let mut cache = MemoCache::new();
-        cache.put(1, Arc::new(vec![0u8; 3]));
-        cache.put(2, Arc::new(vec![0u8; 5]));
-        assert_eq!(cache.footprint(|v| v.len() as u64), 8);
+        cache.put(1, Arc::new(vec![0u8; 3]), 3);
+        cache.put(2, Arc::new(vec![0u8; 5]), 5);
+        assert_eq!(cache.bytes(), 8);
+    }
+
+    #[test]
+    fn bytes_follow_refresh_and_sweep() {
+        let mut cache = MemoCache::new();
+        cache.put(1, Arc::new(vec![0u8; 3]), 3);
+        cache.put(2, Arc::new(vec![0u8; 5]), 5);
+        // A refresh replaces the entry's size; a sweep frees what it evicts.
+        cache.put(2, Arc::new(vec![0u8; 7]), 7);
+        assert_eq!(cache.bytes(), 10);
+        cache.sweep();
+        cache.get(1);
+        cache.sweep();
+        assert_eq!(cache.bytes(), 3);
+        cache.sweep();
+        assert_eq!(cache.bytes(), 0);
+        assert!(cache.is_empty());
     }
 
     #[test]
     fn put_refreshes_generation() {
         let mut cache = MemoCache::new();
-        cache.put(1, Arc::new(1u8));
+        cache.put(1, Arc::new(1u8), 1);
         cache.sweep();
-        cache.put(1, Arc::new(2u8)); // refresh in the new generation
+        cache.put(1, Arc::new(2u8), 1); // refresh in the new generation
         cache.sweep();
         assert_eq!(*cache.get(1).unwrap(), 2);
     }

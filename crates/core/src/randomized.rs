@@ -15,11 +15,12 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::combiner::Combiner;
 use crate::error::TreeError;
 use crate::hash::{hash_one, hash_pair};
 use crate::memo::MemoCache;
 use crate::stats::Phase;
+#[cfg(feature = "oracle")]
+use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
 /// Skip-list-style variable-width contraction tree. See the module docs.
@@ -30,6 +31,8 @@ pub struct RandomizedFoldingTree<V> {
     next_id: u64,
     height: usize,
     seed: u64,
+    /// Modeled bytes of the window leaves (the cache counts its own).
+    leaf_bytes: u64,
 }
 
 impl<V> RandomizedFoldingTree<V> {
@@ -49,6 +52,7 @@ impl<V> RandomizedFoldingTree<V> {
             next_id: 0,
             height: 0,
             seed,
+            leaf_bytes: 0,
         }
     }
 
@@ -168,7 +172,7 @@ impl<V> RandomizedFoldingTree<V> {
         for (_, v) in &group[1..] {
             acc = cx.merge(Phase::Foreground, &acc, v);
         }
-        self.cache.put(id, Arc::clone(&acc));
+        self.cache.put(id, Arc::clone(&acc), cx.value_bytes(&acc));
         (id, acc)
     }
 }
@@ -198,6 +202,7 @@ impl<V> Clone for RandomizedFoldingTree<V> {
             next_id: self.next_id,
             height: self.height,
             seed: self.seed,
+            leaf_bytes: self.leaf_bytes,
         }
     }
 }
@@ -214,8 +219,10 @@ where
     fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
         self.leaves.clear();
         self.cache = MemoCache::new();
+        self.leaf_bytes = 0;
         for value in leaves.into_iter().flatten() {
             let id = self.fresh_id();
+            self.leaf_bytes += cx.value_bytes(&value);
             self.leaves.push_back((id, value));
             cx.note_added(1);
         }
@@ -234,12 +241,13 @@ where
                 window: self.leaves.len(),
             });
         }
-        for _ in 0..remove {
-            self.leaves.pop_front();
+        for (_, value) in self.leaves.drain(..remove) {
+            self.leaf_bytes -= cx.value_bytes(&value);
             cx.note_removed(1);
         }
         for value in added.into_iter().flatten() {
             let id = self.fresh_id();
+            self.leaf_bytes += cx.value_bytes(&value);
             self.leaves.push_back((id, value));
             cx.note_added(1);
         }
@@ -266,6 +274,7 @@ where
         cx.note_added(values.len() as u64);
         for (j, value) in values.into_iter().enumerate() {
             let id = self.fresh_id();
+            self.leaf_bytes += cx.value_bytes(&value);
             self.leaves.insert(at + j, (id, value));
         }
         // Group boundaries hang off identities, not positions, so the
@@ -295,7 +304,9 @@ where
             return Ok(());
         }
         cx.note_removed(count as u64);
-        self.leaves.drain(at..at + count);
+        for (_, value) in self.leaves.drain(at..at + count) {
+            self.leaf_bytes -= cx.value_bytes(&value);
+        }
         self.recombine(cx);
         Ok(())
     }
@@ -308,14 +319,14 @@ where
         self.leaves.len()
     }
 
-    fn memo_bytes(&self, combiner: &dyn Combiner<K, V>, key: &K) -> u64 {
-        let cached = self.cache.footprint(|v| combiner.value_bytes(key, v));
-        let leaves: u64 = self
-            .leaves
-            .iter()
-            .map(|(_, v)| combiner.value_bytes(key, v))
-            .sum();
-        cached + leaves
+    fn memo_bytes(&self) -> u64 {
+        self.cache.bytes() + self.leaf_bytes
+    }
+
+    #[cfg(feature = "oracle")]
+    fn memo_layout(&self) -> MemoLayout<V> {
+        let leaves = self.leaves.iter().map(|(_, v)| v);
+        MemoLayout::Each(leaves.chain(self.cache.values()).cloned().collect())
     }
 
     fn kind(&self) -> TreeKind {

@@ -21,9 +21,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::combiner::Combiner;
 use crate::error::TreeError;
 use crate::stats::Phase;
+#[cfg(feature = "oracle")]
+use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
 /// Fixed-width rotating contraction tree. See the module docs.
@@ -35,6 +36,12 @@ pub struct RotatingTree<V> {
     /// Segment tree: `nodes[1]` is the root, leaves at `width..width+capacity`.
     /// `None` marks a slot in which this key is absent.
     nodes: Vec<Option<Arc<V>>>,
+    /// Modeled bytes each node adds to the footprint: a leaf's size, a
+    /// merged node's size, 0 for absent slots and for pass-through nodes
+    /// (they share their only present child's allocation).
+    bytes: Vec<u64>,
+    /// Sum of `bytes`.
+    memo: u64,
     /// Slots filled so far during the initial fill phase.
     filled: usize,
     /// Slot to be replaced by the next rotation once the window is full.
@@ -42,8 +49,9 @@ pub struct RotatingTree<V> {
     /// Number of present (Some) leaves.
     present: usize,
     /// Pre-combined off-path aggregate `I` for the next insertion slot
-    /// (outer `None` = not prepared; inner `None` = all siblings absent).
-    precombined: Option<Option<Arc<V>>>,
+    /// (outer `None` = not prepared; inner `None` = all siblings absent),
+    /// with its modeled bytes (it counts in the footprint while prepared).
+    precombined: Option<(Option<Arc<V>>, u64)>,
     /// Leaf insertion deferred to the next background step: (slot, value).
     pending: Option<(usize, Option<Arc<V>>)>,
     /// Equivalent root produced by the split-mode shortcut while `pending`
@@ -64,6 +72,8 @@ impl<V> RotatingTree<V> {
             capacity,
             width,
             nodes: vec![None; 2 * width],
+            bytes: vec![0; 2 * width],
+            memo: 0,
             filled: 0,
             next_victim: 0,
             present: 0,
@@ -107,6 +117,14 @@ impl<V> RotatingTree<V> {
         }
     }
 
+    /// Stores `value` in node `i`, charging `bytes` to the footprint in
+    /// place of what the old occupant charged.
+    fn write(&mut self, i: usize, value: Option<Arc<V>>, bytes: u64) {
+        self.memo = self.memo - self.bytes[i] + bytes;
+        self.bytes[i] = bytes;
+        self.nodes[i] = value;
+    }
+
     /// Writes `value` into `slot` and recombines the path to the root.
     fn set_leaf<K>(
         &mut self,
@@ -134,24 +152,23 @@ impl<V> RotatingTree<V> {
         V: Send + Sync,
     {
         let mut node = self.width + slot;
-        self.nodes[node] = value;
+        let bytes = value.as_deref().map_or(0, |v| cx.value_bytes(v));
+        self.write(node, value, bytes);
         while node > 1 {
             let sibling = node ^ 1;
             if let Some(s) = &self.nodes[sibling] {
                 cx.reuse(s);
             }
             let parent = node / 2;
-            self.nodes[parent] = match (&self.nodes[node], &self.nodes[sibling]) {
-                (Some(a), Some(b)) => {
-                    // Merge in left-right order for determinism; correctness
-                    // relies on commutativity, checked at rotation time.
-                    let (l, r) = if node < sibling { (a, b) } else { (b, a) };
-                    Some(cx.merge(phase, l, r))
-                }
-                (Some(a), None) => Some(Arc::clone(a)),
-                (None, Some(b)) => Some(Arc::clone(b)),
-                (None, None) => None,
-            };
+            // Merge in left-right order for determinism; correctness relies
+            // on commutativity, checked at rotation time.
+            let left = 2 * parent;
+            let (value, bytes) = cx.join(
+                phase,
+                self.nodes[left].as_ref(),
+                self.nodes[left + 1].as_ref(),
+            );
+            self.write(parent, value, bytes);
             node = parent;
         }
     }
@@ -230,6 +247,8 @@ impl<V> Clone for RotatingTree<V> {
             capacity: self.capacity,
             width: self.width,
             nodes: self.nodes.clone(),
+            bytes: self.bytes.clone(),
+            memo: self.memo,
             filled: self.filled,
             next_victim: self.next_victim,
             present: self.present,
@@ -259,15 +278,16 @@ where
         self.filled = leaves.len();
         self.present = leaves.iter().filter(|l| l.is_some()).count();
         for (slot, value) in leaves.into_iter().enumerate() {
-            self.nodes[self.width + slot] = value;
+            let bytes = value.as_deref().map_or(0, |v| cx.value_bytes(v));
+            self.write(self.width + slot, value, bytes);
         }
         for node in (1..self.width).rev() {
-            self.nodes[node] = match (&self.nodes[2 * node], &self.nodes[2 * node + 1]) {
-                (Some(a), Some(b)) => Some(cx.merge(Phase::Foreground, a, b)),
-                (Some(a), None) => Some(Arc::clone(a)),
-                (None, Some(b)) => Some(Arc::clone(b)),
-                (None, None) => None,
-            };
+            let (value, bytes) = cx.join(
+                Phase::Foreground,
+                self.nodes[2 * node].as_ref(),
+                self.nodes[2 * node + 1].as_ref(),
+            );
+            self.write(node, value, bytes);
         }
     }
 
@@ -315,7 +335,7 @@ where
         // aggregate needs one foreground merge; the structural update is
         // deferred to the next background step.
         if remove == 1 && self.pending.is_none() {
-            if let Some(off_path) = self.precombined.take() {
+            if let Some((off_path, _)) = self.precombined.take() {
                 let value = added.next().expect("remove == added.len() == 1");
                 let root = match (&value, &off_path) {
                     (Some(v), Some(i)) => Some(cx.merge(Phase::Foreground, v, i)),
@@ -373,7 +393,8 @@ where
         // next insertion slot.
         let slot = self.next_slot();
         let off_path = self.combine_off_path(cx, Phase::Background, slot);
-        self.precombined = Some(off_path);
+        let bytes = off_path.as_deref().map_or(0, |v| cx.value_bytes(v));
+        self.precombined = Some((off_path, bytes));
     }
 
     fn root(&self) -> Option<Arc<V>> {
@@ -393,25 +414,17 @@ where
         self.present
     }
 
-    fn memo_bytes(&self, combiner: &dyn Combiner<K, V>, key: &K) -> u64 {
-        let mut bytes = 0;
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            let Some(v) = node else { continue };
-            let pass_through = i < self.width && {
-                [self.nodes.get(2 * i), self.nodes.get(2 * i + 1)]
-                    .into_iter()
-                    .flatten()
-                    .flatten()
-                    .any(|c| Arc::ptr_eq(c, v))
-            };
-            if !pass_through {
-                bytes += combiner.value_bytes(key, v);
-            }
+    fn memo_bytes(&self) -> u64 {
+        self.memo + self.precombined.as_ref().map_or(0, |(_, bytes)| *bytes)
+    }
+
+    #[cfg(feature = "oracle")]
+    fn memo_layout(&self) -> MemoLayout<V> {
+        MemoLayout::Heap {
+            nodes: self.nodes.clone(),
+            width: self.width,
+            prepared: self.precombined.as_ref().and_then(|(i, _)| i.clone()),
         }
-        if let Some(Some(i)) = &self.precombined {
-            bytes += combiner.value_bytes(key, i);
-        }
-        bytes
     }
 
     fn kind(&self) -> TreeKind {

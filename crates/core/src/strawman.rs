@@ -16,11 +16,12 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::combiner::Combiner;
 use crate::error::TreeError;
 use crate::hash::{hash_one, hash_pair};
 use crate::memo::MemoCache;
 use crate::stats::Phase;
+#[cfg(feature = "oracle")]
+use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
 /// Memoization-only baseline contraction tree. See the module docs.
@@ -32,6 +33,8 @@ pub struct StrawmanTree<V> {
     root: Option<Arc<V>>,
     next_id: u64,
     height: usize,
+    /// Modeled bytes of the window leaves (the cache counts its own).
+    leaf_bytes: u64,
 }
 
 impl<V> StrawmanTree<V> {
@@ -43,6 +46,7 @@ impl<V> StrawmanTree<V> {
             root: None,
             next_id: 0,
             height: 0,
+            leaf_bytes: 0,
         }
     }
 
@@ -64,7 +68,9 @@ impl<V> StrawmanTree<V> {
             "replace_leaf: index out of bounds"
         );
         let id = self.fresh_id();
-        self.leaves[index] = (id, value);
+        self.leaf_bytes += cx.value_bytes(&value);
+        let (_, old) = std::mem::replace(&mut self.leaves[index], (id, value));
+        self.leaf_bytes -= cx.value_bytes(&old);
         self.recombine(cx);
     }
 
@@ -87,6 +93,7 @@ impl<V> StrawmanTree<V> {
         } else {
             cx.note_removed((before - after) as u64);
         }
+        self.leaf_bytes = leaves.iter().map(|(_, v)| cx.value_bytes(v)).sum();
         self.leaves = leaves.into();
         self.recombine(cx);
     }
@@ -133,7 +140,7 @@ impl<V> StrawmanTree<V> {
                     }
                     None => {
                         let v = cx.merge(Phase::Foreground, lv, rv);
-                        self.cache.put(id, Arc::clone(&v));
+                        self.cache.put(id, Arc::clone(&v), cx.value_bytes(&v));
                         v
                     }
                 };
@@ -176,6 +183,7 @@ impl<V> Clone for StrawmanTree<V> {
             root: self.root.clone(),
             next_id: self.next_id,
             height: self.height,
+            leaf_bytes: self.leaf_bytes,
         }
     }
 }
@@ -192,8 +200,10 @@ where
     fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
         self.leaves.clear();
         self.cache = MemoCache::new();
+        self.leaf_bytes = 0;
         for value in leaves.into_iter().flatten() {
             let id = self.fresh_id();
+            self.leaf_bytes += cx.value_bytes(&value);
             self.leaves.push_back((id, value));
             cx.note_added(1);
         }
@@ -212,12 +222,13 @@ where
                 window: self.leaves.len(),
             });
         }
-        for _ in 0..remove {
-            self.leaves.pop_front();
+        for (_, value) in self.leaves.drain(..remove) {
+            self.leaf_bytes -= cx.value_bytes(&value);
             cx.note_removed(1);
         }
         for value in added.into_iter().flatten() {
             let id = self.fresh_id();
+            self.leaf_bytes += cx.value_bytes(&value);
             self.leaves.push_back((id, value));
             cx.note_added(1);
         }
@@ -244,6 +255,7 @@ where
         cx.note_added(values.len() as u64);
         for (j, value) in values.into_iter().enumerate() {
             let id = self.fresh_id();
+            self.leaf_bytes += cx.value_bytes(&value);
             self.leaves.insert(at + j, (id, value));
         }
         // Leaves at and after the splice point change pairing position, so
@@ -272,7 +284,9 @@ where
             return Ok(());
         }
         cx.note_removed(count as u64);
-        self.leaves.drain(at..at + count);
+        for (_, value) in self.leaves.drain(at..at + count) {
+            self.leaf_bytes -= cx.value_bytes(&value);
+        }
         self.recombine(cx);
         Ok(())
     }
@@ -285,14 +299,14 @@ where
         self.leaves.len()
     }
 
-    fn memo_bytes(&self, combiner: &dyn Combiner<K, V>, key: &K) -> u64 {
-        let cached = self.cache.footprint(|v| combiner.value_bytes(key, v));
-        let leaves: u64 = self
-            .leaves
-            .iter()
-            .map(|(_, v)| combiner.value_bytes(key, v))
-            .sum();
-        cached + leaves
+    fn memo_bytes(&self) -> u64 {
+        self.cache.bytes() + self.leaf_bytes
+    }
+
+    #[cfg(feature = "oracle")]
+    fn memo_layout(&self) -> MemoLayout<V> {
+        let leaves = self.leaves.iter().map(|(_, v)| v);
+        MemoLayout::Each(leaves.chain(self.cache.values()).cloned().collect())
     }
 
     fn kind(&self) -> TreeKind {

@@ -198,6 +198,27 @@ impl<'a, K, V> TreeCx<'a, K, V> {
         out
     }
 
+    /// The parent of two possibly absent children, with the bytes it adds
+    /// to a footprint: a fresh merge (charged to `phase`) and its size when
+    /// both are present, or the present child's own allocation and 0 — a
+    /// pass-through shares what its child already counts.
+    pub fn join(
+        &mut self,
+        phase: Phase,
+        left: Option<&Arc<V>>,
+        right: Option<&Arc<V>>,
+    ) -> (Option<Arc<V>>, u64) {
+        match (left, right) {
+            (Some(l), Some(r)) => {
+                let merged = self.merge(phase, l, r);
+                let bytes = self.value_bytes(&merged);
+                (Some(merged), bytes)
+            }
+            (Some(child), None) | (None, Some(child)) => (Some(Arc::clone(child)), 0),
+            (None, None) => (None, 0),
+        }
+    }
+
     /// Left-folds a sequence of aggregates into one, charging to `phase`.
     /// Returns `None` for an empty sequence.
     pub fn fold(
@@ -236,7 +257,8 @@ impl<'a, K, V> TreeCx<'a, K, V> {
         self.stats.leaves_removed += n;
     }
 
-    /// Modeled byte size of a partial aggregate (for space accounting).
+    /// Modeled byte size of a partial aggregate: what storing `v` adds to
+    /// a structure's [`WindowAggregator::memo_bytes`].
     pub fn value_bytes(&self, v: &V) -> u64 {
         self.combiner.value_bytes(self.key, v)
     }
@@ -384,8 +406,18 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
         self.len() == 0
     }
 
-    /// Memoization footprint in bytes, per the combiner's `value_bytes`.
-    fn memo_bytes(&self, combiner: &dyn Combiner<K, V>, key: &K) -> u64;
+    /// Memoization footprint in bytes, per the combiner's `value_bytes`:
+    /// every distinct memoized allocation counted once. Maintained as the
+    /// structure mutates (each write charges [`TreeCx::value_bytes`] of the
+    /// value it stores, each drop returns what its write charged), so this
+    /// is an O(1) read.
+    fn memo_bytes(&self) -> u64;
+
+    /// Every memoized allocation, laid out so the footprint can be recounted
+    /// from scratch (the property tests' oracle for
+    /// [`WindowAggregator::memo_bytes`]).
+    #[cfg(feature = "oracle")]
+    fn memo_layout(&self) -> MemoLayout<V>;
 
     /// Which family member this is.
     fn kind(&self) -> TreeKind;
@@ -401,6 +433,36 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
     /// (the reconstructed shape reuses different nodes), so restore paths
     /// clone instead.
     fn boxed_clone(&self) -> Box<dyn WindowAggregator<K, V>>;
+}
+
+/// The memoized allocations of one aggregator, grouped by how its footprint
+/// counts them. Built only with the `oracle` feature, for tests that recount
+/// [`WindowAggregator::memo_bytes`] from scratch.
+#[cfg(feature = "oracle")]
+#[derive(Debug)]
+pub enum MemoLayout<V> {
+    /// Allocations each counted once per listing (strawman, randomized
+    /// folding tree: window leaves and memo-cache entries; coalescing
+    /// tree: the root and the pending delta).
+    Each(Vec<Arc<V>>),
+    /// Binary levels, leaves first: node `i` of level `h` has the children
+    /// `2i` and `2i + 1` of level `h - 1`. A node that shares a child's
+    /// allocation (a pass-through) is not counted again (folding tree).
+    Levels(Vec<Vec<Option<Arc<V>>>>),
+    /// A 1-based segment tree (node `i` has children `2i` and `2i + 1`;
+    /// nodes from `width` on are leaves) with the same pass-through rule,
+    /// plus the prepared off-path aggregate, always counted (rotating tree).
+    Heap {
+        /// Segment-tree nodes; index 0 is unused.
+        nodes: Vec<Option<Arc<V>>>,
+        /// Index of the first leaf.
+        width: usize,
+        /// Split-mode off-path aggregate, if prepared.
+        prepared: Option<Arc<V>>,
+    },
+    /// Every place that holds an allocation, shared ones listed once per
+    /// holder; each distinct allocation is counted once (twin stacks).
+    Shared(Vec<Arc<V>>),
 }
 
 /// Extension contract for aggregators that really are self-adjusting

@@ -157,7 +157,7 @@ fn memo_footprint_is_linear_in_the_window() {
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         tree.rebuild(&mut cx, leaves(0..n));
-        let bytes = tree.memo_bytes(&combiner, &key);
+        let bytes = tree.memo_bytes();
         let per_value = 16;
         assert!(
             bytes <= 2 * n * per_value + per_value,

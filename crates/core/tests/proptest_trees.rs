@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use slider_core::{
-    build_tree, Combiner, ContractionTree, FnCombiner, TreeCx, TreeKind, UpdateStats,
-    WindowAggregator,
+    build_tree, CoalescingTree, Combiner, ContractionTree, FnCombiner, FoldingTree, MemoLayout,
+    TreeCx, TreeError, TreeKind, UpdateStats, WindowAggregator,
 };
 
 /// One window slide: drop `remove` leading leaves (capped to the window),
@@ -387,5 +387,344 @@ fn all_trees_agree_with_each_other() {
     let first = roots[0].1.clone();
     for (kind, root) in &roots {
         assert_eq!(root, &first, "{kind} disagrees");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Footprint oracle: the maintained `memo_bytes` against a from-scratch count
+// ---------------------------------------------------------------------------
+
+/// A posting-list-like value: its modeled size grows with its length, so
+/// counting the wrong one of two shared allocations changes the total.
+type List = Vec<u64>;
+
+/// Sorted merge of two lists (associative and commutative, so the rotating
+/// tree accepts it), sized like the join's posting lists.
+struct ListCombiner;
+
+impl Combiner<u8, List> for ListCombiner {
+    fn combine(&self, _key: &u8, a: &List, b: &List) -> List {
+        let mut out = a.clone();
+        out.extend(b);
+        out.sort_unstable();
+        out
+    }
+
+    fn value_bytes(&self, _key: &u8, v: &List) -> u64 {
+        8 + 8 * u64::try_from(v.len()).expect("list length fits u64")
+    }
+}
+
+fn list_bytes(v: &Arc<List>) -> u64 {
+    ListCombiner.value_bytes(&0, v)
+}
+
+/// Whether `node` shares the allocation of one of its children.
+fn passes_through(node: &Arc<List>, children: [Option<&Option<Arc<List>>>; 2]) -> bool {
+    children
+        .into_iter()
+        .flatten()
+        .flatten()
+        .any(|child| Arc::ptr_eq(child, node))
+}
+
+/// Recounts a footprint from every memoized allocation: each distinct
+/// allocation once, per the layout's sharing rules.
+fn recount(layout: MemoLayout<List>) -> u64 {
+    match layout {
+        MemoLayout::Each(held) => held.iter().map(list_bytes).sum(),
+        MemoLayout::Levels(levels) => {
+            let mut bytes = 0;
+            for (h, level) in levels.iter().enumerate() {
+                for (i, node) in level.iter().enumerate() {
+                    let Some(v) = node else { continue };
+                    let shared = h > 0 && {
+                        let children = &levels[h - 1];
+                        passes_through(v, [children.get(2 * i), children.get(2 * i + 1)])
+                    };
+                    if !shared {
+                        bytes += list_bytes(v);
+                    }
+                }
+            }
+            bytes
+        }
+        MemoLayout::Heap {
+            nodes,
+            width,
+            prepared,
+        } => {
+            let mut bytes = 0;
+            for (i, node) in nodes.iter().enumerate().skip(1) {
+                let Some(v) = node else { continue };
+                let shared =
+                    i < width && passes_through(v, [nodes.get(2 * i), nodes.get(2 * i + 1)]);
+                if !shared {
+                    bytes += list_bytes(v);
+                }
+            }
+            bytes + prepared.as_ref().map_or(0, list_bytes)
+        }
+        MemoLayout::Shared(held) => {
+            let mut seen = std::collections::HashSet::new();
+            held.iter()
+                .filter(|v| seen.insert(Arc::as_ptr(v)))
+                .map(list_bytes)
+                .sum()
+        }
+    }
+}
+
+/// One step of a history driven through the footprint oracle. Lengths are
+/// list lengths; `None` is a slot in which the key is absent.
+#[derive(Debug, Clone)]
+enum Step {
+    Advance {
+        remove: usize,
+        add: Vec<Option<usize>>,
+    },
+    AdvanceAbsent,
+    InsertAt {
+        at: usize,
+        add: Vec<usize>,
+    },
+    EvictRange {
+        at: usize,
+        count: usize,
+    },
+    Rebuild {
+        leaves: Vec<Option<usize>>,
+    },
+    Preprocess,
+    Clone,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let advance = || {
+        (
+            0usize..6,
+            proptest::collection::vec(proptest::option::of(0usize..5), 0..5),
+        )
+            .prop_map(|(remove, add)| Step::Advance { remove, add })
+    };
+    prop_oneof![
+        advance(),
+        advance(),
+        advance(),
+        Just(Step::AdvanceAbsent),
+        (0usize..24, proptest::collection::vec(0usize..5, 0..4))
+            .prop_map(|(at, add)| Step::InsertAt { at, add }),
+        (0usize..24, 0usize..5).prop_map(|(at, count)| Step::EvictRange { at, count }),
+        proptest::collection::vec(proptest::option::of(0usize..5), 0..12)
+            .prop_map(|leaves| Step::Rebuild { leaves }),
+        Just(Step::Preprocess),
+        Just(Step::Clone),
+    ]
+}
+
+/// Drives `tree` through `steps`, keeping each step inside the structure's
+/// window discipline, and checks after every step that the maintained
+/// footprint equals the from-scratch recount.
+fn check_footprint_history(
+    name: &str,
+    mut tree: Box<dyn WindowAggregator<u8, List>>,
+    mut capacity: usize,
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let combiner = ListCombiner;
+    let key = 0u8;
+    let kind = tree.kind();
+    let mut next = 0u64;
+    let mut leaf = |len: usize| {
+        next += 1;
+        Arc::new(vec![next; len])
+    };
+    // Rotating only: slots filled since the last rebuild.
+    let mut filled = 0usize;
+    for (i, step) in steps.iter().enumerate() {
+        let mut stats = UpdateStats::default();
+        let mut cx = TreeCx::new(&combiner, &key, &mut stats);
+        match step {
+            Step::Advance { remove, add } => {
+                let mut added: Vec<Option<Arc<List>>> =
+                    add.iter().map(|len| len.map(&mut leaf)).collect();
+                let remove = match kind {
+                    TreeKind::Rotating if filled < capacity => {
+                        added.truncate(capacity - filled);
+                        filled += added.len();
+                        0
+                    }
+                    TreeKind::Rotating => added.len(),
+                    TreeKind::Coalescing => 0,
+                    _ => (*remove).min(tree.len()),
+                };
+                prop_assert_eq!(tree.advance(&mut cx, remove, added), Ok(()), "{}", name);
+            }
+            Step::AdvanceAbsent => {
+                // Full rotating trees refuse when the victim slot is present.
+                if tree.advance_absent(&mut cx).is_ok() && kind == TreeKind::Rotating {
+                    filled = (filled + 1).min(capacity);
+                }
+            }
+            Step::InsertAt { at, add } => {
+                let at = (*at).min(tree.len());
+                let values = add.iter().map(|&len| leaf(len)).collect();
+                let spliced = tree.insert_at(&mut cx, at, values);
+                prop_assert!(
+                    spliced.is_ok() == kind.supports_splice(),
+                    "{}: insert_at gave {:?}",
+                    name,
+                    spliced
+                );
+            }
+            Step::EvictRange { at, count } => {
+                let at = (*at).min(tree.len());
+                let count = (*count).min(tree.len() - at);
+                let spliced = tree.evict_range(&mut cx, at, count);
+                match spliced {
+                    Ok(()) => prop_assert!(kind.supports_splice(), "{}", name),
+                    Err(e) => prop_assert_eq!(
+                        e,
+                        TreeError::SpliceUnsupported { kind: kind.name() },
+                        "{}",
+                        name
+                    ),
+                }
+            }
+            Step::Rebuild { leaves } => {
+                let leaves: Vec<Option<Arc<List>>> =
+                    leaves.iter().map(|len| len.map(&mut leaf)).collect();
+                capacity = capacity.max(leaves.len());
+                filled = leaves.len();
+                tree.rebuild(&mut cx, leaves);
+            }
+            Step::Preprocess => tree.preprocess(&mut cx),
+            Step::Clone => {
+                let copy = tree.boxed_clone();
+                prop_assert_eq!(copy.memo_bytes(), tree.memo_bytes(), "{}: clone", name);
+                tree = copy;
+            }
+        }
+        prop_assert_eq!(
+            tree.memo_bytes(),
+            recount(tree.memo_layout()),
+            "{}: footprint after step {} ({:?})",
+            name,
+            i,
+            step
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every kind keeps `memo_bytes` equal to a from-scratch recount of its
+    /// memoized allocations after every operation, including declined
+    /// splices, background pre-processing, rebuilds and clones that carry
+    /// the history on. The folding tree also runs with a rebuild factor and
+    /// the coalescing tree in split mode.
+    #[test]
+    fn maintained_footprint_matches_recount(
+        capacity in 1usize..8,
+        factor in 2u32..6,
+        initial in proptest::collection::vec(proptest::option::of(0usize..5), 0..10),
+        steps in proptest::collection::vec(step_strategy(), 0..48),
+    ) {
+        let mut trees: Vec<(String, Box<dyn WindowAggregator<u8, List>>)> = TreeKind::ALL
+            .iter()
+            .map(|&kind| (kind.name().to_string(), build_tree::<u8, List>(kind, capacity)))
+            .collect();
+        trees.push((
+            format!("folding (rebuild factor {factor})"),
+            Box::new(FoldingTree::with_rebuild_factor(factor)),
+        ));
+        trees.push(("coalescing (split)".into(), Box::new(CoalescingTree::with_split_processing())));
+        for (name, tree) in trees {
+            let steps: Vec<Step> = std::iter::once(Step::Rebuild { leaves: initial.clone() })
+                .chain(steps.iter().cloned())
+                .collect();
+            check_footprint_history(&name, tree, capacity, &steps)?;
+        }
+    }
+
+    /// The strawman's pipeline entry points (`replace_leaf`, `set_leaves`)
+    /// keep the footprint exact too.
+    #[test]
+    fn strawman_pipeline_updates_keep_footprint(
+        initial in proptest::collection::vec(0usize..5, 1..12),
+        edits in proptest::collection::vec(
+            (proptest::bool::ANY, 0usize..16, proptest::collection::vec(0usize..5, 0..12)), 0..24),
+    ) {
+        let combiner = ListCombiner;
+        let key = 0u8;
+        let mut next = 0u64;
+        let mut leaf = |len: usize| {
+            next += 1;
+            Arc::new(vec![next; len])
+        };
+        let mut tree = slider_core::StrawmanTree::new();
+        let mut stats = UpdateStats::default();
+        let mut cx = TreeCx::new(&combiner, &key, &mut stats);
+        let leaves = initial.iter().map(|&len| (0, leaf(len))).collect();
+        tree.set_leaves(&mut cx, leaves);
+        for (replace, index, lens) in edits {
+            let mut stats = UpdateStats::default();
+            let mut cx = TreeCx::new(&combiner, &key, &mut stats);
+            let len = WindowAggregator::<u8, List>::len(&tree);
+            if replace && len > 0 {
+                tree.replace_leaf(&mut cx, index % len, leaf(lens.len()));
+            } else {
+                // Keep some identities so part of the memo cache survives.
+                let leaves = lens
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &len)| (i as u64 % 3, leaf(len)))
+                    .collect();
+                tree.set_leaves(&mut cx, leaves);
+            }
+            let tree: &dyn WindowAggregator<u8, List> = &tree;
+            prop_assert_eq!(tree.memo_bytes(), recount(tree.memo_layout()));
+        }
+    }
+}
+
+/// The twin stacks share allocations in four places: a segment's newest
+/// entry is its own suffix aggregate, a one-leaf back's running total is
+/// that leaf, freezing hands `back_agg` over as `mid_agg`, and a flip drops
+/// the frozen total. Balanced slides over small windows pass through all of
+/// them (one-leaf windows freeze one-leaf backs on every slide), and
+/// insert floods followed by bulk evictions force whole flips.
+#[test]
+fn twin_stack_footprints_count_shared_allocations_once() {
+    for kind in [TreeKind::TwoStack, TreeKind::Daba, TreeKind::DabaLite] {
+        for width in 1..=5usize {
+            let mut steps = vec![Step::Rebuild {
+                leaves: (0..width).map(|i| Some(i % 4 + 1)).collect(),
+            }];
+            for i in 0..4 * width {
+                steps.push(Step::Advance {
+                    remove: 1,
+                    add: vec![Some(i % 3 + 1)],
+                });
+            }
+            steps.push(Step::Advance {
+                remove: 0,
+                add: vec![Some(2), Some(4), Some(1)],
+            });
+            steps.push(Step::Advance {
+                remove: width + 1,
+                add: vec![Some(3)],
+            });
+            steps.push(Step::Clone);
+            steps.push(Step::Advance {
+                remove: usize::MAX,
+                add: Vec::new(),
+            });
+            let tree = build_tree::<u8, List>(kind, 0);
+            check_footprint_history(&format!("{kind} width {width}"), tree, 0, &steps)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
     }
 }

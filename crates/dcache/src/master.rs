@@ -819,11 +819,15 @@ impl DistributedCache {
     /// enabled, every object that kept a replica there is enqueued for
     /// background re-replication onto the surviving nodes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `node` is outside the cluster.
-    pub fn fail_node(&mut self, node: NodeId) {
-        let n = self.nodes.get_mut(node.0).expect("unknown node");
+    /// [`CacheError::UnknownNode`] if `node` is outside the cluster; the
+    /// cache is left unchanged.
+    pub fn fail_node(&mut self, node: NodeId) -> Result<(), CacheError> {
+        let n = self
+            .nodes
+            .get_mut(node.0)
+            .ok_or(CacheError::UnknownNode(node))?;
         n.alive = false;
         n.memory.clear();
         if self.config.repair {
@@ -839,6 +843,7 @@ impl DistributedCache {
             }
         }
         self.trace.with(|t| t.add("dcache.node_failures", 1));
+        Ok(())
     }
 
     /// Brings `node` back: its persistent objects become readable again
@@ -847,11 +852,15 @@ impl DistributedCache {
     /// node was down — are purged so they cannot resurrect, metered as
     /// [`RepairStats::stale_copies_purged`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `node` is outside the cluster.
-    pub fn recover_node(&mut self, node: NodeId) {
-        self.nodes.get_mut(node.0).expect("unknown node").alive = true;
+    /// [`CacheError::UnknownNode`] if `node` is outside the cluster; the
+    /// cache is left unchanged.
+    pub fn recover_node(&mut self, node: NodeId) -> Result<(), CacheError> {
+        self.nodes
+            .get_mut(node.0)
+            .ok_or(CacheError::UnknownNode(node))?
+            .alive = true;
         let mut held: Vec<ObjectId> = self.nodes[node.0].disk.keys().copied().collect();
         held.sort_unstable();
         for object in held {
@@ -869,6 +878,7 @@ impl DistributedCache {
             }
         }
         self.trace.with(|t| t.add("dcache.node_recoveries", 1));
+        Ok(())
     }
 
     /// Drains the repair queue, re-replicating every enqueued object onto
@@ -1306,6 +1316,23 @@ mod tests {
     }
 
     #[test]
+    fn unknown_nodes_are_a_typed_error_and_change_nothing() {
+        let mut c = cache(3);
+        c.put(ObjectId(1), 100, NodeId(0), 0);
+        let before = c.stats();
+        assert_eq!(
+            c.fail_node(NodeId(3)),
+            Err(CacheError::UnknownNode(NodeId(3)))
+        );
+        assert_eq!(
+            c.recover_node(NodeId(usize::MAX)),
+            Err(CacheError::UnknownNode(NodeId(usize::MAX)))
+        );
+        assert_eq!(c.stats(), before);
+        assert!(c.read(ObjectId(1), NodeId(0)).is_ok());
+    }
+
+    #[test]
     fn local_memory_read_is_fastest() {
         let mut c = cache(4);
         c.put(ObjectId(1), 1 << 20, NodeId(0), 0);
@@ -1353,14 +1380,14 @@ mod tests {
     fn node_failure_falls_back_to_replicas() {
         let mut c = cache(4);
         c.put(ObjectId(1), 1024, NodeId(0), 0);
-        c.fail_node(NodeId(0));
+        c.fail_node(NodeId(0)).unwrap();
         // Memory copy is gone; replicas on nodes 1 and 2 still serve.
         let out = c.read(ObjectId(1), NodeId(1)).unwrap();
         assert_eq!(out.source, ReadSource::LocalDisk);
 
         // All replicas down -> unavailable.
-        c.fail_node(NodeId(1));
-        c.fail_node(NodeId(2));
+        c.fail_node(NodeId(1)).unwrap();
+        c.fail_node(NodeId(2)).unwrap();
         assert_eq!(
             c.read(ObjectId(1), NodeId(3)).unwrap_err(),
             CacheError::Unavailable(ObjectId(1))
@@ -1370,7 +1397,7 @@ mod tests {
         assert_eq!(c.stats().failed_reads(), 1);
 
         // Recovery restores service.
-        c.recover_node(NodeId(1));
+        c.recover_node(NodeId(1)).unwrap();
         assert!(c.read(ObjectId(1), NodeId(3)).is_ok());
     }
 
@@ -1378,8 +1405,8 @@ mod tests {
     fn read_promotes_back_into_memory() {
         let mut c = cache(4);
         c.put(ObjectId(1), 1024, NodeId(0), 0);
-        c.fail_node(NodeId(0));
-        c.recover_node(NodeId(0)); // memory wiped, disk replicas intact
+        c.fail_node(NodeId(0)).unwrap();
+        c.recover_node(NodeId(0)).unwrap(); // memory wiped, disk replicas intact
         let first = c.read(ObjectId(1), NodeId(0)).unwrap();
         assert!(matches!(
             first.source,
@@ -1555,7 +1582,7 @@ mod tests {
     fn failed_node_triggers_re_replication() {
         let mut c = DistributedCache::new(CacheConfig::paper_defaults(4).with_repair());
         c.put(ObjectId(1), 1024, NodeId(0), 0); // replicas on 1, 2
-        c.fail_node(NodeId(1));
+        c.fail_node(NodeId(1)).unwrap();
         assert_eq!(c.under_replicated(), 1);
         assert_eq!(c.pending_repairs(), 1);
         let repaired = c.drain_repairs();
@@ -1571,7 +1598,7 @@ mod tests {
 
         // The failed node's copy is now surplus; a second failure of the
         // other original replica must not lose the object.
-        c.fail_node(NodeId(2));
+        c.fail_node(NodeId(2)).unwrap();
         c.drain_repairs();
         assert!(c.read(ObjectId(1), NodeId(3)).is_ok());
     }
@@ -1643,10 +1670,10 @@ mod tests {
     fn stale_copies_do_not_resurrect_on_recovery() {
         let mut c = cache(4);
         c.put(ObjectId(1), 1024, NodeId(0), 0); // replicas on 1, 2
-        c.fail_node(NodeId(1));
+        c.fail_node(NodeId(1)).unwrap();
         // Deleted while node 1 is down: its copy cannot be reached.
         c.delete(ObjectId(1));
-        c.recover_node(NodeId(1));
+        c.recover_node(NodeId(1)).unwrap();
         assert_eq!(c.repair_stats().stale_copies_purged, 1);
         assert_eq!(
             c.read(ObjectId(1), NodeId(1)).unwrap_err(),
@@ -1662,11 +1689,11 @@ mod tests {
     fn rewritten_objects_purge_old_epochs_on_recovery() {
         let mut c = cache(4);
         c.put(ObjectId(1), 1024, NodeId(0), 0);
-        c.fail_node(NodeId(1));
+        c.fail_node(NodeId(1)).unwrap();
         // Rewritten at a later epoch while node 1 is down: node 1 still
         // holds the epoch-0 copy.
         c.put(ObjectId(1), 1024, NodeId(0), 3);
-        c.recover_node(NodeId(1));
+        c.recover_node(NodeId(1)).unwrap();
         assert_eq!(c.repair_stats().stale_copies_purged, 1);
         // Node 2's fresh copy serves; the object stays consistent.
         assert!(c.read(ObjectId(1), NodeId(3)).is_ok());
@@ -1723,8 +1750,8 @@ mod tests {
     fn objects_lost_with_all_replicas_stay_lost_after_rebuild() {
         let mut c = cache(4);
         c.put(ObjectId(1), 1024, NodeId(0), 0); // replicas on 1, 2
-        c.fail_node(NodeId(1));
-        c.fail_node(NodeId(2));
+        c.fail_node(NodeId(1)).unwrap();
+        c.fail_node(NodeId(2)).unwrap();
         c.lose_master();
         assert_eq!(c.rebuild_master(), 0, "no surviving copy to index");
         assert_eq!(

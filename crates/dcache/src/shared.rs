@@ -11,7 +11,7 @@
 //! the mutex is uncontended in the determinism-critical path — it exists
 //! to make the sharing safe, not to schedule it.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::master::{CacheStats, DistributedCache, NamespaceStats};
 
@@ -32,8 +32,15 @@ impl SharedCache {
     }
 
     /// Runs `f` with exclusive access to the underlying cache.
+    ///
+    /// A panic inside an earlier `f` poisons the mutex; the cache is then
+    /// used as that call left it, so one failed caller does not take the
+    /// cache away from every other holder of the handle. Cache methods
+    /// reject bad input with an error before they mutate anything, so such
+    /// a panic comes from the caller's code between two complete cache
+    /// operations and leaves the cache consistent.
     pub fn with<R>(&self, f: impl FnOnce(&mut DistributedCache) -> R) -> R {
-        let mut guard = self.inner.lock().expect("shared cache poisoned");
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut guard)
     }
 
@@ -80,5 +87,20 @@ mod tests {
         assert!(read.is_ok());
         assert_eq!(other.namespace_stats(1).puts, 1);
         assert_eq!(other.namespace_stats(2).puts, 0);
+    }
+
+    #[test]
+    fn a_panic_inside_with_leaves_the_cache_usable() {
+        let shared = SharedCache::new(DistributedCache::new(CacheConfig::paper_defaults(3)));
+        let other = shared.clone();
+        shared.with(|c| c.put(ObjectId::namespaced(1, 7), 64, NodeId(0), 0));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.with(|_| panic!("caller bug while holding the cache"));
+        }));
+        assert!(panicked.is_err());
+        assert!(shared.inner.is_poisoned());
+        let read = other.with(|c| c.read(ObjectId::namespaced(1, 7), NodeId(0)));
+        assert!(read.is_ok());
+        assert_eq!(other.namespace_stats(1).puts, 1);
     }
 }

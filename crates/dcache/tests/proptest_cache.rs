@@ -78,13 +78,13 @@ proptest! {
                 Op::Fail { node } => {
                     // Keep at most one node down so the durability claim holds.
                     if down.is_empty() {
-                        cache.fail_node(NodeId(node));
+                        cache.fail_node(NodeId(node)).unwrap();
                         down.insert(node);
                     }
                 }
                 Op::Recover { node } => {
                     if down.remove(&node) {
-                        cache.recover_node(NodeId(node));
+                        cache.recover_node(NodeId(node)).unwrap();
                     }
                 }
             }
@@ -153,13 +153,13 @@ proptest! {
                 }
                 Op::Fail { node } => {
                     if down.is_none() {
-                        cache.fail_node(NodeId(node));
+                        cache.fail_node(NodeId(node)).unwrap();
                         down = Some(node);
                     }
                 }
                 Op::Recover { node } => {
                     if down == Some(node) {
-                        cache.recover_node(NodeId(node));
+                        cache.recover_node(NodeId(node)).unwrap();
                         down = None;
                     }
                 }
@@ -172,7 +172,7 @@ proptest! {
         // Heal the cluster: every object must converge back to full
         // replication with nothing left pending, and stay readable.
         if let Some(node) = down {
-            cache.recover_node(NodeId(node));
+            cache.recover_node(NodeId(node)).unwrap();
         }
         cache.drain_repairs();
         prop_assert_eq!(cache.under_replicated(), 0, "repair did not converge");

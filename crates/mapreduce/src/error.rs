@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use slider_core::TreeError;
+use slider_dcache::CacheError;
 
 /// Errors reported by the windowed job driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +47,9 @@ pub enum JobError {
     EmptyBatch,
     /// The job configuration is inconsistent (detailed in the message).
     BadConfig(String),
+    /// The memoization cache rejected an operation (e.g. a node id outside
+    /// the cache cluster).
+    Cache(CacheError),
     /// A failure injected by a scripted fault plan (chaos testing): the
     /// operation was made to fail deterministically before reaching the
     /// engine, so recovery paths — retries, circuit breakers, restores —
@@ -81,6 +85,7 @@ impl fmt::Display for JobError {
                 )
             }
             JobError::BadConfig(msg) => write!(f, "bad job configuration: {msg}"),
+            JobError::Cache(e) => write!(f, "memoization cache error: {e}"),
             JobError::Injected(msg) => write!(f, "injected fault: {msg}"),
         }
     }
@@ -90,6 +95,7 @@ impl Error for JobError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             JobError::Tree(e) => Some(e),
+            JobError::Cache(e) => Some(e),
             _ => None,
         }
     }
@@ -98,6 +104,12 @@ impl Error for JobError {
 impl From<TreeError> for JobError {
     fn from(e: TreeError) -> Self {
         JobError::Tree(e)
+    }
+}
+
+impl From<CacheError> for JobError {
+    fn from(e: CacheError) -> Self {
+        JobError::Cache(e)
     }
 }
 

@@ -354,15 +354,15 @@ impl<A: MapReduceApp> Clone for SplitEntry<A> {
 }
 
 /// Per-reduce-partition incremental state, self-contained so the shared
-/// [`Runtime`] can hand every shard to a different worker: the trees, the
-/// memo footprint, this shard's slice of the output map (keys are
-/// hash-partitioned in [`crate::shuffle`], so shard key sets are disjoint),
-/// and nothing borrowed from the job.
+/// [`Runtime`] can hand every shard to a different worker: the trees of
+/// this shard's keys (keys are hash-partitioned in [`crate::shuffle`], so
+/// shard key sets are disjoint), their memo footprint as of the last run,
+/// and nothing borrowed from the job. Outputs live only in the job's merged
+/// view; shards report theirs as deltas.
 struct PartitionShard<A: MapReduceApp> {
     #[allow(clippy::type_complexity)]
     trees: HashMap<A::Key, Box<dyn WindowAggregator<A::Key, A::Value>>>,
     memo_footprint: u64,
-    output: BTreeMap<A::Key, A::Output>,
 }
 
 impl<A: MapReduceApp> Default for PartitionShard<A> {
@@ -370,7 +370,6 @@ impl<A: MapReduceApp> Default for PartitionShard<A> {
         PartitionShard {
             trees: HashMap::new(),
             memo_footprint: 0,
-            output: BTreeMap::new(),
         }
     }
 }
@@ -388,7 +387,6 @@ impl<A: MapReduceApp> Clone for PartitionShard<A> {
                 .map(|(k, tree)| (k.clone(), tree.boxed_clone()))
                 .collect(),
             memo_footprint: self.memo_footprint,
-            output: self.output.clone(),
         }
     }
 }
@@ -1181,11 +1179,11 @@ impl<A: MapReduceApp> WindowedJob<A> {
             );
         });
 
-        // Refresh shard footprints (a per-shard tree walk, parallel too).
-        let combiner = &self.combiner;
-        self.runtime.map_mut(&mut self.shards, |_, shard| {
-            shard.refresh_footprint(combiner)
-        });
+        // Refresh shard footprints: every tree keeps its own current, so
+        // this is a sum of O(1) reads.
+        for shard in &mut self.shards {
+            shard.refresh_footprint();
+        }
         stats.memo_footprint_bytes = self.memo_footprint_bytes();
         stats.window_input_bytes = self.window.iter().map(|e| e.input_bytes).sum();
 
@@ -1286,16 +1284,30 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// Crashes a memoization-cache node (failure injection): its memory
     /// tier is lost; reads transparently fall back to persistent replicas.
     /// No-op when no cache is configured.
-    pub fn fail_cache_node(&mut self, node: usize) {
-        if let Some(cache) = &self.cache {
-            cache.with(|c| c.fail_node(NodeId(node)));
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Cache`] if `node` is outside the cache cluster.
+    pub fn fail_cache_node(&mut self, node: usize) -> Result<(), JobError> {
+        match &self.cache {
+            Some(cache) => cache
+                .with(|c| c.fail_node(NodeId(node)))
+                .map_err(JobError::Cache),
+            None => Ok(()),
         }
     }
 
     /// Recovers a previously failed cache node. No-op without a cache.
-    pub fn recover_cache_node(&mut self, node: usize) {
-        if let Some(cache) = &self.cache {
-            cache.with(|c| c.recover_node(NodeId(node)));
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Cache`] if `node` is outside the cache cluster.
+    pub fn recover_cache_node(&mut self, node: usize) -> Result<(), JobError> {
+        match &self.cache {
+            Some(cache) => cache
+                .with(|c| c.recover_node(NodeId(node)))
+                .map_err(JobError::Cache),
+            None => Ok(()),
         }
     }
 
@@ -1317,10 +1329,10 @@ impl<A: MapReduceApp> WindowedJob<A> {
         };
         let run = self.run_index;
         for node in plan.cache_recoveries_for_run(run) {
-            self.recover_cache_node(node);
+            self.recover_cache_node(node)?;
         }
         for node in plan.cache_failures_for_run(run) {
-            self.fail_cache_node(node);
+            self.fail_cache_node(node)?;
         }
         if let Some(cache) = &self.cache {
             for (partition, node) in plan.corruptions_for_run(run) {
@@ -1358,9 +1370,9 @@ impl<A: MapReduceApp> WindowedJob<A> {
     }
 
     /// Drops and rebuilds the memoized state of `lost` partitions from the
-    /// pre-slide window. Shard outputs are left untouched: they were
+    /// pre-slide window. The job's output view is left untouched: it was
     /// correct before the loss and the rebuild reproduces equivalent
-    /// trees, so recomputing them could only confirm the same values.
+    /// trees, so recomputing the outputs could only confirm the same values.
     fn rebuild_lost_shards(
         &mut self,
         lost: &[usize],
@@ -1551,24 +1563,29 @@ impl<A: MapReduceApp> WindowedJob<A> {
     ) -> Result<PhaseOutcome, JobError> {
         let mut outcome = PhaseOutcome::default();
         for result in results {
-            let shard_out = result?;
-            outcome.keys_reduced += shard_out.keys_reduced;
-            outcome.keys_reused += shard_out.keys_reused;
-            outcome.reduce_work += shard_out.work.reduce_work;
-            outcome.tree_stats.merge_from(&shard_out.tree_stats);
-            outcome.per_partition.push(shard_out.work);
-            for (key, value) in shard_out.deltas {
-                match value {
-                    Some(out) => {
-                        self.output.insert(key, out);
-                    }
-                    None => {
-                        self.output.remove(&key);
-                    }
+            self.fold_shard_outcome(&mut outcome, result?);
+        }
+        Ok(outcome)
+    }
+
+    /// Folds one shard's outcome into `outcome` and applies its output
+    /// deltas to the merged read view.
+    fn fold_shard_outcome(&mut self, outcome: &mut PhaseOutcome, shard_out: ShardOutcome<A>) {
+        outcome.keys_reduced += shard_out.keys_reduced;
+        outcome.keys_reused += shard_out.keys_reused;
+        outcome.reduce_work += shard_out.work.reduce_work;
+        outcome.tree_stats.merge_from(&shard_out.tree_stats);
+        outcome.per_partition.push(shard_out.work);
+        for (key, value) in shard_out.deltas {
+            match value {
+                Some(out) => {
+                    self.output.insert(key, out);
+                }
+                None => {
+                    self.output.remove(&key);
                 }
             }
         }
-        Ok(outcome)
     }
 
     /// Executes Map tasks for `splits` on the runtime's worker pool, with
@@ -1583,26 +1600,18 @@ impl<A: MapReduceApp> WindowedJob<A> {
 
     /// Vanilla recomputation: every shard discards its incremental state
     /// and re-reduces every key over all per-split values, one runtime
-    /// worker per shard.
+    /// worker per shard. Each shard returns every output it computed as a
+    /// delta, so the view starts empty and keys that left the window drop.
     fn run_recompute(&mut self) -> PhaseOutcome {
         let app = &*self.app;
         let window = &self.window;
         let results = self.runtime.map_mut(&mut self.shards, |p, shard| {
             shard.run_recompute(p, app, window)
         });
-
+        self.output.clear();
         let mut outcome = PhaseOutcome::default();
         for shard_out in results {
-            outcome.keys_reduced += shard_out.keys_reduced;
-            outcome.reduce_work += shard_out.work.reduce_work;
-            outcome.per_partition.push(shard_out.work);
-        }
-        // Rebuild the merged read view from the (disjoint) shard outputs.
-        self.output.clear();
-        for shard in &self.shards {
-            for (key, out) in &shard.output {
-                self.output.insert(key.clone(), out.clone());
-            }
+            self.fold_shard_outcome(&mut outcome, shard_out);
         }
         outcome
     }
@@ -1861,7 +1870,6 @@ impl<A: MapReduceApp> PartitionShard<A> {
     ) -> ShardOutcome<A> {
         self.trees.clear();
         self.memo_footprint = 0;
-        self.output.clear();
         // Gather all values per key, window-ordered.
         let mut per_key: BTreeMap<A::Key, Vec<A::Value>> = BTreeMap::new();
         for entry in window {
@@ -1875,15 +1883,14 @@ impl<A: MapReduceApp> PartitionShard<A> {
             outcome.work.reduce_work += app.reduce_cost(&key, &refs);
             outcome.keys_reduced += 1;
             let out = app.reduce(&key, &refs);
-            self.output.insert(key, out);
+            outcome.deltas.push((key, Some(out)));
         }
         outcome.work.shuffle_bytes = window.iter().map(|e| e.out_bytes[p]).sum();
         outcome
     }
 
     /// One shard's incremental run: contraction (slide or rotate), dirty-key
-    /// reduce into the shard's output slice, and split-mode background
-    /// pre-processing.
+    /// reduce into output deltas, and split-mode background pre-processing.
     fn run_incremental(
         &mut self,
         p: usize,
@@ -1914,9 +1921,9 @@ impl<A: MapReduceApp> PartitionShard<A> {
         Ok(outcome)
     }
 
-    /// Reduces the dirty keys into this shard's output slice, recording
-    /// deltas; keys whose window emptied are dropped. Every other output
-    /// is reused untouched. Returns the metered reduce work.
+    /// Reduces the dirty keys into output deltas; keys whose window
+    /// emptied are dropped. Every other output is reused untouched in the
+    /// job's view. Returns the metered reduce work.
     fn reduce_dirty(&mut self, app: &A, dirty: &[A::Key], outcome: &mut ShardOutcome<A>) -> u64 {
         let mut reduce_work = 0u64;
         for key in dirty {
@@ -1925,7 +1932,6 @@ impl<A: MapReduceApp> PartitionShard<A> {
             };
             if tree.is_empty() {
                 self.trees.remove(key);
-                self.output.remove(key);
                 outcome.deltas.push((key.clone(), None));
                 continue;
             }
@@ -1934,7 +1940,6 @@ impl<A: MapReduceApp> PartitionShard<A> {
             reduce_work += app.reduce_cost(key, &refs);
             outcome.keys_reduced += 1;
             let out = app.reduce(key, &refs);
-            self.output.insert(key.clone(), out.clone());
             outcome.deltas.push((key.clone(), Some(out)));
         }
         reduce_work
@@ -1965,7 +1970,9 @@ impl<A: MapReduceApp> PartitionShard<A> {
     ///
     /// A key's leaf-space splice position is its occurrence count in the
     /// unchanged window prefix `window[..at]` — identical before and after
-    /// the splice, for insertions and evictions alike. Keys whose
+    /// the splice, for insertions and evictions alike. Only shards that hold
+    /// a spliced key count it: keys are hash-partitioned, so a splice of a
+    /// few keys scans the prefix in a few shards, not all. Keys whose
     /// aggregator has no native splice ([`TreeError::SpliceUnsupported`])
     /// are rebuilt from the post-splice window; the rebuild work flows
     /// through the same [`TreeCx`], so it lands in this run's foreground
@@ -2000,10 +2007,12 @@ impl<A: MapReduceApp> PartitionShard<A> {
             .chain(evictions.keys())
             .map(|k| (k.clone(), 0))
             .collect();
-        for entry in cx.window.iter().take(cx.at) {
-            for key in entry.by_partition[p].keys() {
-                if let Some(n) = prefix.get_mut(key) {
-                    *n += 1;
+        if !prefix.is_empty() {
+            for entry in cx.window.iter().take(cx.at) {
+                for key in entry.by_partition[p].keys() {
+                    if let Some(n) = prefix.get_mut(key) {
+                        *n += 1;
+                    }
                 }
             }
         }
@@ -2269,13 +2278,9 @@ impl<A: MapReduceApp> PartitionShard<A> {
         }
     }
 
-    /// Recomputes the memoization footprint from the live trees.
-    fn refresh_footprint(&mut self, combiner: &AppCombiner<A>) {
-        self.memo_footprint = self
-            .trees
-            .iter()
-            .map(|(key, tree)| tree.memo_bytes(combiner, key))
-            .sum();
+    /// Sums the live trees' maintained footprints.
+    fn refresh_footprint(&mut self) {
+        self.memo_footprint = self.trees.values().map(|tree| tree.memo_bytes()).sum();
     }
 }
 
@@ -2727,12 +2732,46 @@ mod tests {
 
         // Crash the node holding partition 0's state: next run reads fall
         // back to disk replicas but still succeed.
-        job.fail_cache_node(0);
+        job.fail_cache_node(0).unwrap();
         let stats = job.advance(1, make_splits(11, lines(&["d e"]), 1)).unwrap();
         let cache = stats.cache.expect("cache configured");
         assert!(cache.disk_reads > 0, "failure must fall back to replicas");
         assert_eq!(cache.failed_reads(), 0);
         assert_eq!(job.output(), &reference_counts(&["c d", "d e"]));
+    }
+
+    #[test]
+    fn out_of_range_cache_nodes_are_job_errors() {
+        let config = JobConfig::new(ExecMode::slider_folding())
+            .with_partitions(2)
+            .with_cache(slider_dcache::CacheConfig::paper_defaults(4));
+        let mut job = WindowedJob::new(WordCount, config).unwrap();
+        job.initial_run(make_splits(0, lines(&["a b", "b c"]), 1))
+            .unwrap();
+        let unknown = JobError::Cache(slider_dcache::CacheError::UnknownNode(NodeId(4)));
+        assert_eq!(job.fail_cache_node(4), Err(unknown.clone()));
+        assert_eq!(job.recover_cache_node(4), Err(unknown));
+
+        // A fault plan scripting the bad node fails its run with the same
+        // typed error instead of panicking.
+        let plan = JobFaultPlan::none().fail_cache_node(1, 9);
+        let config = JobConfig::new(ExecMode::slider_folding())
+            .with_partitions(2)
+            .with_cache(slider_dcache::CacheConfig::paper_defaults(4))
+            .with_faults(plan);
+        let mut job = WindowedJob::new(WordCount, config).unwrap();
+        job.initial_run(make_splits(0, lines(&["a b", "b c"]), 1))
+            .unwrap();
+        let err = job
+            .advance(1, make_splits(10, lines(&["c d"]), 1))
+            .unwrap_err();
+        assert!(matches!(err, JobError::Cache(_)), "{err}");
+        assert!(err.to_string().contains("unknown node n9"), "{err}");
+
+        // Without a cache there is no node to name: a no-op, as before.
+        let mut job =
+            WindowedJob::new(WordCount, JobConfig::new(ExecMode::slider_folding())).unwrap();
+        assert_eq!(job.fail_cache_node(99), Ok(()));
     }
 
     #[test]

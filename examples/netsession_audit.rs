@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (week, &fraction) in fractions.iter().enumerate() {
         if week == 5 {
             println!("  !! cache node 2 crashes — memoized state falls back to replicas");
-            feeder.job_mut().fail_cache_node(2);
+            feeder.job_mut().fail_cache_node(2)?;
         }
         let logs = generate_week(11, &config, week as u32, fraction);
         let uploaded = logs.len();

@@ -37,7 +37,7 @@ fn cache_failures_never_change_results() {
         let mut disk_reads = 0;
         for i in 0..8 {
             if failures.contains(&i) {
-                job.fail_cache_node(i % 6);
+                job.fail_cache_node(i % 6).unwrap();
             }
             let stats = job.advance(1, splits[20 + i..21 + i].to_vec()).unwrap();
             let cache = stats.cache.expect("cache configured");
@@ -70,11 +70,11 @@ fn recovering_a_node_restores_memory_hits() {
     job.initial_run(splits[..10].to_vec()).unwrap();
     job.advance(1, splits[10..11].to_vec()).unwrap();
 
-    job.fail_cache_node(0);
+    job.fail_cache_node(0).unwrap();
     let during = job.advance(1, splits[11..12].to_vec()).unwrap();
     assert!(during.cache.unwrap().disk_reads > 0);
 
-    job.recover_cache_node(0);
+    job.recover_cache_node(0).unwrap();
     // First post-recovery run re-warms memory; the next one hits it.
     job.advance(1, splits[12..13].to_vec()).unwrap();
     let after = job.advance(1, splits[13..14].to_vec()).unwrap();

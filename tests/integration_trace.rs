@@ -297,14 +297,14 @@ fn dcache_counters_reconcile_with_cache_stats() {
         let _ = cache.read(ObjectId(p), NodeId(((p + 1) % 4) as usize));
     }
     let _ = cache.read(ObjectId(99), NodeId(0)); // not found
-    cache.fail_node(NodeId(1));
+    cache.fail_node(NodeId(1)).unwrap();
     for p in 0..6u64 {
         let _ = cache.read(ObjectId(p), NodeId(2));
     }
     cache.corrupt_object(ObjectId(3), NodeId(0));
     cache.drain_repairs();
     cache.scrub();
-    cache.recover_node(NodeId(1));
+    cache.recover_node(NodeId(1)).unwrap();
     cache.collect_garbage(5);
 
     let stats = cache.stats();
