@@ -43,6 +43,13 @@ SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example chaos_restore 
 cmp "$chaos_tmp/a.txt" "$chaos_tmp/b.txt"
 rm -rf "$chaos_tmp"
 
+echo "==> batches: netsession_audit output is byte-identical across runs and thread counts"
+batch_tmp="$(mktemp -d)"
+cargo run -q --release -p slider-apps --example netsession_audit > "$batch_tmp/a.txt"
+SLIDER_THREADS=1 cargo run -q --release -p slider-apps --example netsession_audit > "$batch_tmp/b.txt"
+cmp "$batch_tmp/a.txt" "$batch_tmp/b.txt"
+rm -rf "$batch_tmp"
+
 echo "==> serve: dashboard output is byte-identical across runs and thread counts"
 serve_tmp="$(mktemp -d)"
 cargo run -q --release -p slider-bench --example serve_dashboard > "$serve_tmp/a.txt"

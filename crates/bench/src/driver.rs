@@ -136,18 +136,6 @@ pub fn run_slide_with<A: MapReduceApp + Clone>(
     }
 }
 
-/// The execution mode the *baseline* system uses for `kind`.
-///
-/// Vanilla Hadoop recomputes regardless of kind; the strawman baseline is
-/// memoization-only.
-pub fn baseline_mode(strawman: bool) -> ExecMode {
-    if strawman {
-        ExecMode::Strawman
-    } else {
-        ExecMode::Recompute
-    }
-}
-
 /// Scheduler used by each system: stock Hadoop scheduling for the vanilla
 /// baseline, Slider's hybrid scheduler otherwise.
 pub fn policy_for(mode: ExecMode) -> SchedulerPolicy {

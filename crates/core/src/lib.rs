@@ -82,7 +82,6 @@ mod error;
 mod folding;
 mod hash;
 mod memo;
-mod multilevel;
 mod randomized;
 mod rotating;
 mod stats;
@@ -98,7 +97,6 @@ pub use error::TreeError;
 pub use folding::FoldingTree;
 pub use hash::{hash_one, hash_pair, StableHasher};
 pub use memo::MemoCache;
-pub use multilevel::{stage_tree_kind, MultiLevelPlan};
 pub use randomized::RandomizedFoldingTree;
 pub use rotating::RotatingTree;
 pub use stats::{Phase, PhaseWork, UpdateStats};

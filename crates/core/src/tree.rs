@@ -235,11 +235,6 @@ impl<'a, K, V> TreeCx<'a, K, V> {
         Some(acc)
     }
 
-    /// Records reuse of `n` memoized sub-computations.
-    pub fn note_reused(&mut self, n: u64) {
-        self.stats.reused += n;
-    }
-
     /// Records reuse of one memoized aggregate, including the bytes the
     /// contraction phase reads to consume it.
     pub fn reuse(&mut self, v: &Arc<V>) {

@@ -716,13 +716,31 @@ impl DistributedCache {
     /// freeing memoized objects that fell out of the window (§6). Returns
     /// the number of collected objects.
     pub fn collect_garbage(&mut self, current_epoch: u64) -> u64 {
+        self.sweep(None, current_epoch)
+    }
+
+    /// Runs garbage collection for a single namespace: like
+    /// [`DistributedCache::collect_garbage`], but only `namespace`'s
+    /// objects are candidates, and an [`GcPolicy::Aggressive`] byte budget
+    /// is applied to that namespace's footprint alone. Tenants sharing one
+    /// cache advance through epochs independently, so each must sweep only
+    /// its own window — a global sweep at one tenant's epoch would reap
+    /// another tenant's still-live objects.
+    pub fn collect_garbage_scoped(&mut self, namespace: u32, current_epoch: u64) -> u64 {
+        self.sweep(Some(namespace), current_epoch)
+    }
+
+    /// One GC sweep over `namespace`'s objects, or over every object when
+    /// `None`.
+    fn sweep(&mut self, namespace: Option<u32>, current_epoch: u64) -> u64 {
+        let candidate = |id: &ObjectId| namespace.is_none_or(|ns| id.namespace() == ns);
         let victims: Vec<ObjectId> = match self.config.gc {
             GcPolicy::Disabled => Vec::new(),
             GcPolicy::WindowBased { horizon } => {
                 let mut victims: Vec<ObjectId> = self
                     .index
                     .iter()
-                    .filter(|(_, m)| m.epoch + horizon < current_epoch)
+                    .filter(|(id, m)| candidate(id) && m.epoch + horizon < current_epoch)
                     .map(|(id, _)| *id)
                     .collect();
                 // Sorted so the deletion sequence (not just the final
@@ -734,12 +752,13 @@ impl DistributedCache {
                 // Evict oldest epochs first until under budget, with the
                 // explicit (epoch, id) order of `aggressive_victims` — the
                 // index map's iteration order must not pick the survivors.
-                let total: u64 = self.index.values().map(|m| m.bytes).sum();
                 let entries: Vec<(u64, ObjectId, u64)> = self
                     .index
                     .iter()
+                    .filter(|(id, _)| candidate(id))
                     .map(|(id, m)| (m.epoch, *id, m.bytes))
                     .collect();
+                let total: u64 = entries.iter().map(|(_, _, b)| b).sum();
                 crate::gc::aggressive_victims(entries, total, max_total_bytes)
             }
         };
@@ -754,60 +773,11 @@ impl DistributedCache {
         self.stats.collected += n;
         self.trace.with(|t| {
             let tr = t.track(TRACE_TRACK);
-            let s = t.leaf_seconds(tr, SpanKind::Gc, format!("gc epoch {current_epoch}"), 0.0);
-            t.arg(s, "collected", n);
-            t.add("dcache.collected", n);
-        });
-        n
-    }
-
-    /// Runs garbage collection for a single namespace: like
-    /// [`DistributedCache::collect_garbage`], but only `namespace`'s
-    /// objects are candidates, and an [`GcPolicy::Aggressive`] byte budget
-    /// is applied to that namespace's footprint alone. Tenants sharing one
-    /// cache advance through epochs independently, so each must sweep only
-    /// its own window — a global sweep at one tenant's epoch would reap
-    /// another tenant's still-live objects.
-    pub fn collect_garbage_scoped(&mut self, namespace: u32, current_epoch: u64) -> u64 {
-        let victims: Vec<ObjectId> = match self.config.gc {
-            GcPolicy::Disabled => Vec::new(),
-            GcPolicy::WindowBased { horizon } => {
-                let mut victims: Vec<ObjectId> = self
-                    .index
-                    .iter()
-                    .filter(|(id, m)| {
-                        id.namespace() == namespace && m.epoch + horizon < current_epoch
-                    })
-                    .map(|(id, _)| *id)
-                    .collect();
-                victims.sort_unstable();
-                victims
-            }
-            GcPolicy::Aggressive { max_total_bytes } => {
-                let entries: Vec<(u64, ObjectId, u64)> = self
-                    .index
-                    .iter()
-                    .filter(|(id, _)| id.namespace() == namespace)
-                    .map(|(id, m)| (m.epoch, *id, m.bytes))
-                    .collect();
-                let total: u64 = entries.iter().map(|(_, _, b)| b).sum();
-                crate::gc::aggressive_victims(entries, total, max_total_bytes)
-            }
-        };
-        let n = victims.len() as u64;
-        for victim in victims {
-            self.namespaces.entry(namespace).or_default().collected += 1;
-            self.delete(victim);
-        }
-        self.stats.collected += n;
-        self.trace.with(|t| {
-            let tr = t.track(TRACE_TRACK);
-            let s = t.leaf_seconds(
-                tr,
-                SpanKind::Gc,
-                format!("gc ns {namespace} epoch {current_epoch}"),
-                0.0,
-            );
+            let name = match namespace {
+                None => format!("gc epoch {current_epoch}"),
+                Some(ns) => format!("gc ns {ns} epoch {current_epoch}"),
+            };
+            let s = t.leaf_seconds(tr, SpanKind::Gc, name, 0.0);
             t.arg(s, "collected", n);
             t.add("dcache.collected", n);
         });
@@ -1289,11 +1259,6 @@ impl DistributedCache {
             }
         }
         stats
-    }
-
-    /// Every namespace with recorded activity, in ascending order.
-    pub fn active_namespaces(&self) -> Vec<u32> {
-        self.namespaces.keys().copied().collect()
     }
 
     /// Background self-healing statistics so far.

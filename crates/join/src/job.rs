@@ -64,16 +64,14 @@ pub enum JoinMode {
 }
 
 /// Configuration for a [`JoinedJob`]. Both sides share the event-time
-/// semantics (`event`), the probe shard count (`partitions`), and the
-/// execution mode of their index jobs (`exec`); fault plans are per side.
+/// semantics (`event`) and the probe shard count (`partitions`), and both
+/// side indexes run folding contraction trees; fault plans are per side.
 #[derive(Debug, Clone)]
 pub struct JoinConfig {
     /// Event-time windowing config applied to both sides.
     pub event: EventTimeConfig,
     /// Probe/index shard count.
     pub partitions: usize,
-    /// Execution mode for the two side-index jobs.
-    pub exec: ExecMode,
     /// View maintenance strategy.
     pub mode: JoinMode,
     /// Optional fault plan injected into the left index job.
@@ -89,7 +87,6 @@ impl JoinConfig {
         JoinConfig {
             event,
             partitions: 4,
-            exec: ExecMode::slider_folding(),
             mode: JoinMode::Incremental,
             left_faults: None,
             right_faults: None,
@@ -99,12 +96,6 @@ impl JoinConfig {
     /// Sets the probe/index shard count.
     pub fn with_partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions;
-        self
-    }
-
-    /// Sets the side-index execution mode.
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -240,16 +231,18 @@ impl<J: JoinApp> JoinedJob<J> {
             let a = Arc::clone(&app);
             IndexApp::new(move |v: &J::Right| a.right_key(v), app.right_record_bytes())
         };
-        let mut job_config = JobConfig::new(config.exec).with_partitions(config.partitions);
-        if let Some(plan) = &config.left_faults {
-            job_config = job_config.with_faults(plan.clone());
-        }
-        let left_job = WindowedJob::with_shared(left_app, job_config, shared)?;
-        let mut job_config = JobConfig::new(config.exec).with_partitions(config.partitions);
-        if let Some(plan) = &config.right_faults {
-            job_config = job_config.with_faults(plan.clone());
-        }
-        let right_job = WindowedJob::with_shared(right_app, job_config, shared)?;
+        let side_config = |faults: &Option<JobFaultPlan>| {
+            let job_config =
+                JobConfig::new(ExecMode::slider_folding()).with_partitions(config.partitions);
+            match faults {
+                Some(plan) => job_config.with_faults(plan.clone()),
+                None => job_config,
+            }
+        };
+        let left_job =
+            WindowedJob::with_shared(left_app, side_config(&config.left_faults), shared)?;
+        let right_job =
+            WindowedJob::with_shared(right_app, side_config(&config.right_faults), shared)?;
         let mut left = EventFeeder::new(left_job, config.event)?;
         let mut right = EventFeeder::new(right_job, config.event)?;
         left.enable_journal();

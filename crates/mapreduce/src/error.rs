@@ -39,12 +39,6 @@ pub enum JobError {
     /// is reported as a typed error (never a panic) so a corrupted window
     /// count degrades into a recoverable failure.
     EmptyWindow,
-    /// An empty batch was pushed while the window was not yet full: there
-    /// is nothing to compute and no slide to perform, so the push is
-    /// rejected instead of running a no-op job run that would permanently
-    /// occupy a window slot. Once the window is full, empty batches are
-    /// legal — they slide the window (evicting the oldest batch).
-    EmptyBatch,
     /// The job configuration is inconsistent (detailed in the message).
     BadConfig(String),
     /// The memoization cache rejected an operation (e.g. a node id outside
@@ -77,12 +71,6 @@ impl fmt::Display for JobError {
             }
             JobError::EmptyWindow => {
                 write!(f, "cannot evict the oldest batch of an empty window")
-            }
-            JobError::EmptyBatch => {
-                write!(
-                    f,
-                    "empty batch pushed before the window filled: nothing to compute"
-                )
             }
             JobError::BadConfig(msg) => write!(f, "bad job configuration: {msg}"),
             JobError::Cache(e) => write!(f, "memoization cache error: {e}"),

@@ -66,7 +66,6 @@ mod app;
 mod error;
 mod event;
 mod fault;
-mod feeder;
 mod pipeline;
 mod retry;
 mod runtime;
@@ -84,7 +83,6 @@ pub use event::{
 pub use fault::{
     CacheCorruption, CacheNodeEvent, JobFaultPlan, JobMachineCrash, JobStraggler, MemoLoss,
 };
-pub use feeder::WindowFeeder;
 pub use pipeline::{InnerStageStats, Pipeline, PipelineRunResult, StageApp, StageInput};
 pub use retry::RetryPolicy;
 pub use runtime::{Runtime, THREADS_ENV};
@@ -92,7 +90,7 @@ pub use shared::{EngineShared, EngineSharedBuilder};
 pub use shuffle::{partition_of, stable_hash};
 pub use split::{make_splits, Split, SplitId};
 pub use stats::{RecoveryStats, RunStats, WorkBreakdown};
-pub use windowed::{ExecMode, JobCheckpoint, JobConfig, RunResult, SimulationConfig, WindowedJob};
+pub use windowed::{ExecMode, JobCheckpoint, JobConfig, SimulationConfig, WindowedJob};
 
 // Re-export the trace surface jobs are configured with, so engine users
 // need no direct `slider-trace` dependency for the common path.

@@ -185,12 +185,6 @@ pub struct JobConfig {
     /// and forced memo-state loss. Outputs never change under any plan;
     /// only work/time metrics and [`RunStats::recovery`] do.
     pub faults: Option<JobFaultPlan>,
-    /// Retry/backoff policy for `Unavailable` dcache reads (self-healing
-    /// caches only): each retry backs off in simulated time and drains
-    /// pending repairs. The default reproduces the engine's historical
-    /// constants (2 retries, doubling backoff) bit-for-bit. Shared with
-    /// `slider-serve`, which applies the same policy to tenant dispatch.
-    pub retry: RetryPolicy,
     /// Worker threads for the parallel runtime. `0` means automatic: the
     /// `SLIDER_THREADS` environment variable if set, else the machine's
     /// available parallelism. Thread count never affects outputs or the
@@ -218,7 +212,6 @@ impl JobConfig {
             simulation: None,
             cache: None,
             faults: None,
-            retry: RetryPolicy::default(),
             threads: 0,
             trace: TraceSink::disabled(),
         }
@@ -262,12 +255,6 @@ impl JobConfig {
         self
     }
 
-    /// Sets the dcache-read retry/backoff policy. Builder-style.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Sets the worker-thread count (`0` = automatic). Builder-style.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -297,9 +284,6 @@ impl JobConfig {
                 "work_per_byte must be finite and >= 0".into(),
             ));
         }
-        self.retry
-            .validate()
-            .map_err(|m| JobError::BadConfig(format!("retry policy: {m}")))?;
         if let Some(faults) = &self.faults {
             faults
                 .validate()
@@ -507,9 +491,6 @@ pub struct WindowedJob<A: MapReduceApp> {
     /// back. Reads are only issued (and can only fail) for such objects.
     cached_objects: Vec<bool>,
 }
-
-/// Alias kept for readability in signatures: a run returns its statistics.
-pub type RunResult = RunStats;
 
 /// Deep, self-contained checkpoint of a job's mutable state: the retained
 /// window, every shard's aggregator trees (cloned exactly — see
@@ -748,11 +729,6 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// The cache namespace this job's objects live under (`0` standalone).
     pub fn cache_namespace(&self) -> u32 {
         self.cache_ns
-    }
-
-    /// The memoization cache handle, if one is attached.
-    pub fn shared_cache(&self) -> Option<&SharedCache> {
-        self.cache.as_ref()
     }
 
     /// The current per-key output of the job.
@@ -1455,6 +1431,17 @@ impl<A: MapReduceApp> WindowedJob<A> {
             });
         }
         self.check_fresh_ids(added)?;
+        self.check_slide_mode(remove_splits, added.len())
+    }
+
+    /// Window discipline of a slide that drops `remove_splits` splits and
+    /// appends `added`: append-only (coalescing) jobs never remove, and
+    /// fixed-width (rotating) jobs move in whole buckets within capacity.
+    pub(crate) fn check_slide_mode(
+        &self,
+        remove_splits: usize,
+        added: usize,
+    ) -> Result<(), JobError> {
         let mode = self.config.mode;
         if mode.is_append_only() && remove_splits != 0 {
             return Err(JobError::ModeViolation(
@@ -1463,14 +1450,14 @@ impl<A: MapReduceApp> WindowedJob<A> {
         }
         if mode.is_fixed_width() {
             let w = self.config.bucket_width;
-            if !remove_splits.is_multiple_of(w) || added.len() % w != 0 {
+            if !remove_splits.is_multiple_of(w) || !added.is_multiple_of(w) {
                 return Err(JobError::ModeViolation(format!(
                     "fixed-width slides must be whole buckets of {w} splits"
                 )));
             }
             let capacity = self.config.window_buckets * w;
             let full = self.window.len() == capacity;
-            if full && remove_splits != added.len() {
+            if full && remove_splits != added {
                 return Err(JobError::ModeViolation(
                     "a full fixed-width window must remove as many buckets as it adds".into(),
                 ));
@@ -1481,7 +1468,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
                         "fixed-width windows cannot shrink while filling".into(),
                     ));
                 }
-                if self.window.len() + added.len() > capacity {
+                if self.window.len() + added > capacity {
                     return Err(JobError::ModeViolation(format!(
                         "fixed-width window capacity is {capacity} splits"
                     )));
@@ -1507,7 +1494,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// fixed-width (rotating) windows are positional bucket grids with no
     /// notion of an interior split range, and append-only (coalescing)
     /// jobs never evict.
-    fn check_splice_mode(&self, evicting: bool) -> Result<(), JobError> {
+    pub(crate) fn check_splice_mode(&self, evicting: bool) -> Result<(), JobError> {
         let mode = self.config.mode;
         if mode.is_fixed_width() {
             return Err(JobError::ModeViolation(
@@ -1748,9 +1735,8 @@ impl<A: MapReduceApp> WindowedJob<A> {
         // only): each retry backs off in simulated time and drains
         // pending repairs, so a re-replicated copy can serve the retry
         // instead of degrading to recomputation. The bound and backoff
-        // come from the config's shared `RetryPolicy` (its default is
-        // bit-identical to the former hard-coded constants).
-        let policy = self.config.retry;
+        // are the default `RetryPolicy` (2 retries, doubling backoff).
+        let policy = RetryPolicy::default();
         let cache = self.cache.clone().expect("caller checked");
         let (nodes, repair_on, per_op_seconds) = cache.with(|c| {
             (
