@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> rustdoc: no broken or private intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release
 

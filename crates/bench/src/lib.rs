@@ -29,7 +29,8 @@ pub use joinbench::{
     JOIN_WINDOWS,
 };
 pub use report::{
-    banner, bench_json_dir, fmt_f64, fmt_speedup, BenchJson, Table, BENCH_JSON_DIR_ENV,
+    banner, bench_json_dir, check_regression, fmt_f64, fmt_speedup, load_summary, BenchJson, Table,
+    BENCH_JSON_DIR_ENV,
 };
 pub use shootout::{
     measure, point_key, run_shootout, shootout_report, shootout_table, ShootoutPoint,

@@ -25,10 +25,11 @@
 //! section is omitted when the target ran untraced. Both the blob and the
 //! wrapper are deterministic: same seed, same bytes, at any thread count.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use slider_trace::json::escape_string;
+use slider_trace::json::{escape_string, JsonValue};
 use slider_trace::parse_json;
 
 /// Environment variable naming the directory `BENCH_<name>.json` reports
@@ -121,6 +122,79 @@ impl BenchJson {
         let path = dir.join(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.render()).ok()?;
         Some(path)
+    }
+}
+
+/// Modeled-work regressions beyond this ratio fail [`check_regression`].
+const MAX_WORK_REGRESSION: f64 = 1.10;
+
+/// Reads the `summary` section of a `BENCH_<name>.json` report.
+///
+/// # Errors
+///
+/// A message naming `path` if the file is unreadable, not JSON, not a
+/// `slider-bench-v1` report, or has no summary.
+pub fn load_summary(path: &str) -> Result<BTreeMap<String, f64>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let doc = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    if doc.get("schema").and_then(JsonValue::as_str) != Some("slider-bench-v1") {
+        return Err(format!("{path}: not a slider-bench-v1 report"));
+    }
+    match doc.get("summary") {
+        Some(JsonValue::Obj(map)) => Ok(map
+            .iter()
+            .filter_map(|(k, v)| v.as_f64().map(|n| (k.clone(), n)))
+            .collect()),
+        _ => Err(format!("{path}: missing summary section")),
+    }
+}
+
+/// The report viewers' `--check` gate: compares every baseline summary
+/// metric named `*.{metric}` with the candidate's, prints a `{label} check
+/// OK` line if none regressed by more than 10% or went missing.
+///
+/// # Errors
+///
+/// A load error, or one line per regressed or missing metric.
+pub fn check_regression(
+    label: &str,
+    metric: &str,
+    baseline_path: &str,
+    candidate_path: &str,
+) -> Result<(), String> {
+    let baseline = load_summary(baseline_path)?;
+    let candidate = load_summary(candidate_path)?;
+    let suffix = format!(".{metric}");
+    let gated: Vec<(&String, &f64)> = baseline
+        .iter()
+        .filter(|(key, _)| key.ends_with(&suffix))
+        .collect();
+    let mut failures = Vec::new();
+    for &(key, base) in &gated {
+        match candidate.get(key) {
+            None => failures.push(format!("{key}: missing from candidate")),
+            Some(cand) if *base > 0.0 && cand / base > MAX_WORK_REGRESSION => {
+                failures.push(format!(
+                    "{key}: {} -> {} (+{:.1}%, limit 10%)",
+                    fmt_f64(*base),
+                    fmt_f64(*cand),
+                    (cand / base - 1.0) * 100.0
+                ));
+            }
+            _ => {}
+        }
+    }
+    if failures.is_empty() {
+        println!(
+            "{label} check OK: {} {metric} metrics within 10% of baseline",
+            gated.len()
+        );
+        Ok(())
+    } else {
+        Err(format!(
+            "modeled-work regression vs {baseline_path}:\n  {}",
+            failures.join("\n  ")
+        ))
     }
 }
 
@@ -282,6 +356,41 @@ mod tests {
                 .and_then(|v| v.as_str()),
             Some("slider-trace-metrics-v1")
         );
+    }
+
+    #[test]
+    fn check_regression_gates_one_metric_at_ten_percent() {
+        let dir = std::env::temp_dir().join(format!("slider-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, metrics: &[(&str, f64)]| {
+            let mut report = BenchJson::new(name);
+            for (key, value) in metrics {
+                report.metric(*key, *value);
+            }
+            let path = dir.join(format!("{name}.json"));
+            std::fs::write(&path, report.render()).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let base = write(
+            "base",
+            &[("a.work", 100.0), ("b.work", 50.0), ("a.other", 1.0)],
+        );
+        let ok = write(
+            "ok",
+            &[("a.work", 110.0), ("b.work", 10.0), ("a.other", 9.0)],
+        );
+        let slow = write("slow", &[("a.work", 111.0), ("b.work", 50.0)]);
+        let gone = write("gone", &[("a.work", 100.0)]);
+        assert_eq!(check_regression("t", "work", &base, &ok), Ok(()));
+        let err = check_regression("t", "work", &base, &slow).unwrap_err();
+        assert!(
+            err.contains("a.work: 100 -> 111 (+11.0%, limit 10%)"),
+            "{err}"
+        );
+        let err = check_regression("t", "work", &base, &gone).unwrap_err();
+        assert!(err.contains("b.work: missing from candidate"), "{err}");
+        assert!(load_summary(&dir.join("absent.json").to_string_lossy()).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

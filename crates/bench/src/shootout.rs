@@ -75,7 +75,7 @@ pub struct ShootoutPoint {
 }
 
 /// Measures one structure at one grid point: fills a `window`-leaf
-/// window, then drives [`ROUNDS`] steady slides of `max(1, window·pct/100)`
+/// window, then drives `ROUNDS` (24) steady slides of `max(1, window·pct/100)`
 /// leaves, metering foreground work only (the initial fill is untimed —
 /// every structure pays the same n−1 merges there).
 pub fn measure(kind: TreeKind, window: u64, slide_pct: u64) -> ShootoutPoint {

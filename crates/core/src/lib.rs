@@ -20,6 +20,13 @@
 //! | [`RotatingTree`] | §4.1 | fixed-width, with split processing |
 //! | [`CoalescingTree`] | §4.2 | append-only, with split processing |
 //!
+//! [`StrawmanTree`] and [`RandomizedFoldingTree`] are one memoized
+//! re-pairing tree: every run re-contracts the whole leaf sequence and
+//! reuses each group whose identity an earlier run memoized. The strawman
+//! pairs a level by position, so its identities shift when the window
+//! slides; the randomized tree closes groups on coin flips keyed by node
+//! identity, so only the groups at the edges change.
+//!
 //! ## Constant-time aggregators
 //!
 //! Alongside the O(log n) contraction trees, the crate provides the
@@ -96,7 +103,6 @@ pub use dgim::{CounterSnapshot, SlidingWindowCounter};
 pub use error::TreeError;
 pub use folding::FoldingTree;
 pub use hash::{hash_one, hash_pair, StableHasher};
-pub use memo::MemoCache;
 pub use randomized::RandomizedFoldingTree;
 pub use rotating::RotatingTree;
 pub use stats::{Phase, PhaseWork, UpdateStats};

@@ -8,70 +8,57 @@
 //! most identities change — so the strawman performs work linear in the
 //! window for front-removals, which is precisely the limitation (§2.1) that
 //! motivates the self-adjusting trees. It remains efficient for pure
-//! appends that preserve alignment and for in-place leaf replacement, which
-//! is why Slider still uses it for the inner stages of multi-job query
-//! pipelines (§5).
+//! appends that preserve alignment and for in-place leaf changes under
+//! caller-derived identities ([`StrawmanTree::set_leaves`]), which is why
+//! Slider still uses it for the inner stages of multi-job query pipelines
+//! (§5).
+//!
+//! The re-pairing and memoization live in the shared `MemoTree` (see the
+//! `memo` module); this module only supplies the pairing rule.
 
-use std::collections::VecDeque;
-use std::fmt;
 use std::sync::Arc;
 
-use crate::error::TreeError;
-use crate::hash::{hash_one, hash_pair};
-use crate::memo::MemoCache;
-use crate::stats::Phase;
-#[cfg(feature = "oracle")]
-use crate::tree::MemoLayout;
-use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
+use crate::hash::hash_pair;
+use crate::memo::{memo_tree, Grouping, MemoTree};
+use crate::tree::{TreeCx, TreeKind};
 
-/// Memoization-only baseline contraction tree. See the module docs.
-pub struct StrawmanTree<V> {
-    /// Window leaves, oldest first, each with a stable identity.
-    leaves: VecDeque<(u64, Arc<V>)>,
-    /// Memoized internal nodes keyed by lineage identity.
-    cache: MemoCache<V>,
-    root: Option<Arc<V>>,
-    next_id: u64,
-    height: usize,
-    /// Modeled bytes of the window leaves (the cache counts its own).
-    leaf_bytes: u64,
+/// Pairs each level by position; a pair's identity is its position in the
+/// level plus its children's identities.
+#[derive(Clone, Copy)]
+struct ByPosition;
+
+impl Grouping for ByPosition {
+    fn leaf_salt(self) -> u64 {
+        0x5eed_5eed_5eed_5eed
+    }
+
+    fn closes(self, _id: u64, _level: u64, members: usize) -> bool {
+        members == 2
+    }
+
+    fn group_id<V>(self, position: u64, group: &[(u64, Arc<V>)]) -> u64 {
+        // Memoization is at *task* granularity: a sub-computation's
+        // identity is its position in the dataflow DAG plus its input
+        // lineage. A window slide that shifts leaf positions therefore
+        // precludes reuse — the §2.1 limitation that motivates the
+        // self-adjusting trees.
+        hash_pair(position, hash_pair(group[0].0, group[1].0))
+    }
 }
+
+memo_tree!(
+    StrawmanTree,
+    ByPosition,
+    TreeKind::Strawman,
+    "Memoization-only baseline contraction tree. See the module docs."
+);
 
 impl<V> StrawmanTree<V> {
     /// Creates an empty strawman tree.
     pub fn new() -> Self {
         StrawmanTree {
-            leaves: VecDeque::new(),
-            cache: MemoCache::new(),
-            root: None,
-            next_id: 0,
-            height: 0,
-            leaf_bytes: 0,
+            core: MemoTree::new(ByPosition),
         }
-    }
-
-    /// Replaces the leaf at window position `index` in place, *keeping a new
-    /// identity*, and recombines. Used by multi-level query pipelines where
-    /// inner-stage changes occur at arbitrary positions (§5): alignment of
-    /// all other leaves is preserved, so memoization confines recomputation
-    /// to one root path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn replace_leaf<K>(&mut self, cx: &mut TreeCx<'_, K, V>, index: usize, value: Arc<V>)
-    where
-        V: Send + Sync,
-    {
-        assert!(
-            index < self.leaves.len(),
-            "replace_leaf: index out of bounds"
-        );
-        let id = self.fresh_id();
-        self.leaf_bytes += cx.value_bytes(&value);
-        let (_, old) = std::mem::replace(&mut self.leaves[index], (id, value));
-        self.leaf_bytes -= cx.value_bytes(&old);
-        self.recombine(cx);
     }
 
     /// Replaces the entire leaf sequence with caller-identified leaves and
@@ -82,245 +69,8 @@ impl<V> StrawmanTree<V> {
     /// derives each leaf's identity from its content lineage (e.g. a bucket
     /// index plus a version counter) and the memo cache confines fresh
     /// combiner work to the paths whose identities changed.
-    pub fn set_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<(u64, Arc<V>)>)
-    where
-        V: Send + Sync,
-    {
-        let before = self.leaves.len();
-        let after = leaves.len();
-        if after > before {
-            cx.note_added((after - before) as u64);
-        } else {
-            cx.note_removed((before - after) as u64);
-        }
-        self.leaf_bytes = leaves.iter().map(|(_, v)| cx.value_bytes(v)).sum();
-        self.leaves = leaves.into();
-        self.recombine(cx);
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        let id = hash_one(self.next_id ^ 0x5eed_5eed_5eed_5eed);
-        self.next_id += 1;
-        id
-    }
-
-    /// Re-pairs the whole leaf sequence bottom-up, reusing memoized nodes.
-    fn recombine<K>(&mut self, cx: &mut TreeCx<'_, K, V>)
-    where
-        V: Send + Sync,
-    {
-        if self.leaves.is_empty() {
-            self.root = None;
-            self.height = 0;
-            self.cache.sweep();
-            return;
-        }
-        let mut level: Vec<(u64, Arc<V>)> = self
-            .leaves
-            .iter()
-            .map(|(id, v)| (*id, Arc::clone(v)))
-            .collect();
-        let mut height = 1;
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            let mut chunks = level.chunks_exact(2);
-            for (position, pair) in (&mut chunks).enumerate() {
-                let (lid, lv) = &pair[0];
-                let (rid, rv) = &pair[1];
-                // Memoization is at *task* granularity: a sub-computation's
-                // identity is its position in the dataflow DAG plus its
-                // input lineage. A window slide that shifts leaf positions
-                // therefore precludes reuse — the §2.1 limitation that
-                // motivates the self-adjusting trees.
-                let id = hash_pair(position as u64, hash_pair(*lid, *rid));
-                let value = match self.cache.get(id) {
-                    Some(v) => {
-                        cx.reuse(&v);
-                        v
-                    }
-                    None => {
-                        let v = cx.merge(Phase::Foreground, lv, rv);
-                        self.cache.put(id, Arc::clone(&v), cx.value_bytes(&v));
-                        v
-                    }
-                };
-                next.push((id, value));
-            }
-            if let [(id, v)] = chunks.remainder() {
-                // Odd leaf promotes unchanged — no combiner invocation.
-                next.push((*id, Arc::clone(v)));
-            }
-            level = next;
-            height += 1;
-        }
-        self.root = level.pop().map(|(_, v)| v);
-        self.height = height;
-        self.cache.sweep();
-    }
-}
-
-impl<V> Default for StrawmanTree<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<V> fmt::Debug for StrawmanTree<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StrawmanTree")
-            .field("leaves", &self.leaves.len())
-            .field("height", &self.height)
-            .field("cached_nodes", &self.cache.len())
-            .finish()
-    }
-}
-
-impl<V> Clone for StrawmanTree<V> {
-    fn clone(&self) -> Self {
-        StrawmanTree {
-            leaves: self.leaves.clone(),
-            cache: self.cache.clone(),
-            root: self.root.clone(),
-            next_id: self.next_id,
-            height: self.height,
-            leaf_bytes: self.leaf_bytes,
-        }
-    }
-}
-
-impl<K, V> WindowAggregator<K, V> for StrawmanTree<V>
-where
-    K: Send + 'static,
-    V: Send + Sync + 'static,
-{
-    fn boxed_clone(&self) -> Box<dyn WindowAggregator<K, V>> {
-        Box::new(self.clone())
-    }
-
-    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
-        self.leaves.clear();
-        self.cache = MemoCache::new();
-        self.leaf_bytes = 0;
-        for value in leaves.into_iter().flatten() {
-            let id = self.fresh_id();
-            self.leaf_bytes += cx.value_bytes(&value);
-            self.leaves.push_back((id, value));
-            cx.note_added(1);
-        }
-        self.recombine(cx);
-    }
-
-    fn advance(
-        &mut self,
-        cx: &mut TreeCx<'_, K, V>,
-        remove: usize,
-        added: Vec<Option<Arc<V>>>,
-    ) -> Result<(), TreeError> {
-        if remove > self.leaves.len() {
-            return Err(TreeError::RemoveExceedsWindow {
-                requested: remove,
-                window: self.leaves.len(),
-            });
-        }
-        for (_, value) in self.leaves.drain(..remove) {
-            self.leaf_bytes -= cx.value_bytes(&value);
-            cx.note_removed(1);
-        }
-        for value in added.into_iter().flatten() {
-            let id = self.fresh_id();
-            self.leaf_bytes += cx.value_bytes(&value);
-            self.leaves.push_back((id, value));
-            cx.note_added(1);
-        }
-        self.recombine(cx);
-        Ok(())
-    }
-
-    fn insert_at(
-        &mut self,
-        cx: &mut TreeCx<'_, K, V>,
-        at: usize,
-        values: Vec<Arc<V>>,
-    ) -> Result<(), TreeError> {
-        if at > self.leaves.len() {
-            return Err(TreeError::SpliceOutOfRange {
-                at,
-                count: values.len(),
-                window: self.leaves.len(),
-            });
-        }
-        if values.is_empty() {
-            return Ok(());
-        }
-        cx.note_added(values.len() as u64);
-        for (j, value) in values.into_iter().enumerate() {
-            let id = self.fresh_id();
-            self.leaf_bytes += cx.value_bytes(&value);
-            self.leaves.insert(at + j, (id, value));
-        }
-        // Leaves at and after the splice point change pairing position, so
-        // memoization naturally confines reuse to the untouched prefix.
-        self.recombine(cx);
-        Ok(())
-    }
-
-    fn evict_range(
-        &mut self,
-        cx: &mut TreeCx<'_, K, V>,
-        at: usize,
-        count: usize,
-    ) -> Result<(), TreeError> {
-        if at
-            .checked_add(count)
-            .is_none_or(|end| end > self.leaves.len())
-        {
-            return Err(TreeError::SpliceOutOfRange {
-                at,
-                count,
-                window: self.leaves.len(),
-            });
-        }
-        if count == 0 {
-            return Ok(());
-        }
-        cx.note_removed(count as u64);
-        for (_, value) in self.leaves.drain(at..at + count) {
-            self.leaf_bytes -= cx.value_bytes(&value);
-        }
-        self.recombine(cx);
-        Ok(())
-    }
-
-    fn root(&self) -> Option<Arc<V>> {
-        self.root.clone()
-    }
-
-    fn len(&self) -> usize {
-        self.leaves.len()
-    }
-
-    fn memo_bytes(&self) -> u64 {
-        self.cache.bytes() + self.leaf_bytes
-    }
-
-    #[cfg(feature = "oracle")]
-    fn memo_layout(&self) -> MemoLayout<V> {
-        let leaves = self.leaves.iter().map(|(_, v)| v);
-        MemoLayout::Each(leaves.chain(self.cache.values()).cloned().collect())
-    }
-
-    fn kind(&self) -> TreeKind {
-        TreeKind::Strawman
-    }
-}
-
-impl<K, V> ContractionTree<K, V> for StrawmanTree<V>
-where
-    K: Send + 'static,
-    V: Send + Sync + 'static,
-{
-    fn height(&self) -> usize {
-        self.height
+    pub fn set_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<(u64, Arc<V>)>) {
+        self.core.set_leaves(cx, leaves);
     }
 }
 
@@ -328,7 +78,9 @@ where
 mod tests {
     use super::*;
     use crate::combiner::FnCombiner;
+    use crate::error::TreeError;
     use crate::stats::UpdateStats;
+    use crate::tree::{ContractionTree, WindowAggregator};
 
     fn sum_combiner() -> FnCombiner<impl Fn(&u8, &u64, &u64) -> u64> {
         FnCombiner::new(|_: &u8, a: &u64, b: &u64| a + b)
@@ -398,30 +150,6 @@ mod tests {
         // Nearly every pair is new: the strawman does Θ(n) merges.
         assert!(
             stats.foreground.merges >= 32,
-            "merges = {}",
-            stats.foreground.merges
-        );
-    }
-
-    #[test]
-    fn replace_leaf_recomputes_one_path() {
-        let combiner = sum_combiner();
-        let key = 0u8;
-        let mut tree = StrawmanTree::new();
-
-        let values: Vec<u64> = (0..32).collect();
-        let mut stats = UpdateStats::default();
-        let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-        tree.rebuild(&mut cx, leaves(&values));
-
-        let mut stats = UpdateStats::default();
-        let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-        tree.replace_leaf(&mut cx, 7, Arc::new(100));
-        let expected: u64 = (0..32).map(|v| if v == 7 { 100 } else { v }).sum();
-        assert_eq!(*WindowAggregator::<u8, u64>::root(&tree).unwrap(), expected);
-        // Only the log-depth path to the root is recomputed.
-        assert!(
-            stats.foreground.merges <= 5,
             "merges = {}",
             stats.foreground.merges
         );

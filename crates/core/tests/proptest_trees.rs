@@ -649,13 +649,12 @@ proptest! {
         }
     }
 
-    /// The strawman's pipeline entry points (`replace_leaf`, `set_leaves`)
-    /// keep the footprint exact too.
+    /// The strawman's pipeline entry point (`set_leaves`) keeps the
+    /// footprint exact too.
     #[test]
     fn strawman_pipeline_updates_keep_footprint(
         initial in proptest::collection::vec(0usize..5, 1..12),
-        edits in proptest::collection::vec(
-            (proptest::bool::ANY, 0usize..16, proptest::collection::vec(0usize..5, 0..12)), 0..24),
+        edits in proptest::collection::vec(proptest::collection::vec(0usize..5, 0..12), 0..24),
     ) {
         let combiner = ListCombiner;
         let key = 0u8;
@@ -669,21 +668,16 @@ proptest! {
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         let leaves = initial.iter().map(|&len| (0, leaf(len))).collect();
         tree.set_leaves(&mut cx, leaves);
-        for (replace, index, lens) in edits {
+        for lens in edits {
             let mut stats = UpdateStats::default();
             let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-            let len = WindowAggregator::<u8, List>::len(&tree);
-            if replace && len > 0 {
-                tree.replace_leaf(&mut cx, index % len, leaf(lens.len()));
-            } else {
-                // Keep some identities so part of the memo cache survives.
-                let leaves = lens
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &len)| (i as u64 % 3, leaf(len)))
-                    .collect();
-                tree.set_leaves(&mut cx, leaves);
-            }
+            // Keep some identities so part of the memo cache survives.
+            let leaves = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (i as u64 % 3, leaf(len)))
+                .collect();
+            tree.set_leaves(&mut cx, leaves);
             let tree: &dyn WindowAggregator<u8, List> = &tree;
             prop_assert_eq!(tree.memo_bytes(), recount(tree.memo_layout()));
         }

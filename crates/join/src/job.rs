@@ -197,8 +197,10 @@ type ShardMatches<K, VD, VO> = Vec<(Vec<Match<K, VD, VO>>, u64)>;
 
 /// A two-input incremental windowed equi-join over the shared engine.
 ///
-/// See the [module docs](crate::job) for the maintenance schedule and the
-/// exactness argument. Ingest stamped records with
+/// See the [crate docs](crate) for the maintenance schedule. It is exact
+/// because `L_new ⋈ R_new = L_old ⋈ R_old + ΔL ⋈ R_old + L_new ⋈ ΔR`: the
+/// left side's deltas probe the right index before the right side
+/// flushes. Ingest stamped records with
 /// [`ingest_left`](Self::ingest_left) / [`ingest_right`](Self::ingest_right),
 /// then [`poll`](Self::poll) to advance both sides up to the **joint
 /// watermark** — the minimum of the two sides' event-time watermarks, so

@@ -98,7 +98,7 @@ impl PipelineRunResult {
 
     /// Recovery work of this run. Fault plans attach to the window-facing
     /// first stage (inner stages hold only state derivable from its rows),
-    /// so this is the first job's [`RecoveryStats`].
+    /// so this is the first job's [`RecoveryStats`](crate::RecoveryStats).
     pub fn recovery(&self) -> &crate::stats::RecoveryStats {
         &self.first.recovery
     }

@@ -423,37 +423,25 @@ impl<A: MapReduceApp> Default for ShardOutcome<A> {
     }
 }
 
-/// Shared read-only inputs of one slide, borrowed by every shard worker.
-struct SlideCx<'a, A: MapReduceApp> {
+/// Shared read-only inputs of one run's window edit, borrowed by every
+/// shard worker: the window *after* the edit, and the entries that left
+/// and entered it.
+struct EditCx<'a, A: MapReduceApp> {
     app: &'a A,
     combiner: &'a AppCombiner<A>,
     config: &'a JobConfig,
     window: &'a VecDeque<SplitEntry<A>>,
     removed: &'a [SplitEntry<A>],
     added: &'a [SplitEntry<A>],
+    /// Window position of an interior splice (0 = oldest split; the
+    /// removed entries were drained from `at`, the added ones sit at
+    /// `window[at..]`). `None` for a slide, which edits the window's ends.
+    splice_at: Option<usize>,
+    /// Whether a fixed-width window held all its buckets before the slide.
     was_full_buckets: bool,
     kind: TreeKind,
+    /// Run split-mode background pre-processing after the foreground edit.
     split_processing: bool,
-}
-
-/// Shared read-only inputs of one interior splice, borrowed by every shard
-/// worker. Unlike a slide, a splice touches the window's *interior*:
-/// `window` is the post-splice window, and the affected split range starts
-/// at window position `at` (insertions sit at `window[at..at + added.len()]`;
-/// evictions were drained from `window[at..at + removed.len()]`).
-struct SpliceCx<'a, A: MapReduceApp> {
-    app: &'a A,
-    combiner: &'a AppCombiner<A>,
-    config: &'a JobConfig,
-    /// The window *after* the splice was applied.
-    window: &'a VecDeque<SplitEntry<A>>,
-    /// Window position of the splice (0 = oldest split).
-    at: usize,
-    /// Entries drained from the interior (bulk evictions).
-    removed: &'a [SplitEntry<A>],
-    /// Entries inserted into the interior (late-record insertions).
-    added: &'a [SplitEntry<A>],
-    kind: TreeKind,
 }
 
 /// A sliding-window MapReduce job.
@@ -859,35 +847,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
         added: Vec<Split<A::Input>>,
     ) -> Result<RunStats, JobError> {
         self.validate_slide(remove_splits, &added)?;
-        let (run_span, recovery, repair_before) = self.begin_run()?;
-
-        let was_full_buckets = self.config.mode.is_fixed_width()
-            && self.window.len() == self.config.window_buckets * self.config.bucket_width;
-
-        // ---- Map phase: run Map tasks for the new splits. ---------------
-        let new_entries = self.map_splits(&added);
-        let removed: Vec<SplitEntry<A>> = self.window.drain(..remove_splits).collect();
-        self.window.extend(new_entries.iter().cloned());
-        for split in &added {
-            self.used_split_ids.insert(split.id().0);
-        }
-
-        let stats = self.map_phase_stats(&new_entries);
-        self.trace_map_phase(&stats, &new_entries);
-
-        // ---- Contraction + Reduce phase. ---------------------------------
-        let outcome = match self.config.mode {
-            ExecMode::Recompute => self.run_recompute(),
-            _ => self.run_incremental(&removed, &new_entries, was_full_buckets)?,
-        };
-        Ok(self.finish_run(
-            stats,
-            outcome,
-            &new_entries,
-            recovery,
-            repair_before,
-            run_span,
-        ))
+        self.run_edit(None, remove_splits, Some(added))
     }
 
     /// Splices late splits into the *interior* of the window so that the
@@ -924,33 +884,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             });
         }
         self.check_fresh_ids(&added)?;
-        let (run_span, recovery, repair_before) = self.begin_run()?;
-
-        // ---- Map phase: new splits are mapped exactly as in a slide. -----
-        let new_entries = self.map_splits(&added);
-        for (offset, entry) in new_entries.iter().enumerate() {
-            self.window.insert(at + offset, entry.clone());
-        }
-        for split in &added {
-            self.used_split_ids.insert(split.id().0);
-        }
-
-        let stats = self.map_phase_stats(&new_entries);
-        self.trace_map_phase(&stats, &new_entries);
-
-        // ---- Contraction + Reduce phase. ---------------------------------
-        let outcome = match self.config.mode {
-            ExecMode::Recompute => self.run_recompute(),
-            _ => self.run_splice(at, &[], &new_entries)?,
-        };
-        Ok(self.finish_run(
-            stats,
-            outcome,
-            &new_entries,
-            recovery,
-            repair_before,
-            run_span,
-        ))
+        self.run_edit(Some(at), 0, Some(added))
     }
 
     /// Evicts the contiguous split range `[at, at + count)` from the
@@ -983,24 +917,89 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 window: self.window.len(),
             });
         }
-        let (run_span, recovery, repair_before) = self.begin_run()?;
-
-        // ---- Map phase: nothing maps; the evicted entries leave the window.
-        let removed: Vec<SplitEntry<A>> = self.window.drain(at..at + count).collect();
-        let stats = self.map_phase_stats(&[]);
-        self.trace_map_phase(&stats, &[]);
-
-        // ---- Contraction + Reduce phase. ---------------------------------
-        let outcome = match self.config.mode {
-            ExecMode::Recompute => self.run_recompute(),
-            _ => self.run_splice(at, &removed, &[])?,
-        };
-        Ok(self.finish_run(stats, outcome, &[], recovery, repair_before, run_span))
+        self.run_edit(Some(at), count, None)
     }
 
     // ------------------------------------------------------------------
-    // Shared run scaffolding (slides and splices)
+    // The run body shared by slides and splices
     // ------------------------------------------------------------------
+
+    /// One run: begin it, map `added`, edit the window, meter the map
+    /// phase, recompute or update every shard, and finish the run.
+    ///
+    /// The edit drains `evict` splits and inserts the mapped `added` at
+    /// the window's ends (from the front, onto the back) when `splice_at`
+    /// is `None`, or at interior position `splice_at`. `added` is `None`
+    /// for an interior eviction, which has no map phase at all.
+    fn run_edit(
+        &mut self,
+        splice_at: Option<usize>,
+        evict: usize,
+        added: Option<Vec<Split<A::Input>>>,
+    ) -> Result<RunStats, JobError> {
+        let (run_span, recovery, repair_before) = self.begin_run()?;
+        let was_full_buckets = self.config.mode.is_fixed_width()
+            && self.window.len() == self.config.window_buckets * self.config.bucket_width;
+
+        // ---- Map phase: run Map tasks for the new splits. ---------------
+        let new_entries = match &added {
+            Some(splits) => self.map_splits(splits),
+            None => Vec::new(),
+        };
+        let at = splice_at.unwrap_or(0);
+        let removed: Vec<SplitEntry<A>> = self.window.drain(at..at + evict).collect();
+        let insert_at = splice_at.unwrap_or(self.window.len());
+        for (offset, entry) in new_entries.iter().enumerate() {
+            self.window.insert(insert_at + offset, entry.clone());
+        }
+        for split in added.iter().flatten() {
+            self.used_split_ids.insert(split.id().0);
+        }
+
+        let stats = self.map_phase_stats(&new_entries);
+        self.trace_map_phase(&stats, &new_entries);
+
+        // ---- Contraction + Reduce phase. ---------------------------------
+        let outcome = match self.config.mode.tree_kind() {
+            None => self.run_recompute(),
+            Some(kind) => {
+                let cx = EditCx {
+                    app: &*self.app,
+                    combiner: &self.combiner,
+                    config: &self.config,
+                    window: &self.window,
+                    removed: &removed,
+                    added: &new_entries,
+                    splice_at,
+                    was_full_buckets,
+                    kind,
+                    // Splices run entirely in the foreground: background
+                    // pre-processing follows the bucket-cadenced slides.
+                    split_processing: splice_at.is_none() && self.config.mode.split_processing(),
+                };
+                // Every shard edits its trees, reduces its dirty keys and
+                // pre-processes on the shared runtime; outcomes fold in
+                // shard-index order, so all metering is identical for any
+                // thread count.
+                let results = self
+                    .runtime
+                    .map_mut(&mut self.shards, |p, shard| shard.run_edit(p, &cx));
+                let mut outcome = PhaseOutcome::default();
+                for result in results {
+                    self.fold_shard_outcome(&mut outcome, result?);
+                }
+                outcome
+            }
+        };
+        Ok(self.finish_run(
+            stats,
+            outcome,
+            &new_entries,
+            recovery,
+            repair_before,
+            run_span,
+        ))
+    }
 
     /// Opens this run's trace span and applies its scripted faults
     /// (recovery is metered apart from the regular work breakdown).
@@ -1180,7 +1179,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
 
         // ---- Cluster simulation (time metric). ---------------------------
         if let Some(sim) = self.config.simulation.clone() {
-            let (fg, bg) = self.build_sim(&sim, &stats, new_entries, &outcome);
+            let (fg, bg) = self.build_sim(&sim, new_entries, &outcome);
             stats.sim = Some(fg);
             stats.sim_background = bg;
         }
@@ -1360,16 +1359,17 @@ impl<A: MapReduceApp> WindowedJob<A> {
             .tree_kind()
             .expect("caller checked incremental mode");
         let window_entries: Vec<SplitEntry<A>> = self.window.iter().cloned().collect();
-        // Replaying the whole window with nothing removed re-enters the
-        // initial-fill path of every tree family (`rotate` sees zero
-        // pre-existing buckets, `slide` sees only additions).
-        let cx = SlideCx {
+        // Replaying the whole window as a slide with nothing removed
+        // re-enters the initial-fill path of every tree family (`rotate`
+        // sees zero pre-existing buckets, the others only additions).
+        let cx = EditCx {
             app: &*self.app,
             combiner: &self.combiner,
             config: &self.config,
             window: &self.window,
             removed: &[],
             added: &window_entries,
+            splice_at: None,
             was_full_buckets: false,
             kind,
             split_processing: false,
@@ -1390,11 +1390,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 cache.with(|c| c.lose_object(object));
             }
             let mut stats = UpdateStats::default();
-            let recomputed = if kind == TreeKind::Rotating {
-                shard.rotate(p, &cx, &mut stats)?
-            } else {
-                shard.slide(p, &cx, &mut stats)?
-            };
+            let recomputed = shard.edit(p, &cx, &mut stats)?;
             recovery.lost_partitions += 1;
             recovery.keys_recomputed += recomputed.len();
             let rebuild_work = stats.foreground.work + stats.background.work;
@@ -1511,50 +1507,6 @@ impl<A: MapReduceApp> WindowedJob<A> {
         Ok(())
     }
 
-    /// Contraction + reduce for an interior splice: every shard forwards
-    /// the splice to its affected keys' aggregators (or rebuilds them) and
-    /// reduces the dirty keys, in parallel like [`Self::run_incremental`].
-    /// The window must already reflect the splice.
-    fn run_splice(
-        &mut self,
-        at: usize,
-        removed: &[SplitEntry<A>],
-        added: &[SplitEntry<A>],
-    ) -> Result<PhaseOutcome, JobError> {
-        let cx = SpliceCx {
-            app: &*self.app,
-            combiner: &self.combiner,
-            config: &self.config,
-            window: &self.window,
-            at,
-            removed,
-            added,
-            kind: self
-                .config
-                .mode
-                .tree_kind()
-                .expect("incremental mode has a tree"),
-        };
-        let results = self
-            .runtime
-            .map_mut(&mut self.shards, |p, shard| shard.run_splice(p, &cx));
-        self.fold_shard_outcomes(results)
-    }
-
-    /// Folds shard outcomes in shard-index order — which keeps all
-    /// metering deterministic for any thread count — and applies the
-    /// output deltas to the merged read view.
-    fn fold_shard_outcomes(
-        &mut self,
-        results: Vec<Result<ShardOutcome<A>, JobError>>,
-    ) -> Result<PhaseOutcome, JobError> {
-        let mut outcome = PhaseOutcome::default();
-        for result in results {
-            self.fold_shard_outcome(&mut outcome, result?);
-        }
-        Ok(outcome)
-    }
-
     /// Folds one shard's outcome into `outcome` and applies its output
     /// deltas to the merged read view.
     fn fold_shard_outcome(&mut self, outcome: &mut PhaseOutcome, shard_out: ShardOutcome<A>) {
@@ -1603,43 +1555,10 @@ impl<A: MapReduceApp> WindowedJob<A> {
         outcome
     }
 
-    /// Incremental update via contraction trees: every shard slides (or
-    /// rotates) its trees, reduces its dirty keys, and runs split-mode
-    /// background pre-processing on the shared runtime. Shard outcomes are
-    /// folded in shard-index order, so all modeled work metrics are
-    /// bitwise-identical for any thread count.
-    fn run_incremental(
-        &mut self,
-        removed: &[SplitEntry<A>],
-        added: &[SplitEntry<A>],
-        was_full_buckets: bool,
-    ) -> Result<PhaseOutcome, JobError> {
-        let cx = SlideCx {
-            app: &*self.app,
-            combiner: &self.combiner,
-            config: &self.config,
-            window: &self.window,
-            removed,
-            added,
-            was_full_buckets,
-            kind: self
-                .config
-                .mode
-                .tree_kind()
-                .expect("incremental mode has a tree"),
-            split_processing: self.config.mode.split_processing(),
-        };
-        let results = self
-            .runtime
-            .map_mut(&mut self.shards, |p, shard| shard.run_incremental(p, &cx));
-        self.fold_shard_outcomes(results)
-    }
-
     /// Builds and runs the cluster simulation for this run.
     fn build_sim(
         &self,
         sim: &SimulationConfig,
-        stats: &RunStats,
         new_entries: &[SplitEntry<A>],
         outcome: &PhaseOutcome,
     ) -> (slider_cluster::SimReport, Option<slider_cluster::SimReport>) {
@@ -1684,7 +1603,6 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 t
             })
             .collect();
-        let _ = stats;
 
         // This run's scripted machine faults (a trivial plan reproduces
         // the fault-free schedule bit for bit).
@@ -1875,21 +1793,14 @@ impl<A: MapReduceApp> PartitionShard<A> {
         outcome
     }
 
-    /// One shard's incremental run: contraction (slide or rotate), dirty-key
-    /// reduce into output deltas, and split-mode background pre-processing.
-    fn run_incremental(
-        &mut self,
-        p: usize,
-        cx: &SlideCx<'_, A>,
-    ) -> Result<ShardOutcome<A>, JobError> {
+    /// One shard's share of a run: the window edit of its trees, a
+    /// dirty-key reduce into output deltas, and split-mode background
+    /// pre-processing.
+    fn run_edit(&mut self, p: usize, cx: &EditCx<'_, A>) -> Result<ShardOutcome<A>, JobError> {
         let live_before = self.trees.len();
         let mut outcome = ShardOutcome::default();
         let mut tree_stats = UpdateStats::default();
-        let dirty = if cx.kind == TreeKind::Rotating {
-            self.rotate(p, cx, &mut tree_stats)?
-        } else {
-            self.slide(p, cx, &mut tree_stats)?
-        };
+        let dirty = self.edit(p, cx, &mut tree_stats)?;
         let reduce_work = self.reduce_dirty(cx.app, &dirty, &mut outcome);
 
         // Split mode: background pre-processing for the next run.
@@ -1931,149 +1842,26 @@ impl<A: MapReduceApp> PartitionShard<A> {
         reduce_work
     }
 
-    /// One shard's interior bulk splice: per-key splices (or rebuilds)
-    /// followed by a dirty-key reduce. Splices run entirely in the
-    /// foreground — split-mode background pre-processing only applies to
-    /// the bucket-cadenced slide path.
-    fn run_splice(&mut self, p: usize, cx: &SpliceCx<'_, A>) -> Result<ShardOutcome<A>, JobError> {
-        let live_before = self.trees.len();
-        let mut outcome = ShardOutcome::default();
-        let mut tree_stats = UpdateStats::default();
-        let dirty = self.splice(p, cx, &mut tree_stats)?;
-        let reduce_work = self.reduce_dirty(cx.app, &dirty, &mut outcome);
-
-        outcome.keys_reused = live_before.saturating_sub(dirty.len());
-        outcome.work.fg_work = tree_stats.foreground.work;
-        outcome.work.bg_work = tree_stats.background.work;
-        outcome.work.reduce_work = reduce_work;
-        outcome.work.memo_read_bytes = tree_stats.bytes_read;
-        outcome.work.shuffle_bytes = cx.added.iter().map(|e| e.out_bytes[p]).sum();
-        outcome.tree_stats = tree_stats;
-        Ok(outcome)
-    }
-
-    /// Applies an interior splice to every affected key of this shard.
-    ///
-    /// A key's leaf-space splice position is its occurrence count in the
-    /// unchanged window prefix `window[..at]` — identical before and after
-    /// the splice, for insertions and evictions alike. Only shards that hold
-    /// a spliced key count it: keys are hash-partitioned, so a splice of a
-    /// few keys scans the prefix in a few shards, not all. Keys whose
-    /// aggregator has no native splice ([`TreeError::SpliceUnsupported`])
-    /// are rebuilt from the post-splice window; the rebuild work flows
-    /// through the same [`TreeCx`], so it lands in this run's foreground
-    /// breakdown rather than vanishing from the work model.
-    fn splice(
+    /// Applies the run's window edit to this shard's trees and returns the
+    /// dirty keys, sorted. Fixed-width jobs rotate whole buckets. Every
+    /// other kind edits the tree of each key that lost or gained leaves:
+    /// a slide advances it; an interior splice evicts or inserts at the
+    /// key's leaf-space splice point, or rebuilds the key from the
+    /// post-splice window when its aggregator has no native splice
+    /// ([`TreeError::SpliceUnsupported`]). The rebuild work flows through
+    /// the same [`TreeCx`], so it lands in this run's foreground breakdown
+    /// rather than vanishing from the work model.
+    fn edit(
         &mut self,
         p: usize,
-        cx: &SpliceCx<'_, A>,
+        cx: &EditCx<'_, A>,
         stats: &mut UpdateStats,
     ) -> Result<Vec<A::Key>, JobError> {
-        // Per-key inserted values (window-ordered) and evicted occurrence
-        // counts. Engine callers pass one or the other, never both.
-        let mut insertions: BTreeMap<A::Key, Vec<Arc<A::Value>>> = BTreeMap::new();
-        for entry in cx.added {
-            for (key, value) in &entry.by_partition[p] {
-                insertions
-                    .entry(key.clone())
-                    .or_default()
-                    .push(Arc::new(value.clone()));
-            }
+        if cx.kind == TreeKind::Rotating {
+            return self.rotate(p, cx, stats);
         }
-        let mut evictions: BTreeMap<A::Key, usize> = BTreeMap::new();
-        for entry in cx.removed {
-            for key in entry.by_partition[p].keys() {
-                *evictions.entry(key.clone()).or_default() += 1;
-            }
-        }
-
-        // Leaf-space offset of the splice point for every touched key.
-        let mut prefix: HashMap<A::Key, usize> = insertions
-            .keys()
-            .chain(evictions.keys())
-            .map(|k| (k.clone(), 0))
-            .collect();
-        if !prefix.is_empty() {
-            for entry in cx.window.iter().take(cx.at) {
-                for key in entry.by_partition[p].keys() {
-                    if let Some(n) = prefix.get_mut(key) {
-                        *n += 1;
-                    }
-                }
-            }
-        }
-
-        let mut dirty: Vec<A::Key> = prefix.keys().cloned().collect();
-        dirty.sort_unstable();
-
-        for key in &dirty {
-            let leaf_at = prefix.get(key).copied().unwrap_or(0);
-            let values = insertions.get(key).cloned().unwrap_or_default();
-            let evict = evictions.get(key).copied().unwrap_or(0);
-            let tree = self
-                .trees
-                .entry(key.clone())
-                .or_insert_with(|| Self::fresh_tree(cx.kind, cx.config.mode));
-            let mut tree_cx = TreeCx::new(cx.combiner, key, stats);
-            if tree.is_empty() && evict == 0 {
-                // Brand-new key: the splice degenerates to an append into
-                // an empty window, which the regular slide path builds.
-                let adds: Vec<Option<Arc<A::Value>>> = values.into_iter().map(Some).collect();
-                tree.advance(&mut tree_cx, 0, adds)?;
-                continue;
-            }
-            let spliced = if evict > 0 {
-                tree.evict_range(&mut tree_cx, leaf_at, evict)
-            } else {
-                tree.insert_at(&mut tree_cx, leaf_at, values)
-            };
-            match spliced {
-                Ok(()) => {}
-                Err(TreeError::SpliceUnsupported { .. }) => {
-                    // Evicted leaves leave the window for good; the rebuild
-                    // below re-notes every surviving leaf it re-adds.
-                    if evict > 0 {
-                        tree_cx.note_removed(evict as u64);
-                    }
-                    let leaves: Vec<Option<Arc<A::Value>>> = cx
-                        .window
-                        .iter()
-                        .filter_map(|e| e.by_partition[p].get(key))
-                        .map(|v| Some(Arc::new(v.clone())))
-                        .collect();
-                    tree.rebuild(&mut tree_cx, leaves);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-
-        // The strawman visits every memoized sub-computation on any
-        // change, splices included (paper §2/§9): clean keys re-pair
-        // entirely from the memo cache.
-        if cx.kind == TreeKind::Strawman {
-            let dirty_set: HashSet<&A::Key> = dirty.iter().collect();
-            let clean: Vec<A::Key> = self
-                .trees
-                .keys()
-                .filter(|k| !dirty_set.contains(k))
-                .cloned()
-                .collect();
-            for key in clean {
-                let tree = self.trees.get_mut(&key).expect("live key");
-                let mut tree_cx = TreeCx::new(cx.combiner, &key, stats);
-                tree.advance(&mut tree_cx, 0, Vec::new())?;
-            }
-        }
-        Ok(dirty)
-    }
-
-    /// Variable-width / append-only / strawman slide of this shard.
-    fn slide(
-        &mut self,
-        p: usize,
-        cx: &SlideCx<'_, A>,
-        stats: &mut UpdateStats,
-    ) -> Result<Vec<A::Key>, JobError> {
+        // Per-key removed leaf counts and added values, window-ordered. A
+        // splice passes one or the other, never both.
         let mut removals: HashMap<A::Key, usize> = HashMap::new();
         for entry in cx.removed {
             for key in entry.by_partition[p].keys() {
@@ -2098,38 +1886,74 @@ impl<A: MapReduceApp> PartitionShard<A> {
         }
         dirty.sort_unstable();
 
+        // A key's leaf-space splice point is its occurrence count in the
+        // unchanged window prefix `window[..at]`, identical before and after
+        // the splice. Only shards that hold a spliced key count it: keys are
+        // hash-partitioned, so a splice of a few keys scans the prefix in a
+        // few shards, not all.
+        let mut splice_points: HashMap<&A::Key, usize> = HashMap::new();
+        if let Some(at) = cx.splice_at.filter(|_| !dirty.is_empty()) {
+            splice_points = dirty.iter().map(|key| (key, 0)).collect();
+            for entry in cx.window.iter().take(at) {
+                for key in entry.by_partition[p].keys() {
+                    if let Some(n) = splice_points.get_mut(key) {
+                        *n += 1;
+                    }
+                }
+            }
+        }
+
         for key in &dirty {
             let remove = removals.get(key).copied().unwrap_or(0);
-            let adds: Vec<Option<Arc<A::Value>>> = additions
-                .remove(key)
-                .map(|vs| vs.into_iter().map(Some).collect())
-                .unwrap_or_default();
+            let values = additions.remove(key).unwrap_or_default();
             let tree = self
                 .trees
                 .entry(key.clone())
                 .or_insert_with(|| Self::fresh_tree(cx.kind, cx.config.mode));
             let mut tree_cx = TreeCx::new(cx.combiner, key, stats);
-            tree.advance(&mut tree_cx, remove, adds)?;
+            match splice_points.get(key) {
+                // A splice that only adds to a brand-new key is an append
+                // into an empty window, which the slide arm below builds.
+                Some(&at) if remove > 0 || !tree.is_empty() => {
+                    let spliced = if remove > 0 {
+                        tree.evict_range(&mut tree_cx, at, remove)
+                    } else {
+                        tree.insert_at(&mut tree_cx, at, values)
+                    };
+                    match spliced {
+                        Err(TreeError::SpliceUnsupported { .. }) => {
+                            // Evicted leaves leave the window for good; the
+                            // rebuild re-notes every surviving leaf it re-adds.
+                            tree_cx.note_removed(remove as u64);
+                            let leaves: Vec<Option<Arc<A::Value>>> = cx
+                                .window
+                                .iter()
+                                .filter_map(|e| e.by_partition[p].get(key))
+                                .map(|v| Some(Arc::new(v.clone())))
+                                .collect();
+                            tree.rebuild(&mut tree_cx, leaves);
+                        }
+                        other => other?,
+                    }
+                }
+                _ => tree.advance(&mut tree_cx, remove, values.into_iter().map(Some).collect())?,
+            }
         }
 
         // The strawman's change propagation has no window-aware structure:
         // it visits *every* memoized sub-computation to decide whether it
         // can be reused (paper §2/§9 — "they require visiting all tasks in
         // a computation even if the task is not affected by the modified
-        // data"). Clean keys re-pair entirely from the memo cache — no
-        // fresh merges, but the visit reads every memoized node.
+        // data"), splices included. Clean keys re-pair entirely from the
+        // memo cache — no fresh merges, but the visit reads every memoized
+        // node.
         if cx.kind == TreeKind::Strawman {
             let dirty_set: HashSet<&A::Key> = dirty.iter().collect();
-            let clean: Vec<A::Key> = self
-                .trees
-                .keys()
-                .filter(|k| !dirty_set.contains(k))
-                .cloned()
-                .collect();
-            for key in clean {
-                let tree = self.trees.get_mut(&key).expect("live key");
-                let mut tree_cx = TreeCx::new(cx.combiner, &key, stats);
-                tree.advance(&mut tree_cx, 0, Vec::new())?;
+            for (key, tree) in &mut self.trees {
+                if !dirty_set.contains(key) {
+                    let mut tree_cx = TreeCx::new(cx.combiner, key, stats);
+                    tree.advance(&mut tree_cx, 0, Vec::new())?;
+                }
             }
         }
         Ok(dirty)
@@ -2148,7 +1972,7 @@ impl<A: MapReduceApp> PartitionShard<A> {
     fn rotate(
         &mut self,
         p: usize,
-        cx: &SlideCx<'_, A>,
+        cx: &EditCx<'_, A>,
         stats: &mut UpdateStats,
     ) -> Result<Vec<A::Key>, JobError> {
         let w = cx.config.bucket_width;
@@ -2228,7 +2052,7 @@ impl<A: MapReduceApp> PartitionShard<A> {
     fn preprocess(
         &mut self,
         p: usize,
-        cx: &SlideCx<'_, A>,
+        cx: &EditCx<'_, A>,
         dirty: &[A::Key],
         stats: &mut UpdateStats,
     ) {

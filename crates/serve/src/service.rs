@@ -199,9 +199,9 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
     ///    clear the overflow are shed (lowest priority first).
     /// 3. **Admission chain** — per-request cap, DGIM rate limit, quota.
     /// 4. **Dispatch** — scripted faults (if any) are retried under the
-    ///    tenant's [`BreakerConfig::retry`] policy with backoff charged
-    ///    to the shared simulated clock; exhausted retries charge the
-    ///    breaker and surface as
+    ///    tenant's [`BreakerConfig::retry`](crate::BreakerConfig::retry)
+    ///    policy with backoff charged to the shared simulated clock;
+    ///    exhausted retries charge the breaker and surface as
     ///    [`JobError::Injected`](slider_mapreduce::JobError::Injected).
     ///    Real flush errors charge the breaker the same way. Successful
     ///    dispatches close the breaker.

@@ -16,27 +16,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use slider_bench::{fmt_f64, Table};
-use slider_trace::json::JsonValue;
-use slider_trace::parse_json;
-
-/// Modeled-work regressions beyond this ratio fail the `--check` gate.
-const MAX_WORK_REGRESSION: f64 = 1.10;
-
-fn load_summary(path: &str) -> Result<BTreeMap<String, f64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    if doc.get("schema").and_then(JsonValue::as_str) != Some("slider-bench-v1") {
-        return Err(format!("{path}: not a slider-bench-v1 report"));
-    }
-    match doc.get("summary") {
-        Some(JsonValue::Obj(map)) => Ok(map
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|n| (k.clone(), n)))
-            .collect()),
-        _ => Err(format!("{path}: missing summary section")),
-    }
-}
+use slider_bench::{check_regression, fmt_f64, load_summary, Table};
 
 /// Splits `join.w1024.p10.inc_work` into `(window, pct, metric)`.
 fn parse_join_key(key: &str) -> Option<(u64, u64, String)> {
@@ -89,46 +69,13 @@ fn print_tables(summary: &BTreeMap<String, f64>) {
     }
 }
 
-fn check(baseline_path: &str, candidate_path: &str) -> Result<(), String> {
-    let baseline = load_summary(baseline_path)?;
-    let candidate = load_summary(candidate_path)?;
-    let mut failures = Vec::new();
-    for (key, base) in &baseline {
-        if !key.ends_with(".inc_work") {
-            continue;
-        }
-        match candidate.get(key) {
-            None => failures.push(format!("{key}: missing from candidate")),
-            Some(cand) if *base > 0.0 && cand / base > MAX_WORK_REGRESSION => {
-                failures.push(format!(
-                    "{key}: {} -> {} (+{:.1}%, limit 10%)",
-                    fmt_f64(*base),
-                    fmt_f64(*cand),
-                    (cand / base - 1.0) * 100.0
-                ));
-            }
-            _ => {}
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "join check OK: {} inc_work metrics within 10% of baseline",
-            baseline.keys().filter(|k| k.ends_with(".inc_work")).count()
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "modeled-work regression vs {baseline_path}:\n  {}",
-            failures.join("\n  ")
-        ))
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
         [path] => load_summary(path).map(|summary| print_tables(&summary)),
-        [flag, baseline, candidate] if flag == "--check" => check(baseline, candidate),
+        [flag, baseline, candidate] if flag == "--check" => {
+            check_regression("join", "inc_work", baseline, candidate)
+        }
         _ => Err(
             "usage: join_viewer <report.json> | --check <baseline.json> <candidate.json>"
                 .to_string(),

@@ -30,7 +30,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
 
     /// An inclusive-exclusive (or inclusive-inclusive) length range for
-    /// [`vec`].
+    /// [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -73,7 +73,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct VecStrategy<S> {
         element: S,
