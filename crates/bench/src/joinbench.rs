@@ -1,5 +1,4 @@
-//! Incremental-vs-recompute sweep for the windowed join (slider-join),
-//! plus the approximate-windows error-vs-space rows.
+//! Incremental-vs-recompute sweep for the windowed join (slider-join).
 //!
 //! Drives the §8.1 companion join — follow edges ⋈ URL posts
 //! ([`FollowPostJoin`]) — through the *same* synthetic Twitter streams in
@@ -16,12 +15,11 @@
 //! (`join_viewer --check`).
 
 use slider_apps::FollowPostJoin;
-use slider_core::KeyedDistinctCounter;
 use slider_join::{JoinConfig, JoinMode, JoinedJob};
 use slider_mapreduce::{EngineShared, EventTimeConfig, Stamped};
 use slider_workloads::twitter::{follow_stream, generate, TwitterConfig};
 
-use crate::report::{fmt_f64, BenchJson, Table};
+use crate::report::{BenchJson, Table};
 use crate::shootout::WORK_UNITS_PER_SECOND;
 
 /// Window sizes swept, in records per side (1 record ≈ 1 time unit).
@@ -32,9 +30,6 @@ pub const JOIN_SLIDE_PCTS: [u64; 3] = [1, 10, 25];
 
 /// Slides measured per grid point, after the untimed window fill.
 pub const JOIN_MEASURED_SLIDES: u64 = 8;
-
-/// Epsilons (as percentages) swept by the approximate-windows rows.
-pub const APPROX_EPS_PCTS: [u32; 4] = [50, 25, 10, 5];
 
 /// One grid point: modeled join-layer work for both maintenance modes
 /// over [`JOIN_MEASURED_SLIDES`] slides, plus the shared side-index work.
@@ -66,21 +61,6 @@ impl JoinPoint {
     pub fn rec_seconds(&self) -> f64 {
         to_f64(self.rec_work) / WORK_UNITS_PER_SECOND
     }
-}
-
-/// One approximate-windows row: per-key DGIM counters vs exact retention
-/// at one ε, over the same post stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxPoint {
-    /// ε as a percentage (50 = 0.5).
-    pub eps_pct: u32,
-    /// Largest relative estimate error observed across keys and probes,
-    /// in percent.
-    pub max_err_pct: f64,
-    /// DGIM buckets retained (the approximate structure's space).
-    pub buckets: u64,
-    /// Events an exact per-key window would have retained at the end.
-    pub exact_events: u64,
 }
 
 /// Measures one (window, slide%) grid point. Both modes consume identical
@@ -171,64 +151,14 @@ pub fn run_join_bench() -> Vec<JoinPoint> {
     points
 }
 
-/// Sweeps the approximate-windows trade-off: per-key DGIM distinct/count
-/// estimates vs exact retention over a 4096-tick post stream.
-pub fn run_approx_rows() -> Vec<ApproxPoint> {
-    let window = 4096u64;
-    let config = TwitterConfig {
-        users: 64,
-        avg_follows: 6,
-        urls: 32,
-        repost_probability: 0.3,
-    };
-    let dataset = generate(0xd15717c7, &config, 8192);
-    APPROX_EPS_PCTS
-        .iter()
-        .map(|&eps_pct| {
-            let eps = f64::from(eps_pct) / 100.0;
-            let mut keyed = KeyedDistinctCounter::new(window, eps);
-            let mut exact: std::collections::BTreeMap<u32, Vec<u64>> =
-                std::collections::BTreeMap::new();
-            let mut max_err = 0.0f64;
-            let mut now = 0u64;
-            for (i, tweet) in dataset.tweets.iter().enumerate() {
-                now = tweet.time;
-                keyed.record(tweet.user, now);
-                exact.entry(tweet.user).or_default().push(now);
-                if i % 512 == 511 {
-                    for (&key, times) in &exact {
-                        let truth = times.iter().filter(|&&t| t + window > now).count() as u64;
-                        if truth == 0 {
-                            continue;
-                        }
-                        let est = keyed.estimate(&key, now);
-                        let err = to_f64(est.abs_diff(truth)) / to_f64(truth);
-                        max_err = max_err.max(err);
-                    }
-                }
-            }
-            let exact_events: u64 = exact
-                .values()
-                .map(|ts| ts.iter().filter(|&&t| t + window > now).count() as u64)
-                .sum();
-            ApproxPoint {
-                eps_pct,
-                max_err_pct: max_err * 100.0,
-                buckets: keyed.total_buckets() as u64,
-                exact_events,
-            }
-        })
-        .collect()
-}
-
 /// Flat metric key for one grid point, e.g. `join.w1024.p10.inc_work`.
 #[must_use]
 pub fn join_point_key(window: u64, slide_pct: u64, metric: &str) -> String {
     format!("join.w{window}.p{slide_pct}.{metric}")
 }
 
-/// Builds the `BENCH_join.json` report from the grid and approx rows.
-pub fn join_report(points: &[JoinPoint], approx: &[ApproxPoint]) -> BenchJson {
+/// Builds the `BENCH_join.json` report from the grid.
+pub fn join_report(points: &[JoinPoint]) -> BenchJson {
     let mut report = BenchJson::new("join");
     for p in points {
         report.metric(
@@ -251,12 +181,6 @@ pub fn join_report(points: &[JoinPoint], approx: &[ApproxPoint]) -> BenchJson {
             join_point_key(p.window, p.slide_pct, "pairs_touched"),
             to_f64(p.pairs_added + p.pairs_removed),
         );
-    }
-    for a in approx {
-        let prefix = format!("approx.eps{}", a.eps_pct);
-        report.metric(format!("{prefix}.max_err_pct"), a.max_err_pct);
-        report.metric(format!("{prefix}.buckets"), to_f64(a.buckets));
-        report.metric(format!("{prefix}.exact_events"), to_f64(a.exact_events));
     }
     report
 }
@@ -285,21 +209,6 @@ pub fn join_table(points: &[JoinPoint]) -> Table {
             p.rec_work.to_string(),
             format!("{speedup:.2}x"),
             format!("{}/{}", p.pairs_added, p.pairs_removed),
-        ]);
-    }
-    table
-}
-
-/// Renders the approximate-windows rows as a text table.
-#[must_use]
-pub fn approx_table(rows: &[ApproxPoint]) -> Table {
-    let mut table = Table::new(&["epsilon", "max err %", "buckets", "exact events"]);
-    for a in rows {
-        table.row(vec![
-            format!("{:.2}", f64::from(a.eps_pct) / 100.0),
-            fmt_f64(a.max_err_pct),
-            a.buckets.to_string(),
-            a.exact_events.to_string(),
         ]);
     }
     table
@@ -341,28 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_rows_trade_error_for_space() {
-        let rows = run_approx_rows();
-        assert_eq!(rows.len(), APPROX_EPS_PCTS.len());
-        for w in rows.windows(2) {
-            // Tighter epsilon => at least as many buckets.
-            assert!(w[1].buckets >= w[0].buckets, "space grows as eps shrinks");
-        }
-        for a in &rows {
-            assert!(
-                a.max_err_pct <= f64::from(a.eps_pct) + 1.0,
-                "eps {}%: observed error {}% above guarantee",
-                a.eps_pct,
-                a.max_err_pct
-            );
-            assert!(
-                a.buckets < a.exact_events,
-                "approx must be smaller than exact"
-            );
-        }
-    }
-
-    #[test]
     fn report_renders_all_grid_metrics() {
         let points = vec![JoinPoint {
             window: 256,
@@ -372,7 +259,7 @@ mod tests {
             pairs_added: 7,
             pairs_removed: 3,
         }];
-        let rendered = join_report(&points, &[]).render();
+        let rendered = join_report(&points).render();
         assert!(rendered.contains("\"join.w256.p10.inc_work\": 100"));
         assert!(rendered.contains("\"join.w256.p10.rec_work\": 400"));
         assert!(rendered.contains("pairs_touched\": 10"));

@@ -24,9 +24,8 @@ pub use driver::{
     AppMeasurements, ChangeMeasurement, WindowKind, PCTS,
 };
 pub use joinbench::{
-    approx_table, join_point_key, join_report, join_table, measure_join, run_approx_rows,
-    run_join_bench, ApproxPoint, JoinPoint, APPROX_EPS_PCTS, JOIN_MEASURED_SLIDES, JOIN_SLIDE_PCTS,
-    JOIN_WINDOWS,
+    join_point_key, join_report, join_table, measure_join, run_join_bench, JoinPoint,
+    JOIN_MEASURED_SLIDES, JOIN_SLIDE_PCTS, JOIN_WINDOWS,
 };
 pub use report::{
     banner, bench_json_dir, check_regression, fmt_f64, fmt_speedup, load_summary, BenchJson, Table,

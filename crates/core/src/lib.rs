@@ -80,7 +80,6 @@
 // narrowing must be explicit and checked, never a silent `as` truncation.
 #![deny(clippy::cast_possible_truncation)]
 
-mod approx;
 mod coalescing;
 mod combiner;
 mod daba;
@@ -95,7 +94,6 @@ mod stats;
 mod strawman;
 mod tree;
 
-pub use approx::KeyedDistinctCounter;
 pub use coalescing::CoalescingTree;
 pub use combiner::{Combiner, FnCombiner, Reducer};
 pub use daba::{DabaLiteTree, DabaTree, TwoStackTree};

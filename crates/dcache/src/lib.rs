@@ -32,13 +32,15 @@ mod gc;
 mod master;
 mod repair;
 mod shared;
+mod stats;
 mod store;
 
 pub use gc::GcPolicy;
 pub use master::{
-    CacheConfig, CacheError, CacheStats, DistributedCache, LatencyModel, NamespaceStats, NodeId,
-    ObjectId, ReadOutcome, ReadSource,
+    CacheConfig, CacheError, DistributedCache, LatencyModel, NodeId, ObjectId, ReadOutcome,
+    ReadSource,
 };
 pub use repair::RepairStats;
 pub use shared::SharedCache;
+pub use stats::{CacheStats, NamespaceStats};
 pub use store::InMemoryStore;

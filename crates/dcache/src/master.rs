@@ -8,6 +8,7 @@ use slider_trace::{SpanKind, TraceSink};
 
 use crate::gc::GcPolicy;
 use crate::repair::RepairStats;
+use crate::stats::{CacheStats, NamespaceStats};
 use crate::store::InMemoryStore;
 
 /// Trace track every cache span lands on.
@@ -190,59 +191,6 @@ impl fmt::Display for CacheError {
 
 impl Error for CacheError {}
 
-/// Aggregate statistics of the memoization layer (foreground reads only;
-/// background self-healing is metered in [`RepairStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CacheStats {
-    /// Reads served by the local or remote memory tier.
-    pub memory_hits: u64,
-    /// Reads that fell back to a persistent replica.
-    pub disk_reads: u64,
-    /// Reads of objects missing from the index (never stored, collected,
-    /// or lost); the caller must recompute from scratch.
-    pub not_found_reads: u64,
-    /// Reads of indexed objects whose every clean replica is on failed
-    /// nodes; the object comes back once a replica's node recovers (or
-    /// repair re-replicates it), so retrying can succeed.
-    pub unavailable_reads: u64,
-    /// Total simulated read seconds.
-    pub read_seconds: f64,
-    /// Total bytes read.
-    pub bytes_read: u64,
-    /// Objects collected by the garbage collector.
-    pub collected: u64,
-    /// Memory-tier evictions across all nodes.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Failed reads of either kind (`not_found` + `unavailable`).
-    pub fn failed_reads(&self) -> u64 {
-        self.not_found_reads + self.unavailable_reads
-    }
-}
-
-/// Per-namespace accounting: what one tenant's objects are doing to the
-/// shared cache. Counter fields accumulate forever; the `live_*` fields
-/// are a point-in-time census of the index.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NamespaceStats {
-    /// Objects stored into this namespace (including re-puts).
-    pub puts: u64,
-    /// Bytes stored into this namespace.
-    pub put_bytes: u64,
-    /// This namespace's objects pushed out of a memory tier by LRU
-    /// pressure — from *any* tenant's puts, so a noisy neighbor shows up
-    /// in its victims' numbers.
-    pub evictions: u64,
-    /// Objects of this namespace reclaimed by garbage collection.
-    pub collected: u64,
-    /// Objects currently indexed under this namespace.
-    pub live_objects: u64,
-    /// Bytes currently indexed under this namespace.
-    pub live_bytes: u64,
-}
-
 /// Checksum of an object's content, modeled as FNV-1a over the identity
 /// the simulation tracks (id, size, producing epoch) — payloads are
 /// size-only here, so this is the strongest integrity tag available.
@@ -313,9 +261,8 @@ pub struct DistributedCache {
     /// Objects awaiting background re-replication, drained in id order so
     /// repair work is deterministic.
     repair_queue: BTreeSet<ObjectId>,
-    /// Observability sink; disabled by default (see
-    /// [`DistributedCache::attach_trace`]). Every span it records mirrors a
-    /// [`CacheStats`]/[`RepairStats`] accumulation with identical operands.
+    /// Observability sink for spans only, disabled by default; see
+    /// [`DistributedCache::attach_trace`] for where the counters come from.
     trace: TraceSink,
 }
 
@@ -355,7 +302,11 @@ impl DistributedCache {
 
     /// Attaches an observability sink. Pass the job's sink so cache spans
     /// land in the same trace as the engine's; the default disabled sink
-    /// records nothing at one branch per call site.
+    /// records nothing at one branch per call site. The cache records
+    /// spans only: the `dcache.*` counters are the sums of
+    /// [`CacheStats::trace_counters`] and [`RepairStats::trace_counters`]
+    /// over the engine's completed runs, so activity outside a run (a
+    /// standalone traced cache, a node failed between runs) is not counted.
     pub fn attach_trace(&mut self, trace: TraceSink) {
         self.trace = trace;
     }
@@ -374,7 +325,6 @@ impl DistributedCache {
     fn enqueue_repair(&mut self, object: ObjectId) {
         if self.config.repair && self.repair_queue.insert(object) {
             self.repair.enqueued += 1;
-            self.trace.with(|t| t.add("dcache.repair.enqueued", 1));
         }
     }
 
@@ -471,8 +421,6 @@ impl DistributedCache {
             let s = t.leaf_seconds(tr, SpanKind::CacheWrite, format!("put {}", object.0), 0.0);
             t.arg(s, "bytes", bytes);
             t.arg(s, "live_copies", live_copies as u64);
-            t.add("dcache.puts", 1);
-            t.add("dcache.put_bytes", bytes);
         });
         if live_copies < self.want_replicas() {
             self.enqueue_repair(object);
@@ -502,7 +450,6 @@ impl DistributedCache {
                 self.trace.with(|t| {
                     let tr = t.track(TRACE_TRACK);
                     t.leaf_seconds(tr, SpanKind::CacheRead, format!("miss {}", object.0), 0.0);
-                    t.add("dcache.not_found_reads", 1);
                 });
                 return Err(CacheError::NotFound(object));
             }
@@ -536,8 +483,6 @@ impl DistributedCache {
                         seconds,
                     );
                     t.arg(s, "bytes", meta.bytes);
-                    t.add("dcache.memory_hits", 1);
-                    t.add("dcache.bytes_read", meta.bytes);
                 });
                 return Ok(ReadOutcome {
                     seconds,
@@ -567,7 +512,6 @@ impl DistributedCache {
             // before anyone can read it and schedule re-replication.
             self.nodes[candidate.0].disk.remove(&object);
             self.repair.corruptions_detected += 1;
-            self.trace.with(|t| t.add("dcache.corruptions_detected", 1));
             self.enqueue_repair(object);
         }
         let Some(replica) = replica else {
@@ -580,7 +524,6 @@ impl DistributedCache {
                     format!("unavailable {}", object.0),
                     0.0,
                 );
-                t.add("dcache.unavailable_reads", 1);
             });
             self.enqueue_repair(object);
             return Err(CacheError::Unavailable(object));
@@ -615,8 +558,6 @@ impl DistributedCache {
                 seconds,
             );
             t.arg(s, "bytes", meta.bytes);
-            t.add("dcache.disk_reads", 1);
-            t.add("dcache.bytes_read", meta.bytes);
         });
         Ok(ReadOutcome {
             seconds,
@@ -779,7 +720,6 @@ impl DistributedCache {
             };
             let s = t.leaf_seconds(tr, SpanKind::Gc, name, 0.0);
             t.arg(s, "collected", n);
-            t.add("dcache.collected", n);
         });
         n
     }
@@ -812,7 +752,7 @@ impl DistributedCache {
                 self.enqueue_repair(object);
             }
         }
-        self.trace.with(|t| t.add("dcache.node_failures", 1));
+        self.repair.node_failures += 1;
         Ok(())
     }
 
@@ -844,10 +784,9 @@ impl DistributedCache {
             if stale {
                 self.nodes[node.0].disk.remove(&object);
                 self.repair.stale_copies_purged += 1;
-                self.trace.with(|t| t.add("dcache.stale_copies_purged", 1));
             }
         }
-        self.trace.with(|t| t.add("dcache.node_recoveries", 1));
+        self.repair.node_recoveries += 1;
         Ok(())
     }
 
@@ -875,12 +814,9 @@ impl DistributedCache {
                 repaired += 1;
             }
         }
-        self.trace.with(|t| {
-            if let Some(s) = drain_span {
-                t.end(s);
-            }
-            t.add("dcache.repair.repaired_objects", repaired);
-        });
+        if let Some(s) = drain_span {
+            self.trace.with(|t| t.end(s));
+        }
         repaired
     }
 
@@ -907,7 +843,6 @@ impl DistributedCache {
                 Some(_) => {
                     self.nodes[node.0].disk.remove(&object);
                     self.repair.corruptions_detected += 1;
-                    self.trace.with(|t| t.add("dcache.corruptions_detected", 1));
                 }
                 None => {}
             }
@@ -957,8 +892,6 @@ impl DistributedCache {
                     cost,
                 );
                 t.arg(s, "bytes", meta.bytes);
-                t.add("dcache.repair.copies_restored", 1);
-                t.add("dcache.repair.bytes", meta.bytes);
             });
         }
         new_replicas.sort_unstable();
@@ -991,7 +924,6 @@ impl DistributedCache {
         let pass = self.repair.scrub_passes;
         let scrub_span = self.trace.with(|t| {
             let tr = t.track(TRACE_TRACK);
-            t.add("dcache.scrub.passes", 1);
             t.begin(tr, SpanKind::Scrub, format!("scrub pass {pass}"))
         });
         let lat = self.config.latency;
@@ -1026,7 +958,6 @@ impl DistributedCache {
                     self.nodes[node.0].disk.remove(&object);
                     self.repair.corruptions_detected += 1;
                     found += 1;
-                    self.trace.with(|t| t.add("dcache.corruptions_detected", 1));
                 }
             }
             if obj_copies > 0 {
@@ -1039,8 +970,6 @@ impl DistributedCache {
                         obj_seconds,
                     );
                     t.arg(s, "copies", obj_copies);
-                    t.add("dcache.scrub.copies", obj_copies);
-                    t.add("dcache.scrub.bytes", obj_copies * meta.bytes);
                 });
             }
             if live_clean < want {
@@ -1081,7 +1010,6 @@ impl DistributedCache {
         self.repair.master_rebuilds += 1;
         let rebuild_span = self.trace.with(|t| {
             let tr = t.track(TRACE_TRACK);
-            t.add("dcache.master.rebuilds", 1);
             t.begin(tr, SpanKind::Repair, "rebuild master")
         });
         let lat = self.config.latency;
@@ -1117,7 +1045,6 @@ impl DistributedCache {
                 } else {
                     self.nodes[node.0].disk.remove(&object);
                     self.repair.corruptions_detected += 1;
-                    self.trace.with(|t| t.add("dcache.corruptions_detected", 1));
                 }
             }
             if verified.is_empty() {
@@ -1149,7 +1076,6 @@ impl DistributedCache {
                 if (copy.epoch, copy.bytes, copy.checksum) != (epoch, bytes, checksum) {
                     self.nodes[node.0].disk.remove(&object);
                     self.repair.stale_copies_purged += 1;
-                    self.trace.with(|t| t.add("dcache.stale_copies_purged", 1));
                 }
             }
             let home = (0..self.nodes.len())
@@ -1170,7 +1096,6 @@ impl DistributedCache {
             );
             reindexed += 1;
             self.repair.objects_reindexed += 1;
-            self.trace.with(|t| t.add("dcache.master.reindexed", 1));
             if replicas.len() < self.want_replicas() {
                 self.enqueue_repair(object);
             }
@@ -1242,8 +1167,13 @@ impl DistributedCache {
     /// Foreground statistics so far.
     pub fn stats(&self) -> CacheStats {
         let mut stats = self.stats;
-        // The per-node stores are the authoritative eviction counters.
+        // The per-node stores are the authoritative eviction counters, the
+        // per-namespace counts the authoritative put counters.
         stats.evictions = self.nodes.iter().map(|n| n.memory.evictions()).sum();
+        for ns in self.namespaces.values() {
+            stats.puts += ns.puts;
+            stats.put_bytes += ns.put_bytes;
+        }
         stats
     }
 

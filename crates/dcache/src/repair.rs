@@ -7,8 +7,11 @@
 //! [`RepairStats`] and the foreground numbers (Table 2, Figure 11) are
 //! bit-identical whether or not self-healing is enabled.
 
-/// Background self-healing work performed by the memoization layer,
-/// metered separately from foreground reads (see [`crate::CacheStats`]).
+use slider_trace::Tracer;
+
+/// Background self-healing work performed by the memoization layer, and
+/// the node faults behind it, metered separately from foreground reads
+/// (see [`crate::CacheStats`]).
 ///
 /// Counters are cumulative since cache creation; use
 /// [`RepairStats::delta_since`] for per-run deltas.
@@ -43,6 +46,11 @@ pub struct RepairStats {
     pub master_rebuilds: u64,
     /// Objects re-indexed by master rebuilds.
     pub objects_reindexed: u64,
+    /// Cache nodes crashed ([`crate::DistributedCache::fail_node`]).
+    pub node_failures: u64,
+    /// Cache nodes brought back
+    /// ([`crate::DistributedCache::recover_node`]).
+    pub node_recoveries: u64,
 }
 
 impl RepairStats {
@@ -68,7 +76,26 @@ impl RepairStats {
             stale_copies_purged: self.stale_copies_purged - before.stale_copies_purged,
             master_rebuilds: self.master_rebuilds - before.master_rebuilds,
             objects_reindexed: self.objects_reindexed - before.objects_reindexed,
+            node_failures: self.node_failures - before.node_failures,
+            node_recoveries: self.node_recoveries - before.node_recoveries,
         }
+    }
+
+    /// Adds these stats to the `dcache.*` self-healing counters of `t`.
+    pub fn trace_counters(&self, t: &mut Tracer) {
+        t.add("dcache.repair.enqueued", self.enqueued);
+        t.add("dcache.repair.repaired_objects", self.repaired_objects);
+        t.add("dcache.repair.copies_restored", self.copies_restored);
+        t.add("dcache.repair.bytes", self.repair_bytes);
+        t.add("dcache.scrub.passes", self.scrub_passes);
+        t.add("dcache.scrub.copies", self.scrubbed_copies);
+        t.add("dcache.scrub.bytes", self.scrub_bytes);
+        t.add("dcache.corruptions_detected", self.corruptions_detected);
+        t.add("dcache.stale_copies_purged", self.stale_copies_purged);
+        t.add("dcache.master.rebuilds", self.master_rebuilds);
+        t.add("dcache.master.reindexed", self.objects_reindexed);
+        t.add("dcache.node_failures", self.node_failures);
+        t.add("dcache.node_recoveries", self.node_recoveries);
     }
 }
 

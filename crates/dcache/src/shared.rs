@@ -13,7 +13,8 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::master::{CacheStats, DistributedCache, NamespaceStats};
+use crate::master::DistributedCache;
+use crate::stats::{CacheStats, NamespaceStats};
 
 /// A cloneable, mutex-guarded handle to one [`DistributedCache`].
 #[derive(Debug, Clone)]

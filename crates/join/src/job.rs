@@ -518,9 +518,6 @@ impl<J: JoinApp> JoinedJob<J> {
             t.arg(span, "pairs_added", added_n);
             t.arg(span, "pairs_removed", removed_n);
             t.end(span);
-            t.add("join.probe_work", batch_work);
-            t.add("join.pairs_added", added_n);
-            t.add("join.pairs_removed", removed_n);
         });
     }
 
@@ -589,7 +586,6 @@ impl<J: JoinApp> JoinedJob<J> {
             }
             t.arg(span, "work", total_work);
             t.end(span);
-            t.add("join.recompute_work", total_work);
         });
     }
 
@@ -615,14 +611,9 @@ impl<J: JoinApp> JoinedJob<J> {
         if did_something {
             run.stats.advances = 1;
             self.advance_seq += 1;
-            let (steps, probes) = (run.stats.steps, run.stats.probes);
-            self.trace.with(|t| {
-                t.add("join.advances", 1);
-                t.add("join.steps", steps);
-                t.add("join.probes", probes);
-            });
         }
         self.stats.absorb(&run.stats);
+        self.trace.with(|t| run.stats.trace_counters(t));
         Ok(run)
     }
 }
@@ -892,6 +883,44 @@ mod tests {
             stats.probe_work,
             "span leaves reconcile with modeled probe work"
         );
+    }
+
+    #[test]
+    fn join_counters_equal_join_stats_after_a_failed_right_run() {
+        // Cache node 99 does not exist, so the right side's run #3 fails
+        // after the same poll has already probed the left side's events.
+        let trace = TraceSink::enabled();
+        let shared = EngineShared::builder()
+            .cache(slider_dcache::CacheConfig::paper_defaults(2))
+            .trace(trace.clone())
+            .build();
+        let plan = JobFaultPlan::none().fail_cache_node(3, 99);
+        let mut job = JoinedJob::new(ModJoin, config().with_right_faults(plan), &shared)
+            .expect("join builds");
+        let mut failed = false;
+        for t in 0..200u64 {
+            job.ingest_left([Stamped::new(t, t, u32::try_from(t).unwrap())]);
+            job.ingest_right([Stamped::new(t, t, u32::try_from(2 * t).unwrap())]);
+            if t % 7 == 0 && job.poll().is_err() {
+                failed = true;
+                break;
+            }
+        }
+        assert!(failed, "the right side's run #3 must fail");
+        let stats = job.stats();
+        assert!(stats.probe_work > 0, "earlier polls probed");
+        let snap = trace.snapshot().expect("trace enabled");
+        for (name, value) in [
+            ("join.advances", stats.advances),
+            ("join.steps", stats.steps),
+            ("join.probes", stats.probes),
+            ("join.pairs_added", stats.pairs_added),
+            ("join.pairs_removed", stats.pairs_removed),
+            ("join.probe_work", stats.probe_work),
+            ("join.recompute_work", stats.recompute_work),
+        ] {
+            assert_eq!(snap.counter(name), value, "counter {name}");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use std::hash::Hash;
 
 use slider_mapreduce::stable_hash;
+use slider_trace::Tracer;
 
 /// Modeled-work and pair-flow counters for the join layer (the probes and
 /// recomputes *above* the two side jobs; side-job work is metered by their
@@ -58,6 +59,18 @@ impl JoinStats {
     /// True when nothing has been recorded.
     pub fn is_zero(&self) -> bool {
         *self == JoinStats::default()
+    }
+
+    /// Adds these stats to the `join.*` counters of `t`. `side_work` has
+    /// no counter: the side runs report their work as `engine.*` counters.
+    pub fn trace_counters(&self, t: &mut Tracer) {
+        t.add("join.advances", self.advances);
+        t.add("join.steps", self.steps);
+        t.add("join.probes", self.probes);
+        t.add("join.pairs_added", self.pairs_added);
+        t.add("join.pairs_removed", self.pairs_removed);
+        t.add("join.probe_work", self.probe_work);
+        t.add("join.recompute_work", self.recompute_work);
     }
 }
 

@@ -3,6 +3,7 @@
 use slider_cluster::SimReport;
 use slider_core::PhaseWork;
 use slider_dcache::{CacheStats, RepairStats};
+use slider_trace::Tracer;
 
 /// Work performed by one run, split by phase (the paper's Figure 9
 /// breakdown).
@@ -93,6 +94,8 @@ pub struct RunStats {
     pub shuffle_bytes: u64,
     /// Bytes of memoized state read by the contraction phase.
     pub memo_read_bytes: u64,
+    /// Bytes of memoized state written by the contraction phase.
+    pub memo_written_bytes: u64,
     /// Total memoization footprint after the run (Figure 13(c)).
     pub memo_footprint_bytes: u64,
     /// Input bytes currently in the window.
@@ -144,6 +147,36 @@ impl RunStats {
     /// killed by crashes plus losing speculative duplicates), if simulated.
     pub fn recovery_seconds(&self) -> Option<f64> {
         self.sim.as_ref().map(|s| s.recovery_seconds)
+    }
+
+    /// Adds this run to the `engine.*`, `recovery.*` and `dcache.*`
+    /// counters of `t`. The engine calls it once per completed run, so each
+    /// counter is the sum of its field over the runs that returned.
+    pub fn trace_counters(&self, t: &mut Tracer) {
+        t.add("engine.map_tasks", self.map_tasks as u64);
+        t.add("engine.map_reused", self.map_reused as u64);
+        t.add("engine.shuffle_bytes", self.shuffle_bytes);
+        t.add("engine.keys_reduced", self.keys_reduced as u64);
+        t.add("engine.keys_reused", self.keys_reused as u64);
+        t.add("engine.nodes_reused", self.nodes_reused);
+        t.add("engine.merges_fg", self.work.contraction_fg.merges);
+        t.add("engine.merges_bg", self.work.contraction_bg.merges);
+        t.add("engine.memo_read_bytes", self.memo_read_bytes);
+        t.add("engine.memo_written_bytes", self.memo_written_bytes);
+        let recovery = &self.recovery;
+        t.add("recovery.lost_partitions", recovery.lost_partitions as u64);
+        t.add("recovery.keys_recomputed", recovery.keys_recomputed as u64);
+        t.add(
+            "recovery.cache_misses_recovered",
+            recovery.cache_misses_recovered,
+        );
+        t.add("recovery.cache_not_found", recovery.cache_not_found);
+        t.add("recovery.cache_unavailable", recovery.cache_unavailable);
+        t.add("recovery.read_retries", recovery.read_retries);
+        if let Some(cache) = &self.cache {
+            cache.trace_counters(t);
+        }
+        self.repair.trace_counters(t);
     }
 }
 

@@ -13,7 +13,7 @@ use slider_dcache::{
     CacheConfig, CacheError, CacheStats, DistributedCache, NodeId, ObjectId, RepairStats,
     SharedCache,
 };
-use slider_trace::{SpanId, SpanKind, TraceSink};
+use slider_trace::{SpanKind, TraceSink};
 
 use crate::app::{AppCombiner, MapReduceApp};
 use crate::error::JobError;
@@ -924,20 +924,47 @@ impl<A: MapReduceApp> WindowedJob<A> {
     // The run body shared by slides and splices
     // ------------------------------------------------------------------
 
-    /// One run: begin it, map `added`, edit the window, meter the map
-    /// phase, recompute or update every shard, and finish the run.
-    ///
-    /// The edit drains `evict` splits and inserts the mapped `added` at
-    /// the window's ends (from the front, onto the back) when `splice_at`
-    /// is `None`, or at interior position `splice_at`. `added` is `None`
-    /// for an interior eviction, which has no map phase at all.
+    /// One run inside its `Run` span. The span closes on every exit, so a
+    /// failed run cannot become the parent of later spans on the shared
+    /// `engine` track.
     fn run_edit(
         &mut self,
         splice_at: Option<usize>,
         evict: usize,
         added: Option<Vec<Split<A::Input>>>,
     ) -> Result<RunStats, JobError> {
-        let (run_span, recovery, repair_before) = self.begin_run()?;
+        let run_span = self.trace.with(|t| {
+            t.set_run(self.run_index);
+            let tr = t.track("engine");
+            t.begin(tr, SpanKind::Run, format!("run #{}", self.run_index))
+        });
+        let result = self.edit_window(splice_at, evict, added);
+        if let Some(span) = run_span {
+            self.trace.with(|t| t.end(span));
+        }
+        result
+    }
+
+    /// The body of one run: apply its scripted faults, map `added`, edit
+    /// the window, meter the map phase, recompute or update every shard,
+    /// and finish the run.
+    ///
+    /// The edit drains `evict` splits and inserts the mapped `added` at
+    /// the window's ends (from the front, onto the back) when `splice_at`
+    /// is `None`, or at interior position `splice_at`. `added` is `None`
+    /// for an interior eviction, which has no map phase at all.
+    fn edit_window(
+        &mut self,
+        splice_at: Option<usize>,
+        evict: usize,
+        added: Option<Vec<Split<A::Input>>>,
+    ) -> Result<RunStats, JobError> {
+        // Recovery is metered apart from the regular work breakdown; the
+        // repair baseline makes the end-of-run delta include fault
+        // handling.
+        let repair_before = self.repair_stats();
+        let mut recovery = RecoveryStats::default();
+        self.apply_planned_faults(&mut recovery)?;
         let was_full_buckets = self.config.mode.is_fixed_width()
             && self.window.len() == self.config.window_buckets * self.config.bucket_width;
 
@@ -991,34 +1018,15 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 outcome
             }
         };
-        Ok(self.finish_run(
-            stats,
-            outcome,
-            &new_entries,
-            recovery,
-            repair_before,
-            run_span,
-        ))
+        Ok(self.finish_run(stats, outcome, &new_entries, recovery, repair_before))
     }
 
-    /// Opens this run's trace span and applies its scripted faults
-    /// (recovery is metered apart from the regular work breakdown).
-    /// Returns the span, the recovery accumulator seeded by fault
-    /// handling, and the repair-stats baseline for the end-of-run delta.
-    fn begin_run(&mut self) -> Result<(Option<SpanId>, RecoveryStats, RepairStats), JobError> {
-        let run_span = self.trace.with(|t| {
-            t.set_run(self.run_index);
-            let tr = t.track("engine");
-            t.begin(tr, SpanKind::Run, format!("run #{}", self.run_index))
-        });
-        let mut recovery = RecoveryStats::default();
-        let repair_before = self
-            .cache
+    /// The cache's cumulative repair stats (zero without a cache).
+    fn repair_stats(&self) -> RepairStats {
+        self.cache
             .as_ref()
             .map(|cache| cache.with(|c| c.repair_stats()))
-            .unwrap_or_default();
-        self.apply_planned_faults(&mut recovery)?;
-        Ok((run_span, recovery, repair_before))
+            .unwrap_or_default()
     }
 
     /// Map-phase statistics shared by slides and splices: `new_entries`
@@ -1043,8 +1051,8 @@ impl<A: MapReduceApp> WindowedJob<A> {
         stats
     }
 
-    /// Emits the map-phase spans and counters: one Map leaf per executed
-    /// map task, in deterministic task order; leaf works sum exactly to
+    /// Emits the map-phase spans: one Map leaf per executed map task, in
+    /// deterministic task order; leaf works sum exactly to
     /// `stats.work.map`, the shuffle leaf carries `stats.shuffle_bytes`.
     fn trace_map_phase(&self, stats: &RunStats, new_entries: &[SplitEntry<A>]) {
         self.trace.with(|t| {
@@ -1068,9 +1076,6 @@ impl<A: MapReduceApp> WindowedJob<A> {
             t.end(map_span);
             let shuffle = t.leaf(tr, SpanKind::Shuffle, "shuffle", 0);
             t.arg(shuffle, "bytes", stats.shuffle_bytes);
-            t.add("engine.map_tasks", stats.map_tasks as u64);
-            t.add("engine.map_reused", stats.map_reused as u64);
-            t.add("engine.shuffle_bytes", stats.shuffle_bytes);
         });
     }
 
@@ -1078,7 +1083,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// outcome into `stats`, emits the contraction/reduce/background
     /// spans, refreshes footprints, charges data movement, runs the
     /// cluster simulation and cache model, meters recovery and repair,
-    /// closes the run span and bumps the run index.
+    /// adds the run to the trace counters and bumps the run index.
     fn finish_run(
         &mut self,
         mut stats: RunStats,
@@ -1086,7 +1091,6 @@ impl<A: MapReduceApp> WindowedJob<A> {
         new_entries: &[SplitEntry<A>],
         mut recovery: RecoveryStats,
         repair_before: RepairStats,
-        run_span: Option<SpanId>,
     ) -> RunStats {
         let trace = self.trace.clone();
         stats.work.contraction_fg = outcome.tree_stats.foreground;
@@ -1096,6 +1100,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
         stats.keys_reduced = outcome.keys_reduced;
         stats.keys_reused = outcome.keys_reused;
         stats.memo_read_bytes = outcome.tree_stats.bytes_read;
+        stats.memo_written_bytes = outcome.tree_stats.bytes_written;
 
         // Per-partition contraction and reduce leaves (shard-fold order).
         // Foreground leaf works sum to `stats.work.contraction_fg.work`,
@@ -1142,16 +1147,6 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 }
                 t.end(bg);
             }
-            t.add("engine.keys_reduced", stats.keys_reduced as u64);
-            t.add("engine.keys_reused", stats.keys_reused as u64);
-            t.add("engine.nodes_reused", stats.nodes_reused);
-            t.add("engine.merges_fg", outcome.tree_stats.foreground.merges);
-            t.add("engine.merges_bg", outcome.tree_stats.background.merges);
-            t.add("engine.memo_read_bytes", outcome.tree_stats.bytes_read);
-            t.add(
-                "engine.memo_written_bytes",
-                outcome.tree_stats.bytes_written,
-            );
         });
 
         // Refresh shard footprints: every tree keeps its own current, so
@@ -1163,8 +1158,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
         stats.window_input_bytes = self.window.iter().map(|e| e.input_bytes).sum();
 
         // Data movement charged as work.
-        let moved_bytes =
-            stats.shuffle_bytes + stats.memo_read_bytes + outcome.tree_stats.bytes_written;
+        let moved_bytes = stats.shuffle_bytes + stats.memo_read_bytes + stats.memo_written_bytes;
         stats.work.movement = movement_work(moved_bytes, self.config.work_per_byte);
         trace.with(|t| {
             let tr = t.track("engine");
@@ -1190,28 +1184,8 @@ impl<A: MapReduceApp> WindowedJob<A> {
             self.run_cache_maintenance();
         }
         stats.recovery = recovery;
-        trace.with(|t| {
-            t.add(
-                "recovery.lost_partitions",
-                stats.recovery.lost_partitions as u64,
-            );
-            t.add(
-                "recovery.keys_recomputed",
-                stats.recovery.keys_recomputed as u64,
-            );
-            t.add(
-                "recovery.cache_misses_recovered",
-                stats.recovery.cache_misses_recovered,
-            );
-            t.add("recovery.cache_not_found", stats.recovery.cache_not_found);
-            t.add(
-                "recovery.cache_unavailable",
-                stats.recovery.cache_unavailable,
-            );
-            t.add("recovery.read_retries", stats.recovery.read_retries);
-        });
-        if let Some(cache) = &self.cache {
-            stats.repair = cache.with(|c| c.repair_stats()).delta_since(&repair_before);
+        if self.cache.is_some() {
+            stats.repair = self.repair_stats().delta_since(&repair_before);
             // Repair traffic rides the same network as the job; account it
             // in the simulated schedule as off-critical-path background
             // bytes/seconds so makespans stay comparable.
@@ -1224,8 +1198,8 @@ impl<A: MapReduceApp> WindowedJob<A> {
             // Run-level repair/scrub summary spans carry the exact f64
             // deltas stored in `stats.repair`, so span seconds reconcile
             // bit-for-bit with `RepairStats` (the fine-grained dcache-track
-            // spans reconcile via u64 counters instead: float telescoping
-            // deltas are not exactly refoldable).
+            // spans reconcile only through their u64 args: float
+            // telescoping deltas are not exactly refoldable).
             trace.with(|t| {
                 let tr = t.track("repair");
                 let repair =
@@ -1240,11 +1214,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 t.arg(scrub, "scrub_bytes", stats.repair.scrub_bytes);
             });
         }
-        trace.with(|t| {
-            if let Some(span) = run_span {
-                t.end(span);
-            }
-        });
+        trace.with(|t| stats.trace_counters(t));
 
         // A shared simulator clock accrues each run's foreground makespan:
         // the cluster was busy for that long in virtual time.
@@ -1731,17 +1701,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             let run = self.run_index;
             cache.with(|c| c.collect_garbage_scoped(ns, run));
         }
-        let after = cache.stats();
-        CacheStats {
-            memory_hits: after.memory_hits - before.memory_hits,
-            disk_reads: after.disk_reads - before.disk_reads,
-            not_found_reads: after.not_found_reads - before.not_found_reads,
-            unavailable_reads: after.unavailable_reads - before.unavailable_reads,
-            read_seconds: after.read_seconds - before.read_seconds,
-            bytes_read: after.bytes_read - before.bytes_read,
-            collected: after.collected - before.collected,
-            evictions: after.evictions - before.evictions,
-        }
+        cache.stats().delta_since(&before)
     }
 
     /// End-of-run cache maintenance, the paper's split-processing idea

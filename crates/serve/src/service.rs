@@ -162,23 +162,15 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             .remove(&id)
             .ok_or(ServeError::UnknownTenant(id.0))?;
         self.names.remove(&entry.name);
-        let final_runs = match entry.feeder.close_all() {
-            Ok(runs) => runs,
-            Err(e) => {
-                // Registry state stays consistent: the tenant is gone
-                // either way, only its drain failed.
-                self.stats.tenants_deregistered += 1;
-                return Err(e.into());
-            }
-        };
+        // The tenant is gone whether or not its drain succeeds, so both
+        // outcomes count the deregistration.
+        self.stats.tenants_deregistered += 1;
+        self.shared.trace().with(|t| t.add("serve.deregistered", 1));
+        let final_runs = entry.feeder.close_all()?;
         for run in &final_runs {
             entry.stats.absorb(run);
             self.stats.absorb(run);
         }
-        self.stats.tenants_deregistered += 1;
-        self.shared.trace().with(|t| {
-            t.add("serve.deregistered", 1);
-        });
         Ok(TenantReport {
             name: entry.name,
             stats: entry.stats,
@@ -807,6 +799,32 @@ mod tests {
         assert_eq!(report.output.get("c"), Some(&1));
         assert!(service.query(id).is_err(), "gone after deregistration");
         assert_eq!(service.serve_stats().tenants_deregistered, 1);
+    }
+
+    #[test]
+    fn a_failed_drain_still_counts_the_deregistration() {
+        // Cache node 99 does not exist, so run #2, the drain's first, fails.
+        let trace = slider_trace::TraceSink::enabled();
+        let shared = EngineShared::builder()
+            .cache(slider_dcache::CacheConfig::paper_defaults(2))
+            .faults(slider_mapreduce::JobFaultPlan::none().fail_cache_node(2, 99))
+            .trace(trace.clone())
+            .build();
+        let mut service = ServiceRuntime::new(shared);
+        let id = service.register(Count, spec("alpha")).unwrap();
+        let out = service
+            .ingest(
+                id,
+                0,
+                vec![stamped(0, 0, "a"), stamped(12, 1, "b"), stamped(25, 2, "c")],
+            )
+            .unwrap();
+        assert_eq!(out.runs.len(), 2, "epochs 0 and 1 closed");
+        assert!(service.deregister(id).is_err(), "the drain's run fails");
+        assert!(service.query(id).is_err(), "gone either way");
+        assert_eq!(service.serve_stats().tenants_deregistered, 1);
+        let snap = trace.snapshot().expect("trace enabled");
+        assert_eq!(snap.counter("serve.deregistered"), 1);
     }
 
     #[test]

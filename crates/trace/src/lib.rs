@@ -15,8 +15,12 @@
 //! 2. **Exact reconciliation.** Every span is emitted at the same site
 //!    that accumulates the engine's own statistics, carrying identical
 //!    operands, so span totals reconcile *exactly* with `WorkBreakdown`,
-//!    `RecoveryStats` and `RepairStats` (enforced by
-//!    `tests/integration_trace.rs`).
+//!    `RecoveryStats` and `RepairStats`. Counters are not bumped where
+//!    the work happens: each stats type (`RunStats`, `CacheStats`,
+//!    `RepairStats`, `JoinStats`) has one `trace_counters` emitter, called
+//!    once per completed run, so a counter is the sum of its stats field
+//!    over the runs that returned and activity outside a run is not
+//!    counted (both enforced by `tests/integration_trace.rs`).
 //! 3. **Zero overhead when disabled.** The [`TraceSink`] handle threaded
 //!    through the engine is an `Option` internally; the disabled sink
 //!    costs one branch per call site and never locks or allocates.

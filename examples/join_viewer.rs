@@ -33,14 +33,11 @@ fn parse_join_key(key: &str) -> Option<(u64, u64, String)> {
 
 fn print_tables(summary: &BTreeMap<String, f64>) {
     let mut rows: BTreeMap<(u64, u64), BTreeMap<String, f64>> = BTreeMap::new();
-    let mut approx: BTreeMap<String, f64> = BTreeMap::new();
     for (key, value) in summary {
         if let Some((window, pct, metric)) = parse_join_key(key) {
             rows.entry((window, pct))
                 .or_default()
                 .insert(metric, *value);
-        } else if key.starts_with("approx.") {
-            approx.insert(key.clone(), *value);
         }
     }
     let mut table = Table::new(&["window", "slide%", "inc work", "rec work", "speedup"]);
@@ -60,13 +57,6 @@ fn print_tables(summary: &BTreeMap<String, f64>) {
         ]);
     }
     print!("{}", table.render());
-    if !approx.is_empty() {
-        let mut atable = Table::new(&["metric", "value"]);
-        for (k, v) in &approx {
-            atable.row(vec![k.clone(), fmt_f64(*v)]);
-        }
-        print!("{}", atable.render());
-    }
 }
 
 fn main() -> ExitCode {

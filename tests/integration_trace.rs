@@ -4,9 +4,12 @@
 //!
 //! * **Exact reconciliation** — span totals on every track equal the
 //!   engine's own statistics (`WorkBreakdown`, `RecoveryStats`,
-//!   `RepairStats`, `SimReport`, cache counters), per run, for every
-//!   execution mode and thread count. Not approximately: `u64` sums are
-//!   exact and `f64` folds replay the engine's own accumulation order.
+//!   `RepairStats`, `SimReport`), per run, for every execution mode and
+//!   thread count. Not approximately: `u64` sums are exact and `f64` folds
+//!   replay the engine's own accumulation order.
+//! * **One source of counts** — every `engine.*`, `recovery.*` and
+//!   `dcache.*` counter is the sum of one `RunStats` field over the runs
+//!   that completed.
 //! * **Zero observable overhead** — enabling tracing leaves job outputs
 //!   and `RunStats` bit-identical to an untraced run.
 //! * **Determinism** — the three profile exports are byte-identical for
@@ -16,10 +19,10 @@
 use std::collections::BTreeMap;
 
 use slider_apps::Hct;
-use slider_dcache::{CacheConfig, DistributedCache, NodeId, ObjectId};
+use slider_dcache::{CacheConfig, CacheStats, GcPolicy};
 use slider_mapreduce::{
-    make_splits, ExecMode, JobConfig, JobFaultPlan, RunStats, SimulationConfig, TraceSink,
-    WindowedJob,
+    make_splits, EngineShared, ExecMode, JobConfig, JobFaultPlan, RunStats, SimulationConfig,
+    TraceSink, WindowedJob,
 };
 use slider_trace::{validate_chrome_trace, SpanKind, TraceSnapshot};
 use slider_workloads::text::{generate_documents, TextConfig};
@@ -49,13 +52,15 @@ fn all_modes() -> Vec<ExecMode> {
     ]
 }
 
-/// Builds a traced job and drives the same 4-run history every test uses:
-/// an 8-split initial window plus three slides. Returns the per-run stats.
+/// Builds a traced, cached job and drives the same 4-run history every
+/// test uses: an 8-split initial window plus three slides. Returns the
+/// per-run stats.
 fn drive(mode: ExecMode, threads: usize, trace: TraceSink) -> (Vec<RunStats>, WindowedJob<Hct>) {
     let splits = make_splits(0, records(70), 5);
     let mut config = JobConfig::new(mode)
         .with_partitions(3)
         .with_simulation(SimulationConfig::paper_defaults())
+        .with_cache(CacheConfig::paper_defaults(4))
         .with_threads(threads)
         .with_trace(trace);
     if mode.tree_kind() == Some(slider_core::TreeKind::Rotating) {
@@ -88,6 +93,91 @@ fn fold_sim_seconds(stats: &RunStats) -> f64 {
         }
     }
     total
+}
+
+type RunField = fn(&RunStats) -> u64;
+
+fn cache(s: &RunStats) -> CacheStats {
+    s.cache.unwrap_or_default()
+}
+
+/// Every `engine.*`, `recovery.*` and `dcache.*` counter with the
+/// `RunStats` field it sums.
+const RUN_COUNTERS: &[(&str, RunField)] = &[
+    ("engine.map_tasks", |s| s.map_tasks as u64),
+    ("engine.map_reused", |s| s.map_reused as u64),
+    ("engine.shuffle_bytes", |s| s.shuffle_bytes),
+    ("engine.keys_reduced", |s| s.keys_reduced as u64),
+    ("engine.keys_reused", |s| s.keys_reused as u64),
+    ("engine.nodes_reused", |s| s.nodes_reused),
+    ("engine.merges_fg", |s| s.work.contraction_fg.merges),
+    ("engine.merges_bg", |s| s.work.contraction_bg.merges),
+    ("engine.memo_read_bytes", |s| s.memo_read_bytes),
+    ("engine.memo_written_bytes", |s| s.memo_written_bytes),
+    ("recovery.lost_partitions", |s| {
+        s.recovery.lost_partitions as u64
+    }),
+    ("recovery.keys_recomputed", |s| {
+        s.recovery.keys_recomputed as u64
+    }),
+    ("recovery.cache_misses_recovered", |s| {
+        s.recovery.cache_misses_recovered
+    }),
+    ("recovery.cache_not_found", |s| s.recovery.cache_not_found),
+    ("recovery.cache_unavailable", |s| {
+        s.recovery.cache_unavailable
+    }),
+    ("recovery.read_retries", |s| s.recovery.read_retries),
+    ("dcache.memory_hits", |s| cache(s).memory_hits),
+    ("dcache.disk_reads", |s| cache(s).disk_reads),
+    ("dcache.not_found_reads", |s| cache(s).not_found_reads),
+    ("dcache.unavailable_reads", |s| cache(s).unavailable_reads),
+    ("dcache.bytes_read", |s| cache(s).bytes_read),
+    ("dcache.collected", |s| cache(s).collected),
+    ("dcache.puts", |s| cache(s).puts),
+    ("dcache.put_bytes", |s| cache(s).put_bytes),
+    ("dcache.repair.enqueued", |s| s.repair.enqueued),
+    ("dcache.repair.repaired_objects", |s| {
+        s.repair.repaired_objects
+    }),
+    ("dcache.repair.copies_restored", |s| {
+        s.repair.copies_restored
+    }),
+    ("dcache.repair.bytes", |s| s.repair.repair_bytes),
+    ("dcache.scrub.passes", |s| s.repair.scrub_passes),
+    ("dcache.scrub.copies", |s| s.repair.scrubbed_copies),
+    ("dcache.scrub.bytes", |s| s.repair.scrub_bytes),
+    ("dcache.corruptions_detected", |s| {
+        s.repair.corruptions_detected
+    }),
+    ("dcache.stale_copies_purged", |s| {
+        s.repair.stale_copies_purged
+    }),
+    ("dcache.master.rebuilds", |s| s.repair.master_rebuilds),
+    ("dcache.master.reindexed", |s| s.repair.objects_reindexed),
+    ("dcache.node_failures", |s| s.repair.node_failures),
+    ("dcache.node_recoveries", |s| s.repair.node_recoveries),
+];
+
+/// Asserts every counter of [`RUN_COUNTERS`] equals the sum of its field
+/// over `runs`, and that the trace holds no other counter of those
+/// families.
+fn assert_counters_sum_runs(snap: &TraceSnapshot, runs: &[RunStats], cx: &str) {
+    for (name, field) in RUN_COUNTERS {
+        let expected: u64 = runs.iter().map(field).sum();
+        assert_eq!(snap.counter(name), expected, "{cx}: counter {name}");
+    }
+    for (name, _) in &snap.counters {
+        if ["engine.", "recovery.", "dcache."]
+            .iter()
+            .any(|family| name.starts_with(family))
+        {
+            assert!(
+                RUN_COUNTERS.iter().any(|(known, _)| known == name),
+                "{cx}: counter {name} has no RunStats field"
+            );
+        }
+    }
 }
 
 fn assert_run_reconciles(snap: &TraceSnapshot, stats: &RunStats, mode: ExecMode, threads: usize) {
@@ -152,6 +242,7 @@ fn span_totals_reconcile_with_run_stats_across_modes_and_threads() {
             for run_stats in &stats {
                 assert_run_reconciles(&snap, run_stats, mode, threads);
             }
+            assert_counters_sum_runs(&snap, &stats, &format!("mode={mode} threads={threads}"));
             // The run-span totals cover the whole engine track: one Run
             // span per advance, each enclosing the run's engine phases.
             assert_eq!(
@@ -203,6 +294,7 @@ fn recovery_and_repair_tracks_reconcile_under_faults() {
             .any(|s| s.repair.repair_seconds > 0.0 || s.repair.scrub_seconds > 0.0),
         "the fault plan must trigger self-healing work"
     );
+    assert_counters_sum_runs(&snap, &stats, "faulted rotating job");
     for s in &stats {
         let run = Some(s.run);
         assert_eq!(
@@ -286,30 +378,51 @@ fn exports_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn dcache_counters_reconcile_with_cache_stats() {
+    // Disk-only, self-healing, scrubbed every run, and a GC budget below
+    // the job's footprint, so collection and recompute-on-miss run too.
+    let mut config = CacheConfig::paper_defaults(4)
+        .with_repair()
+        .with_scrub_interval(1);
+    config.memory_enabled = false;
+    config.gc = GcPolicy::Aggressive {
+        max_total_bytes: 2500,
+    };
     let sink = TraceSink::enabled();
-    let mut cache = DistributedCache::new(CacheConfig::paper_defaults(4).with_repair());
-    cache.attach_trace(sink.clone());
+    let shared = EngineShared::builder()
+        .cache(config)
+        .trace(sink.clone())
+        .build();
+    // Before run 2 node 3 fails and partition 1's other copy rots, so
+    // that read fails over, retries and drains repairs; the master is
+    // rebuilt before run 3, node 3 rejoins with stale copies before run 4,
+    // and partition 1's memo is lost before run 5.
+    let plan = JobFaultPlan::none()
+        .fail_cache_node(2, 3)
+        .corrupt_object(2, 1, 2)
+        .lose_master(3)
+        .recover_cache_node(4, 3)
+        .lose_memo(5, vec![1]);
+    let job_config = JobConfig::new(ExecMode::slider_folding())
+        .with_partitions(4)
+        .with_faults(plan);
+    let mut job = WindowedJob::with_shared(Hct::new(), job_config, &shared).expect("valid config");
+    let splits = make_splits(0, records(70), 5);
+    let mut runs = vec![job.initial_run(splits[..8].to_vec()).expect("initial")];
+    for i in 0..5 {
+        runs.push(
+            job.advance(1, splits[8 + i..9 + i].to_vec())
+                .expect("slide"),
+        );
+    }
 
-    for p in 0..6u64 {
-        cache.put(ObjectId(p), 4096 + p * 512, NodeId((p % 4) as usize), 0);
-    }
-    for p in 0..6u64 {
-        let _ = cache.read(ObjectId(p), NodeId(((p + 1) % 4) as usize));
-    }
-    let _ = cache.read(ObjectId(99), NodeId(0)); // not found
-    cache.fail_node(NodeId(1)).unwrap();
-    for p in 0..6u64 {
-        let _ = cache.read(ObjectId(p), NodeId(2));
-    }
-    cache.corrupt_object(ObjectId(3), NodeId(0));
-    cache.drain_repairs();
-    cache.scrub();
-    cache.recover_node(NodeId(1)).unwrap();
-    cache.collect_garbage(5);
-
-    let stats = cache.stats();
-    let repair = cache.repair_stats();
+    // Every cache operation happened inside a completed run, so the
+    // counters equal the cache's own cumulative stats as well as the sum
+    // of the per-run deltas.
     let snap = sink.snapshot().expect("sink is enabled");
+    assert_counters_sum_runs(&snap, &runs, "faulted shared-cache job");
+    let cache = shared.cache().expect("cache configured");
+    let stats = cache.stats();
+    let repair = cache.with(|c| c.repair_stats());
     let checks: Vec<(&str, u64)> = vec![
         ("dcache.memory_hits", stats.memory_hits),
         ("dcache.disk_reads", stats.disk_reads),
@@ -317,6 +430,8 @@ fn dcache_counters_reconcile_with_cache_stats() {
         ("dcache.unavailable_reads", stats.unavailable_reads),
         ("dcache.bytes_read", stats.bytes_read),
         ("dcache.collected", stats.collected),
+        ("dcache.puts", stats.puts),
+        ("dcache.put_bytes", stats.put_bytes),
         ("dcache.repair.enqueued", repair.enqueued),
         ("dcache.repair.repaired_objects", repair.repaired_objects),
         ("dcache.repair.copies_restored", repair.copies_restored),
@@ -326,6 +441,8 @@ fn dcache_counters_reconcile_with_cache_stats() {
         ("dcache.scrub.bytes", repair.scrub_bytes),
         ("dcache.corruptions_detected", repair.corruptions_detected),
         ("dcache.stale_copies_purged", repair.stale_copies_purged),
+        ("dcache.master.rebuilds", repair.master_rebuilds),
+        ("dcache.master.reindexed", repair.objects_reindexed),
         ("dcache.node_failures", 1),
         ("dcache.node_recoveries", 1),
     ];
@@ -336,7 +453,146 @@ fn dcache_counters_reconcile_with_cache_stats() {
             "counter {counter} must equal the cache's own stat"
         );
     }
-    assert!(stats.memory_hits + stats.disk_reads > 0, "reads happened");
+    for exercised in [
+        "dcache.disk_reads",
+        "dcache.not_found_reads",
+        "dcache.unavailable_reads",
+        "dcache.collected",
+        "dcache.puts",
+        "dcache.repair.copies_restored",
+        "dcache.scrub.copies",
+        "dcache.corruptions_detected",
+        "dcache.stale_copies_purged",
+        "dcache.master.reindexed",
+        "recovery.lost_partitions",
+        "recovery.cache_not_found",
+        "recovery.read_retries",
+    ] {
+        assert!(snap.counter(exercised) > 0, "{exercised} must be exercised");
+    }
+}
+
+#[test]
+fn a_failed_run_closes_its_run_span() {
+    // Job A's cache has no node 99, so its run #1 fails while applying
+    // faults; job B shares A's sink and keeps running.
+    let sink = TraceSink::enabled();
+    let splits = make_splits(0, records(70), 5);
+    let config = |faults: JobFaultPlan| {
+        JobConfig::new(ExecMode::slider_folding())
+            .with_partitions(3)
+            .with_cache(CacheConfig::paper_defaults(4))
+            .with_faults(faults)
+            .with_trace(sink.clone())
+    };
+    let mut a = WindowedJob::new(
+        Hct::new(),
+        config(JobFaultPlan::none().fail_cache_node(1, 99)),
+    )
+    .expect("valid config");
+    let mut b = WindowedJob::new(Hct::new(), config(JobFaultPlan::none())).expect("valid config");
+    let mut completed = vec![
+        a.initial_run(splits[..8].to_vec()).expect("initial A"),
+        b.initial_run(splits[..8].to_vec()).expect("initial B"),
+    ];
+    assert!(
+        a.advance(1, splits[8..9].to_vec()).is_err(),
+        "A's run #1 fails"
+    );
+    completed.push(b.advance(1, splits[9..10].to_vec()).expect("slide B"));
+    completed.push(b.advance(1, splits[10..11].to_vec()).expect("slide B"));
+
+    let snap = sink.snapshot().expect("sink is enabled");
+    let engine = snap
+        .tracks
+        .iter()
+        .position(|t| t == "engine")
+        .expect("engine track");
+    let runs: Vec<_> = snap
+        .spans
+        .iter()
+        .filter(|s| s.track.0 == engine && s.kind == SpanKind::Run)
+        .collect();
+    assert_eq!(
+        runs.len(),
+        5,
+        "two initial runs, A's failed run, two slides"
+    );
+    for span in runs {
+        assert_eq!(
+            span.parent, None,
+            "{} (run {}) must not nest under another run",
+            span.name, span.run
+        );
+    }
+    // The failed run adds nothing to the counters.
+    assert_counters_sum_runs(&snap, &completed, "two jobs, one failed run");
+}
+
+#[test]
+fn perfbench_counters_are_nonzero_and_match_their_stats() {
+    // `perfbench` derives per-layer metrics from these seven counters and
+    // reads a missing one as 0, so each must be emitted under its name.
+    // Node 0's failure before run 2 forces disk reads; losing partition
+    // 1's memo before run 3 forces a not-found read.
+    let partitions = 3usize;
+    let sink = TraceSink::enabled();
+    let config = JobConfig::new(ExecMode::slider_folding())
+        .with_partitions(partitions)
+        .with_simulation(SimulationConfig::paper_defaults())
+        .with_cache(CacheConfig::paper_defaults(4))
+        .with_faults(
+            JobFaultPlan::none()
+                .fail_cache_node(2, 0)
+                .lose_memo(3, vec![1]),
+        )
+        .with_trace(sink.clone());
+    let mut job = WindowedJob::new(Hct::new(), config).expect("valid config");
+    let splits = make_splits(0, records(70), 5);
+    let mut runs = vec![job.initial_run(splits[..8].to_vec()).expect("initial")];
+    for i in 0..4 {
+        runs.push(
+            job.advance(1, splits[8 + i..9 + i].to_vec())
+                .expect("slide"),
+        );
+    }
+    let snap = sink.snapshot().expect("sink is enabled");
+
+    // Each run maps its new splits in one batch and edits its shards in
+    // another.
+    let tasks_run: usize = runs
+        .iter()
+        .flat_map(|s| s.sim.iter().chain(&s.sim_background))
+        .map(|sim| sim.tasks_run)
+        .sum();
+    let expected: [(&str, u64); 7] = [
+        ("runtime.batches", 2 * runs.len() as u64),
+        (
+            "runtime.items",
+            runs.iter().map(|s| (s.map_tasks + partitions) as u64).sum(),
+        ),
+        (
+            "dcache.memory_hits",
+            runs.iter().map(|s| cache(s).memory_hits).sum(),
+        ),
+        (
+            "dcache.disk_reads",
+            runs.iter().map(|s| cache(s).disk_reads).sum(),
+        ),
+        (
+            "dcache.not_found_reads",
+            runs.iter().map(|s| cache(s).not_found_reads).sum(),
+        ),
+        (
+            "dcache.put_bytes",
+            runs.iter().map(|s| cache(s).put_bytes).sum(),
+        ),
+        ("cluster.tasks_run", tasks_run as u64),
+    ];
+    for (name, value) in expected {
+        assert!(value > 0, "{name}: the scenario must exercise it");
+        assert_eq!(snap.counter(name), value, "counter {name}");
+    }
 }
 
 #[test]
