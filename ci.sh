@@ -43,7 +43,9 @@ echo "==> resilience: chaos_restore output is byte-identical across runs and thr
 chaos_tmp="$(mktemp -d)"
 cargo run -q --release -p slider-bench --example chaos_restore > "$chaos_tmp/a.txt"
 SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example chaos_restore > "$chaos_tmp/b.txt"
+SLIDER_THREADS=4 cargo run -q --release -p slider-bench --example chaos_restore > "$chaos_tmp/c.txt"
 cmp "$chaos_tmp/a.txt" "$chaos_tmp/b.txt"
+cmp "$chaos_tmp/a.txt" "$chaos_tmp/c.txt"
 rm -rf "$chaos_tmp"
 
 echo "==> batches: netsession_audit output is byte-identical across runs and thread counts"

@@ -43,6 +43,10 @@ struct Bucket {
 /// regressing timestamp up to the latest one seen, so a slightly jittery
 /// clock degrades gracefully instead of corrupting the histogram.
 ///
+/// A clone is an exact checkpoint: it is `==` to the original and makes
+/// the same estimates, merges and expirations on any future event
+/// sequence.
+///
 /// [`record`]: SlidingWindowCounter::record
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlidingWindowCounter {
@@ -203,42 +207,6 @@ impl SlidingWindowCounter {
     /// in-window bucket (the only one that may straddle the boundary).
     /// Buckets wholly outside the window are skipped, not mutated, so
     /// queries never perturb the structure.
-    /// Captures the complete counter state. Restoring via
-    /// [`SlidingWindowCounter::restore`] yields a counter that is
-    /// bit-identical (`==`) to this one and produces identical estimates,
-    /// merges and expirations on any identical future event sequence.
-    #[must_use]
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            window: self.window,
-            per_class: self.per_class,
-            buckets: self.buckets.iter().map(|b| (b.time, b.size)).collect(),
-            latest: self.latest,
-        }
-    }
-
-    /// Rebuilds a counter from a [`CounterSnapshot`], exactly as captured.
-    ///
-    /// The snapshot is trusted to have come from [`snapshot`]; geometry
-    /// fields are reimposed verbatim (no re-derivation from ε), so the
-    /// round trip is lossless even for ε values whose `⌈1/ε⌉` is not
-    /// recoverable from `per_class` alone.
-    ///
-    /// [`snapshot`]: SlidingWindowCounter::snapshot
-    #[must_use]
-    pub fn restore(snapshot: &CounterSnapshot) -> Self {
-        SlidingWindowCounter {
-            window: snapshot.window,
-            per_class: snapshot.per_class,
-            buckets: snapshot
-                .buckets
-                .iter()
-                .map(|&(time, size)| Bucket { time, size })
-                .collect(),
-            latest: snapshot.latest,
-        }
-    }
-
     fn split(&self, now: u64) -> (u64, u64) {
         let now = now.max(self.latest);
         let horizon = now.saturating_sub(self.window);
@@ -253,21 +221,6 @@ impl SlidingWindowCounter {
         }
         (inner, straddling)
     }
-}
-
-/// Point-in-time image of a [`SlidingWindowCounter`]: the window geometry
-/// plus the exact exponential-histogram contents. The field layout is the
-/// stable checkpoint wire format consumed by `slider-serve` snapshots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Window length in time units.
-    pub window: u64,
-    /// Maximum buckets retained per size class.
-    pub per_class: usize,
-    /// `(newest timestamp, size)` per bucket, newest bucket first.
-    pub buckets: Vec<(u64, u64)>,
-    /// Latest event timestamp seen (the monotonic clamp).
-    pub latest: u64,
 }
 
 #[cfg(test)]
@@ -489,9 +442,9 @@ mod tests {
                 original.record_n(now, n);
                 exact.record_n(now, n);
             }
-            let image = original.snapshot();
+            let image = original.clone();
             prop_assert_eq!(&image, &image.clone(), "snapshot must be value-stable");
-            let mut restored = SlidingWindowCounter::restore(&image);
+            let mut restored = image.clone();
             prop_assert_eq!(&restored, &original, "restore must be bit-exact");
             for &(gap, n) in &steps[cut..] {
                 now += gap;
@@ -501,7 +454,7 @@ mod tests {
                 prop_assert_eq!(&restored, &original, "divergence after restore");
                 assert_error_bound(&restored, &exact, now, eps);
             }
-            prop_assert_eq!(restored.snapshot(), original.snapshot());
+            prop_assert_eq!(restored.clone(), original.clone());
         }
 
         #[test]

@@ -97,7 +97,7 @@ mod tree;
 pub use coalescing::CoalescingTree;
 pub use combiner::{Combiner, FnCombiner, Reducer};
 pub use daba::{DabaLiteTree, DabaTree, TwoStackTree};
-pub use dgim::{CounterSnapshot, SlidingWindowCounter};
+pub use dgim::SlidingWindowCounter;
 pub use error::TreeError;
 pub use folding::FoldingTree;
 pub use hash::{hash_one, hash_pair, StableHasher};

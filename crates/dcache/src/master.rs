@@ -246,7 +246,8 @@ struct Node {
 // `Clone` is the checkpoint primitive: a clone captures the whole cache —
 // index, per-node memory/disk tiers, repair queue, stats — so a restored
 // engine replays byte-identical hit/miss/latency sequences. The clone
-// shares the `TraceSink` handle; restore paths re-attach their own sink.
+// shares the `TraceSink` handle; `SharedCache::snapshot_cache` detaches it
+// and restore paths attach their own sink.
 #[derive(Debug, Clone)]
 pub struct DistributedCache {
     config: CacheConfig,
@@ -597,24 +598,6 @@ impl DistributedCache {
         }
         self.delete(object);
         existed
-    }
-
-    /// Forcibly loses every object produced in `epoch` (see
-    /// [`DistributedCache::lose_object`]); objects are dropped in id order
-    /// so the fault is reproducible. Returns how many were lost.
-    pub fn lose_epoch(&mut self, epoch: u64) -> u64 {
-        let mut victims: Vec<ObjectId> = self
-            .index
-            .iter()
-            .filter(|(_, m)| m.epoch == epoch)
-            .map(|(id, _)| *id)
-            .collect();
-        victims.sort_unstable();
-        let n = victims.len() as u64;
-        for victim in victims {
-            self.lose_object(victim);
-        }
-        n
     }
 
     /// Drops a single persistent copy of `object` from `node` (a disk
@@ -1377,17 +1360,12 @@ mod tests {
     fn lost_objects_fail_reads_until_recomputed() {
         let mut c = cache(3);
         c.put(ObjectId(1), 10, NodeId(0), 0);
-        c.put(ObjectId(2), 10, NodeId(1), 0);
-        c.put(ObjectId(3), 10, NodeId(1), 1);
         assert!(c.lose_object(ObjectId(1)));
         assert!(!c.lose_object(ObjectId(1)), "already gone");
         assert_eq!(
             c.read(ObjectId(1), NodeId(0)).unwrap_err(),
             CacheError::NotFound(ObjectId(1))
         );
-        assert_eq!(c.lose_epoch(0), 1, "object 2 was epoch 0");
-        assert!(c.read(ObjectId(2), NodeId(0)).is_err());
-        assert!(c.read(ObjectId(3), NodeId(0)).is_ok());
         // Recompute-and-re-put restores service.
         c.put(ObjectId(1), 10, NodeId(0), 2);
         assert!(c.read(ObjectId(1), NodeId(0)).is_ok());

@@ -13,6 +13,8 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
+use slider_trace::TraceSink;
+
 use crate::master::DistributedCache;
 use crate::stats::{CacheStats, NamespaceStats};
 
@@ -60,10 +62,14 @@ impl SharedCache {
 
     /// Deep copy of the underlying cache: contents, placement, repair
     /// queue and statistics. The checkpoint primitive — pair with
-    /// [`SharedCache::restore_cache`] on a fresh handle.
+    /// [`SharedCache::restore_cache`] on a fresh handle. The copy is
+    /// detached from this cache's trace sink, so it holds no handle to
+    /// the engine it came from; attach the target's sink before restoring.
     #[must_use]
     pub fn snapshot_cache(&self) -> DistributedCache {
-        self.with(|c| c.clone())
+        let mut image = self.with(|c| c.clone());
+        image.attach_trace(TraceSink::disabled());
+        image
     }
 
     /// Replaces the underlying cache wholesale with `cache` (typically a

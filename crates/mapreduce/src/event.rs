@@ -187,22 +187,61 @@ struct WindowEpoch {
     splits: usize,
 }
 
-/// Deep checkpoint of an [`EventFeeder`]: the wrapped job's
-/// [`JobCheckpoint`] plus all event-time bookkeeping — the reorder buffer,
-/// queued late records, closed-epoch window map, watermark inputs, split-id
-/// counter and stats. Like a job checkpoint it is a value: restoring
-/// borrows it, so one capture can seed any number of resumed twins.
-pub struct FeederCheckpoint<A: MapReduceApp> {
-    job: JobCheckpoint<A>,
+/// A feeder's event-time bookkeeping: everything it changes apart from
+/// the wrapped job. No field holds an engine handle, so a clone is a
+/// self-contained checkpoint.
+#[derive(Debug, Clone)]
+struct FeederState<R> {
     config: EventTimeConfig,
-    pending: BTreeMap<u64, Vec<Stamped<A::Input>>>,
-    late: BTreeMap<u64, Vec<Stamped<A::Input>>>,
+    /// Reorder buffer: records of still-open epochs, keyed by epoch.
+    pending: BTreeMap<u64, Vec<Stamped<R>>>,
+    /// Late records awaiting their interior splice, keyed by (in-window)
+    /// epoch.
+    late: BTreeMap<u64, Vec<Stamped<R>>>,
+    /// Closed epochs currently in the window, oldest first.
     window: VecDeque<WindowEpoch>,
+    /// All epochs below this index are closed.
     next_open_epoch: u64,
+    /// Highest event time ingested, if any.
     max_time: Option<u64>,
     next_split_id: u64,
     stats: EventTimeStats,
-    journal: Option<Journal<A::Input>>,
+    /// Optional structural-change journal (see
+    /// [`EventFeeder::enable_journal`]). `None` = disabled, zero cost.
+    journal: Option<Journal<R>>,
+}
+
+impl<R> FeederState<R> {
+    /// The state of a feeder that has seen no record yet.
+    fn new(config: EventTimeConfig) -> Self {
+        FeederState {
+            config,
+            pending: BTreeMap::new(),
+            late: BTreeMap::new(),
+            window: VecDeque::new(),
+            next_open_epoch: 0,
+            max_time: None,
+            next_split_id: 0,
+            stats: EventTimeStats::default(),
+            journal: None,
+        }
+    }
+
+    /// Records buffered in still-open epochs.
+    fn buffered_records(&self) -> usize {
+        self.pending.values().map(Vec::len).sum()
+    }
+}
+
+/// Deep checkpoint of an [`EventFeeder`]: the wrapped job's
+/// [`JobCheckpoint`] plus a clone of all event-time bookkeeping — the
+/// reorder buffer, queued late records, closed-epoch window map, watermark
+/// inputs, split-id counter and stats. Like a job checkpoint it is a value:
+/// restoring borrows it, so one capture can seed any number of resumed
+/// twins.
+pub struct FeederCheckpoint<A: MapReduceApp> {
+    job: JobCheckpoint<A>,
+    state: FeederState<A::Input>,
 }
 
 impl<A: MapReduceApp> FeederCheckpoint<A> {
@@ -215,13 +254,13 @@ impl<A: MapReduceApp> FeederCheckpoint<A> {
     /// Records captured in still-open epochs (the reorder buffer).
     #[must_use]
     pub fn buffered_records(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
+        self.state.buffered_records()
     }
 
     /// The captured late-data counters.
     #[must_use]
     pub fn stats(&self) -> EventTimeStats {
-        self.stats
+        self.state.stats
     }
 }
 
@@ -229,15 +268,7 @@ impl<A: MapReduceApp> Clone for FeederCheckpoint<A> {
     fn clone(&self) -> Self {
         FeederCheckpoint {
             job: self.job.clone(),
-            config: self.config,
-            pending: self.pending.clone(),
-            late: self.late.clone(),
-            window: self.window.clone(),
-            next_open_epoch: self.next_open_epoch,
-            max_time: self.max_time,
-            next_split_id: self.next_split_id,
-            stats: self.stats,
-            journal: self.journal.clone(),
+            state: self.state.clone(),
         }
     }
 }
@@ -248,23 +279,9 @@ impl<A: MapReduceApp> Clone for FeederCheckpoint<A> {
 #[derive(Debug)]
 pub struct EventFeeder<A: MapReduceApp> {
     job: WindowedJob<A>,
-    config: EventTimeConfig,
-    /// Reorder buffer: records of still-open epochs, keyed by epoch.
-    pending: BTreeMap<u64, Vec<Stamped<A::Input>>>,
-    /// Late records awaiting their interior splice, keyed by (in-window)
-    /// epoch.
-    late: BTreeMap<u64, Vec<Stamped<A::Input>>>,
-    /// Closed epochs currently in the window, oldest first.
-    window: VecDeque<WindowEpoch>,
-    /// All epochs below this index are closed.
-    next_open_epoch: u64,
-    /// Highest event time ingested, if any.
-    max_time: Option<u64>,
-    next_split_id: u64,
-    stats: EventTimeStats,
-    /// Optional structural-change journal (see
-    /// [`EventFeeder::enable_journal`]). `None` = disabled, zero cost.
-    journal: Option<Journal<A::Input>>,
+    /// Everything the feeder changes besides the job. A checkpoint is a
+    /// clone of it.
+    state: FeederState<A::Input>,
 }
 
 impl<A: MapReduceApp> EventFeeder<A> {
@@ -275,19 +292,15 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// [`JobError::BadConfig`] for a zero epoch length, zero split size, or
     /// a zero-epoch window.
     pub fn new(job: WindowedJob<A>, config: EventTimeConfig) -> Result<Self, JobError> {
-        config.validate()?;
-        Ok(EventFeeder {
-            job,
-            config,
-            pending: BTreeMap::new(),
-            late: BTreeMap::new(),
-            window: VecDeque::new(),
-            next_open_epoch: 0,
-            max_time: None,
-            next_split_id: 0,
-            stats: EventTimeStats::default(),
-            journal: None,
-        })
+        Self::attach(job, FeederState::new(config))
+    }
+
+    /// Wraps `job` around `state`: the step fresh construction
+    /// ([`EventFeeder::new`]) and restore
+    /// ([`EventFeeder::restore_with_shared`]) share.
+    fn attach(job: WindowedJob<A>, state: FeederState<A::Input>) -> Result<Self, JobError> {
+        state.config.validate()?;
+        Ok(EventFeeder { job, state })
     }
 
     /// Turns on the structural-change journal: from now on every epoch
@@ -297,19 +310,20 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// records left. Enable *before* the first flush — epochs closed
     /// earlier were not retained and would report empty evictions.
     pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Journal::new());
+        if self.state.journal.is_none() {
+            self.state.journal = Some(Journal::new());
         }
     }
 
     /// Whether the journal is recording.
     pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
+        self.state.journal.is_some()
     }
 
     /// Drains the journal's pending events (empty when disabled).
     pub fn take_events(&mut self) -> Vec<FeedEvent<A::Input>> {
-        self.journal
+        self.state
+            .journal
             .as_mut()
             .map(|j| std::mem::take(&mut j.events))
             .unwrap_or_default()
@@ -318,7 +332,8 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// Every record currently inside the window, oldest epoch first and
     /// sorted within each epoch. `None` when the journal is disabled.
     pub fn retained_records(&self) -> Option<Vec<&Stamped<A::Input>>> {
-        self.journal
+        self.state
+            .journal
             .as_ref()
             .map(|j| j.retained.values().flatten().collect())
     }
@@ -329,16 +344,16 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// is dropped and counted. Call [`EventFeeder::flush`] to apply.
     pub fn ingest(&mut self, records: impl IntoIterator<Item = Stamped<A::Input>>) {
         for record in records {
-            self.stats.ingested += 1;
-            self.max_time = Some(self.max_time.map_or(record.time, |m| m.max(record.time)));
-            let epoch = record.epoch(self.config.epoch_len);
-            if epoch >= self.next_open_epoch {
-                self.pending.entry(epoch).or_default().push(record);
-            } else if self.window.iter().any(|w| w.epoch == epoch) {
-                self.stats.late_admitted += 1;
-                self.late.entry(epoch).or_default().push(record);
+            self.state.stats.ingested += 1;
+            self.state.max_time = self.state.max_time.max(Some(record.time));
+            let epoch = record.epoch(self.state.config.epoch_len);
+            if epoch >= self.state.next_open_epoch {
+                self.state.pending.entry(epoch).or_default().push(record);
+            } else if self.state.window.iter().any(|w| w.epoch == epoch) {
+                self.state.stats.late_admitted += 1;
+                self.state.late.entry(epoch).or_default().push(record);
             } else {
-                self.stats.late_dropped += 1;
+                self.state.stats.late_dropped += 1;
             }
         }
     }
@@ -356,7 +371,7 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// run the job's mode rejects is refused before its records leave the
     /// buffer, so they stay queued and no counter moves.
     pub fn flush(&mut self) -> Result<Vec<RunStats>, JobError> {
-        self.flush_capped(u64::MAX)
+        self.flush_bounded(u64::MAX)
     }
 
     /// Like [`EventFeeder::flush`], but closes only epochs that *both* this
@@ -371,10 +386,6 @@ impl<A: MapReduceApp> EventFeeder<A> {
     ///
     /// Propagates the first [`JobError`] (see [`EventFeeder::flush`]).
     pub fn flush_bounded(&mut self, watermark_cap: u64) -> Result<Vec<RunStats>, JobError> {
-        self.flush_capped(watermark_cap)
-    }
-
-    fn flush_capped(&mut self, watermark_cap: u64) -> Result<Vec<RunStats>, JobError> {
         let mut runs = Vec::new();
         self.apply_late(&mut runs)?;
         let Some(watermark) = self.watermark().map(|w| w.min(watermark_cap)) else {
@@ -382,21 +393,22 @@ impl<A: MapReduceApp> EventFeeder<A> {
         };
         // First epoch the watermark has NOT fully passed: `e` is ripe
         // exactly when `(e + 1) * epoch_len <= watermark`.
-        let horizon = watermark / self.config.epoch_len;
-        while self.next_open_epoch < horizon {
-            let epoch = self.next_open_epoch;
-            if !self.pending.contains_key(&epoch) && self.window.is_empty() {
+        let horizon = watermark / self.state.config.epoch_len;
+        while self.state.next_open_epoch < horizon {
+            let epoch = self.state.next_open_epoch;
+            if !self.state.pending.contains_key(&epoch) && self.state.window.is_empty() {
                 // Dead region: nothing to add and nothing a close could
                 // evict. Fast-forward to the next epoch with records (or
                 // the horizon) instead of burning one iteration per epoch
                 // of a large time gap.
                 let jump = self
+                    .state
                     .pending
                     .keys()
                     .next()
                     .map_or(horizon, |&next| next.min(horizon));
-                self.stats.epochs_closed += jump - epoch;
-                self.next_open_epoch = jump;
+                self.state.stats.epochs_closed += jump - epoch;
+                self.state.next_open_epoch = jump;
                 continue;
             }
             self.close_epoch(epoch, &mut runs)?;
@@ -413,11 +425,11 @@ impl<A: MapReduceApp> EventFeeder<A> {
     pub fn close_all(&mut self) -> Result<Vec<RunStats>, JobError> {
         let mut runs = Vec::new();
         self.apply_late(&mut runs)?;
-        while let Some((&epoch, _)) = self.pending.iter().next() {
+        while let Some((&epoch, _)) = self.state.pending.iter().next() {
             // Empty gap epochs between closed data need no runs here: with
             // no further stream there is nothing left to age out.
-            self.stats.epochs_closed += epoch.saturating_sub(self.next_open_epoch);
-            self.next_open_epoch = self.next_open_epoch.max(epoch);
+            self.state.stats.epochs_closed += epoch.saturating_sub(self.state.next_open_epoch);
+            self.state.next_open_epoch = self.state.next_open_epoch.max(epoch);
             self.close_epoch(epoch, &mut runs)?;
         }
         Ok(runs)
@@ -434,25 +446,25 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// Propagates [`JobError`] from the underlying job (e.g. a mode with no
     /// interior evictions).
     pub fn retract_epoch(&mut self, epoch: u64) -> Result<Option<RunStats>, JobError> {
-        let Some(index) = self.window.iter().position(|w| w.epoch == epoch) else {
+        let Some(index) = self.state.window.iter().position(|w| w.epoch == epoch) else {
             return Ok(None);
         };
-        let at: usize = self.window.iter().take(index).map(|w| w.splits).sum();
-        let count = self.window[index].splits;
+        let at: usize = self.state.window.iter().take(index).map(|w| w.splits).sum();
+        let count = self.state.window[index].splits;
         let stats = if count > 0 {
             let stats = self.job.evict_splits_range(at, count)?;
-            self.stats.splice_runs += 1;
+            self.state.stats.splice_runs += 1;
             Some(stats)
         } else {
             None
         };
-        self.window.remove(index);
+        self.state.window.remove(index);
         // Anything queued as late for the retracted epoch is now homeless.
-        if let Some(dropped) = self.late.remove(&epoch) {
-            self.stats.late_admitted -= dropped.len() as u64;
-            self.stats.late_dropped += dropped.len() as u64;
+        if let Some(dropped) = self.state.late.remove(&epoch) {
+            self.state.stats.late_admitted -= dropped.len() as u64;
+            self.state.stats.late_dropped += dropped.len() as u64;
         }
-        if let Some(journal) = self.journal.as_mut() {
+        if let Some(journal) = self.state.journal.as_mut() {
             let records = journal.retained.remove(&epoch).unwrap_or_default();
             journal.events.push(FeedEvent::Retracted { epoch, records });
         }
@@ -462,8 +474,9 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// The current watermark (highest event time seen minus the lateness
     /// bound), or `None` before the first record.
     pub fn watermark(&self) -> Option<u64> {
-        self.max_time
-            .map(|t| t.saturating_sub(self.config.lateness))
+        self.state
+            .max_time
+            .map(|t| t.saturating_sub(self.state.config.lateness))
     }
 
     /// The job's current output.
@@ -473,17 +486,17 @@ impl<A: MapReduceApp> EventFeeder<A> {
 
     /// This feeder's late-data counters.
     pub fn stats(&self) -> EventTimeStats {
-        self.stats
+        self.state.stats
     }
 
     /// Closed epochs currently in the window, oldest first.
     pub fn window_epochs(&self) -> Vec<u64> {
-        self.window.iter().map(|w| w.epoch).collect()
+        self.state.window.iter().map(|w| w.epoch).collect()
     }
 
     /// Records buffered in still-open epochs.
     pub fn buffered_records(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
+        self.state.buffered_records()
     }
 
     /// Captures a deep checkpoint of the feeder and its wrapped job: see
@@ -492,53 +505,30 @@ impl<A: MapReduceApp> EventFeeder<A> {
     pub fn checkpoint(&self) -> FeederCheckpoint<A> {
         FeederCheckpoint {
             job: self.job.checkpoint(),
-            config: self.config,
-            pending: self.pending.clone(),
-            late: self.late.clone(),
-            window: self.window.clone(),
-            next_open_epoch: self.next_open_epoch,
-            max_time: self.max_time,
-            next_split_id: self.next_split_id,
-            stats: self.stats,
-            journal: self.journal.clone(),
+            state: self.state.clone(),
         }
     }
 
     /// Reconstructs a feeder from `checkpoint`, attaching its job to
     /// `shared` infrastructure — see [`WindowedJob::restore_with_shared`]
-    /// for what the host must restore first (cache contents, namespace
+    /// for what the host must restore (cache contents, namespace
     /// watermark).
     ///
     /// # Errors
     ///
-    /// Propagates [`JobError::BadConfig`] from the job restore.
+    /// Propagates [`JobError::BadConfig`] from the job restore, or from
+    /// a captured event-time config that fails validation.
     pub fn restore_with_shared(
         checkpoint: &FeederCheckpoint<A>,
         shared: &EngineShared,
     ) -> Result<Self, JobError> {
         let job = WindowedJob::restore_with_shared(&checkpoint.job, shared)?;
-        Ok(EventFeeder {
-            job,
-            config: checkpoint.config,
-            pending: checkpoint.pending.clone(),
-            late: checkpoint.late.clone(),
-            window: checkpoint.window.clone(),
-            next_open_epoch: checkpoint.next_open_epoch,
-            max_time: checkpoint.max_time,
-            next_split_id: checkpoint.next_split_id,
-            stats: checkpoint.stats,
-            journal: checkpoint.journal.clone(),
-        })
+        Self::attach(job, checkpoint.state.clone())
     }
 
     /// Borrows the underlying job.
     pub fn job(&self) -> &WindowedJob<A> {
         &self.job
-    }
-
-    /// Consumes the feeder, returning the job.
-    pub fn into_job(self) -> WindowedJob<A> {
-        self.job
     }
 
     /// Splices every queued late record into its epoch's interior
@@ -550,29 +540,34 @@ impl<A: MapReduceApp> EventFeeder<A> {
     fn apply_late(&mut self, runs: &mut Vec<RunStats>) -> Result<(), JobError> {
         // Ask first, so late records the job's mode cannot splice stay
         // queued.
-        if !self.late.is_empty() {
+        if !self.state.late.is_empty() {
             self.job.check_splice_mode(false)?;
         }
-        while let Some((epoch, mut records)) = self.late.pop_first() {
+        while let Some((epoch, mut records)) = self.state.late.pop_first() {
             records.sort_by_key(|r| (r.time, r.seq));
-            let journal_copy = self.journal.is_some().then(|| records.clone());
+            let journal_copy = self.state.journal.is_some().then(|| records.clone());
             let inputs: Vec<A::Input> = records.into_iter().map(|r| r.record).collect();
-            let splits = make_splits(self.next_split_id, inputs, self.config.records_per_split);
+            let splits = make_splits(
+                self.state.next_split_id,
+                inputs,
+                self.state.config.records_per_split,
+            );
             let added = splits.len();
             // The splice point: right after the epoch's existing splits.
             let at: usize = self
+                .state
                 .window
                 .iter()
                 .take_while(|w| w.epoch <= epoch)
                 .map(|w| w.splits)
                 .sum();
             runs.push(self.job.insert_splits_at(at, splits)?);
-            self.next_split_id += added as u64;
-            self.stats.splice_runs += 1;
-            if let Some(w) = self.window.iter_mut().find(|w| w.epoch == epoch) {
+            self.state.next_split_id += added as u64;
+            self.state.stats.splice_runs += 1;
+            if let Some(w) = self.state.window.iter_mut().find(|w| w.epoch == epoch) {
                 w.splits += added;
             }
-            if let (Some(journal), Some(records)) = (self.journal.as_mut(), journal_copy) {
+            if let (Some(journal), Some(records)) = (self.state.journal.as_mut(), journal_copy) {
                 journal
                     .retained
                     .entry(epoch)
@@ -590,36 +585,40 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// `(time, seq)`) become splits, and the oldest epoch leaves a full
     /// window. Runs with nothing to add *and* nothing to evict are elided.
     fn close_epoch(&mut self, epoch: u64, runs: &mut Vec<RunStats>) -> Result<(), JobError> {
-        let evicting = match self.config.window_epochs {
-            Some(n) if self.window.len() >= n => {
-                Some(*self.window.front().ok_or(JobError::EmptyWindow)?)
+        let evicting = match self.state.config.window_epochs {
+            Some(n) if self.state.window.len() >= n => {
+                Some(*self.state.window.front().ok_or(JobError::EmptyWindow)?)
             }
             _ => None,
         };
         let remove = evicting.map_or(0, |w| w.splits);
-        let held = self.pending.get(&epoch).map_or(0, Vec::len);
-        let added = held.div_ceil(self.config.records_per_split);
+        let held = self.state.pending.get(&epoch).map_or(0, Vec::len);
+        let added = held.div_ceil(self.state.config.records_per_split);
         let run = remove > 0 || added > 0;
         // Ask the job before taking the records out of the buffer, so a
         // slide its mode cannot take leaves them buffered.
         if run {
             self.job.check_slide_mode(remove, added)?;
         }
-        let mut records = self.pending.remove(&epoch).unwrap_or_default();
+        let mut records = self.state.pending.remove(&epoch).unwrap_or_default();
         records.sort_by_key(|r| (r.time, r.seq));
-        let journal_copy = self.journal.is_some().then(|| records.clone());
+        let journal_copy = self.state.journal.is_some().then(|| records.clone());
         let inputs: Vec<A::Input> = records.into_iter().map(|r| r.record).collect();
-        let splits = make_splits(self.next_split_id, inputs, self.config.records_per_split);
+        let splits = make_splits(
+            self.state.next_split_id,
+            inputs,
+            self.state.config.records_per_split,
+        );
         if run {
             runs.push(self.job.advance(remove, splits)?);
         }
         // Mutate bookkeeping only after the job accepted the slide.
         let evicted_epoch = evicting.map(|w| w.epoch);
         if evicted_epoch.is_some() {
-            self.window.pop_front();
-            self.stats.epochs_evicted += 1;
+            self.state.window.pop_front();
+            self.state.stats.epochs_evicted += 1;
         }
-        if let (Some(journal), Some(inserted)) = (self.journal.as_mut(), journal_copy) {
+        if let (Some(journal), Some(inserted)) = (self.state.journal.as_mut(), journal_copy) {
             let evicted = evicted_epoch
                 .map(|e| journal.retained.remove(&e).unwrap_or_default())
                 .unwrap_or_default();
@@ -631,13 +630,13 @@ impl<A: MapReduceApp> EventFeeder<A> {
                 evicted,
             });
         }
-        self.window.push_back(WindowEpoch {
+        self.state.window.push_back(WindowEpoch {
             epoch,
             splits: added,
         });
-        self.next_split_id += added as u64;
-        self.next_open_epoch = epoch + 1;
-        self.stats.epochs_closed += 1;
+        self.state.next_split_id += added as u64;
+        self.state.next_open_epoch = epoch + 1;
+        self.state.stats.epochs_closed += 1;
         Ok(())
     }
 }
@@ -1142,7 +1141,7 @@ mod tests {
         // sees private fields) to pin the behaviour: a typed error, not a
         // panic, and the feeder is untouched.
         let mut f = feeder(ExecMode::slider_folding(), config());
-        f.config.window_epochs = Some(0);
+        f.state.config.window_epochs = Some(0);
         f.ingest([stamped(2, 0, "a")]);
         let err = f.close_all().unwrap_err();
         assert!(matches!(err, JobError::EmptyWindow));
@@ -1152,7 +1151,7 @@ mod tests {
         assert_eq!(f.stats().epochs_closed, 0);
         assert_eq!(f.job().window_splits(), 0);
         // Restoring the window lets the feeder resume normally.
-        f.config.window_epochs = Some(2);
+        f.state.config.window_epochs = Some(2);
         f.close_all().unwrap();
         assert_eq!(f.output().get("a"), Some(&1));
     }
@@ -1204,7 +1203,7 @@ mod tests {
         assert!(matches!(err, JobError::ModeViolation(_)));
         // The record stays queued for its splice and no counter moves, so
         // the next flush is refused again instead of silently succeeding.
-        assert_eq!(f.late.values().map(Vec::len).sum::<usize>(), 1);
+        assert_eq!(f.state.late.values().map(Vec::len).sum::<usize>(), 1);
         assert_eq!(f.stats(), before);
         assert_eq!(f.output().get("z"), None);
         assert!(matches!(f.flush(), Err(JobError::ModeViolation(_))));

@@ -49,15 +49,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The fail-fast policy: no retries, no backoff.
-    #[must_use]
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff_factor: 1.0,
-        }
-    }
-
     /// Backoff multiplier for 1-based retry `attempt`:
     /// `backoff_factor^attempt`. Computed by binary exponentiation
     /// (`f64::powi`), which for integral factors like 2.0 is exact and
@@ -101,13 +92,6 @@ mod tests {
                 "attempt {attempt} must be bit-identical to the old table"
             );
         }
-    }
-
-    #[test]
-    fn none_is_fail_fast() {
-        let policy = RetryPolicy::none();
-        assert_eq!(policy.max_retries, 0);
-        assert!(policy.validate().is_ok());
     }
 
     #[test]

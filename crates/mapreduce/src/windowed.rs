@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use slider_cluster::{
@@ -128,16 +129,10 @@ impl fmt::Display for ExecMode {
         match self {
             ExecMode::Recompute => f.write_str("recompute"),
             ExecMode::Strawman => f.write_str("strawman"),
-            ExecMode::Slider {
-                tree,
-                split_processing,
-            } => {
-                write!(
-                    f,
-                    "slider-{tree}{}",
-                    if *split_processing { "+split" } else { "" }
-                )
+            ExecMode::Slider { tree, .. } if self.split_processing() => {
+                write!(f, "slider-{tree}+split")
             }
+            ExecMode::Slider { tree, .. } => write!(f, "slider-{tree}"),
         }
     }
 }
@@ -308,32 +303,21 @@ impl JobConfig {
 }
 
 /// One mapped split held in the window.
-struct SplitEntry<A: MapReduceApp> {
+#[derive(Clone)]
+struct SplitEntry<K, V> {
     id: SplitId,
     /// Map output, pre-partitioned: `by_partition[p]` holds this split's
     /// map-side-combined values destined for reduce partition `p`.
-    by_partition: Arc<Vec<BTreeMap<A::Key, A::Value>>>,
+    by_partition: Arc<Vec<BTreeMap<K, V>>>,
     map_work: u64,
     input_bytes: u64,
     /// Map-output bytes per partition (shuffle accounting).
     out_bytes: Arc<Vec<u64>>,
 }
 
-impl<A: MapReduceApp> SplitEntry<A> {
+impl<K, V> SplitEntry<K, V> {
     fn output_bytes(&self) -> u64 {
         self.out_bytes.iter().sum()
-    }
-}
-
-impl<A: MapReduceApp> Clone for SplitEntry<A> {
-    fn clone(&self) -> Self {
-        SplitEntry {
-            id: self.id,
-            by_partition: Arc::clone(&self.by_partition),
-            map_work: self.map_work,
-            input_bytes: self.input_bytes,
-            out_bytes: Arc::clone(&self.out_bytes),
-        }
     }
 }
 
@@ -343,13 +327,12 @@ impl<A: MapReduceApp> Clone for SplitEntry<A> {
 /// shard key sets are disjoint), their memo footprint as of the last run,
 /// and nothing borrowed from the job. Outputs live only in the job's merged
 /// view; shards report theirs as deltas.
-struct PartitionShard<A: MapReduceApp> {
-    #[allow(clippy::type_complexity)]
-    trees: HashMap<A::Key, Box<dyn WindowAggregator<A::Key, A::Value>>>,
+struct PartitionShard<K, V> {
+    trees: HashMap<K, Box<dyn WindowAggregator<K, V>>>,
     memo_footprint: u64,
 }
 
-impl<A: MapReduceApp> Default for PartitionShard<A> {
+impl<K, V> Default for PartitionShard<K, V> {
     fn default() -> Self {
         PartitionShard {
             trees: HashMap::new(),
@@ -362,7 +345,7 @@ impl<A: MapReduceApp> Default for PartitionShard<A> {
 // would reproduce the *answers* but not the memoization statistics
 // (merges, nodes_reused, memo footprint) of later runs, so checkpoints
 // clone the aggregator state exactly via `WindowAggregator::boxed_clone`.
-impl<A: MapReduceApp> Clone for PartitionShard<A> {
+impl<K: Clone + Eq + Hash, V> Clone for PartitionShard<K, V> {
     fn clone(&self) -> Self {
         PartitionShard {
             trees: self
@@ -430,9 +413,9 @@ struct EditCx<'a, A: MapReduceApp> {
     app: &'a A,
     combiner: &'a AppCombiner<A>,
     config: &'a JobConfig,
-    window: &'a VecDeque<SplitEntry<A>>,
-    removed: &'a [SplitEntry<A>],
-    added: &'a [SplitEntry<A>],
+    window: &'a VecDeque<SplitEntry<A::Key, A::Value>>,
+    removed: &'a [SplitEntry<A::Key, A::Value>],
+    added: &'a [SplitEntry<A::Key, A::Value>],
     /// Window position of an interior splice (0 = oldest split; the
     /// removed entries were drained from `at`, the added ones sit at
     /// `window[at..]`). `None` for a slide, which edits the window's ends.
@@ -450,16 +433,12 @@ struct EditCx<'a, A: MapReduceApp> {
 pub struct WindowedJob<A: MapReduceApp> {
     app: Arc<A>,
     combiner: AppCombiner<A>,
-    config: JobConfig,
+    /// Everything the job's runs change. A checkpoint is a clone of it.
+    state: JobState<A::Key, A::Value, A::Output>,
     runtime: Runtime,
-    window: VecDeque<SplitEntry<A>>,
-    shards: Vec<PartitionShard<A>>,
-    /// Merged read view over the shard outputs (see [`WindowedJob::output`]).
-    output: BTreeMap<A::Key, A::Output>,
-    used_split_ids: HashSet<u64>,
-    run_index: u64,
-    /// Env-resolved copy of `config.trace`; every instrumentation site in
-    /// the job goes through this sink. All emission happens on the control
+    /// The env-resolved `config.trace` of a standalone job, the shared
+    /// sink otherwise; every instrumentation site in the job goes through
+    /// this sink. All emission happens on the control
     /// thread, in deterministic fold order, so traces are bit-identical
     /// across thread counts and reruns.
     trace: TraceSink,
@@ -467,58 +446,86 @@ pub struct WindowedJob<A: MapReduceApp> {
     /// (namespace 0); jobs built with [`WindowedJob::with_shared`] hold a
     /// clone of the service-wide handle instead.
     cache: Option<SharedCache>,
+    /// Shared simulated-cluster clock, advanced by each run's makespan
+    /// when the cluster simulation is on. `None` for standalone jobs.
+    clock: Option<SharedClock>,
+}
+
+/// A job's state apart from its app and engine handles: the config, the
+/// retained window, every shard's aggregator trees, the output view, the
+/// split-id ledger, the run counter and the cache bookkeeping. No field
+/// holds an engine handle, so a clone is a self-contained checkpoint.
+#[derive(Clone)]
+struct JobState<K: Eq + Hash, V, O> {
+    config: JobConfig,
+    window: VecDeque<SplitEntry<K, V>>,
+    shards: Vec<PartitionShard<K, V>>,
+    /// Merged read view over the shard outputs (see [`WindowedJob::output`]).
+    output: BTreeMap<K, O>,
+    used_split_ids: HashSet<u64>,
+    run_index: u64,
     /// Object-id namespace this job's memoized state lives under. `0` for
     /// standalone jobs — `ObjectId::namespaced(0, p) == ObjectId(p)`, so
     /// legacy cache contents and stats are bit-identical.
     cache_ns: u32,
-    /// Shared simulated-cluster clock, advanced by each run's makespan
-    /// when the cluster simulation is on. `None` for standalone jobs.
-    clock: Option<SharedClock>,
     /// Per-partition flag: the partition's memoized state was written to
     /// the cache by a previous run, so the next run is expected to read it
     /// back. Reads are only issued (and can only fail) for such objects.
     cached_objects: Vec<bool>,
 }
 
-/// Deep, self-contained checkpoint of a job's mutable state: the retained
-/// window, every shard's aggregator trees (cloned exactly — see
-/// [`WindowedJob::checkpoint`]), the output view, split-id ledger, run
-/// counter, and the job's cache namespace and per-partition cached-object
-/// flags. It does **not** capture infrastructure (runtime, trace sink,
-/// cache *contents*, clock): those are service-level state, checkpointed
-/// once by the host rather than once per job.
+impl<K: Eq + Hash, V, O> JobState<K, V, O> {
+    /// The state of a job that has not run yet. The config's trace sink is
+    /// dropped: the job holds the sink it resolved as an engine handle.
+    fn new(mut config: JobConfig, cache_ns: u32) -> Self {
+        config.trace = TraceSink::disabled();
+        JobState {
+            window: VecDeque::new(),
+            shards: (0..config.partitions)
+                .map(|_| PartitionShard::default())
+                .collect(),
+            output: BTreeMap::new(),
+            used_split_ids: HashSet::new(),
+            run_index: 0,
+            cache_ns,
+            cached_objects: vec![false; config.partitions],
+            config,
+        }
+    }
+}
+
+/// Deep, self-contained checkpoint of a job: its app and a clone of its
+/// state — the retained window, every shard's aggregator trees (cloned
+/// exactly — see [`WindowedJob::checkpoint`]), the output view, split-id
+/// ledger, run counter, and the job's cache namespace and per-partition
+/// cached-object flags. It does **not** capture infrastructure (runtime,
+/// trace sink, cache *contents*, clock): those are service-level state,
+/// checkpointed once by the host rather than once per job.
 ///
 /// A checkpoint is a value: restoring never consumes it, so one checkpoint
 /// can seed any number of resumed twins.
 pub struct JobCheckpoint<A: MapReduceApp> {
     app: Arc<A>,
-    config: JobConfig,
-    window: VecDeque<SplitEntry<A>>,
-    shards: Vec<PartitionShard<A>>,
-    output: BTreeMap<A::Key, A::Output>,
-    used_split_ids: HashSet<u64>,
-    run_index: u64,
-    cache_ns: u32,
-    cached_objects: Vec<bool>,
+    state: JobState<A::Key, A::Value, A::Output>,
 }
 
 impl<A: MapReduceApp> JobCheckpoint<A> {
     /// Runs completed at capture time.
     #[must_use]
     pub fn run_index(&self) -> u64 {
-        self.run_index
+        self.state.run_index
     }
 
     /// Splits retained in the captured window.
     #[must_use]
     pub fn window_splits(&self) -> usize {
-        self.window.len()
+        self.state.window.len()
     }
 
     /// The cache namespace the captured job's memoized objects live under.
     #[must_use]
     pub fn cache_namespace(&self) -> u32 {
-        self.cache_ns
+        self.state.cache_ns
     }
 }
 
@@ -526,16 +533,16 @@ impl<A: MapReduceApp> Clone for JobCheckpoint<A> {
     fn clone(&self) -> Self {
         JobCheckpoint {
             app: Arc::clone(&self.app),
-            config: self.config.clone(),
-            window: self.window.clone(),
-            shards: self.shards.clone(),
-            output: self.output.clone(),
-            used_split_ids: self.used_split_ids.clone(),
-            run_index: self.run_index,
-            cache_ns: self.cache_ns,
-            cached_objects: self.cached_objects.clone(),
+            state: self.state.clone(),
         }
     }
+}
+
+/// A private memoization cache whose spans go to `trace`.
+fn private_cache(config: CacheConfig, trace: &TraceSink) -> SharedCache {
+    let mut cache = DistributedCache::new(config);
+    cache.attach_trace(trace.clone());
+    SharedCache::new(cache)
 }
 
 /// Converts modeled data movement into work units: `bytes × work_per_byte`
@@ -554,7 +561,11 @@ fn movement_work(moved_bytes: u64, work_per_byte: f64) -> u64 {
 
 /// Runs one Map task: maps every record of `split`, combining map-side per
 /// partition, and meters the work.
-fn map_one_split<A: MapReduceApp>(app: &A, parts: usize, split: &Split<A::Input>) -> SplitEntry<A> {
+fn map_one_split<A: MapReduceApp>(
+    app: &A,
+    parts: usize,
+    split: &Split<A::Input>,
+) -> SplitEntry<A::Key, A::Value> {
     let mut by_partition: Vec<BTreeMap<A::Key, A::Value>> =
         (0..parts).map(|_| BTreeMap::new()).collect();
     let mut map_work = 0u64;
@@ -595,10 +606,10 @@ fn map_one_split<A: MapReduceApp>(app: &A, parts: usize, split: &Split<A::Input>
 impl<A: MapReduceApp> fmt::Debug for WindowedJob<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WindowedJob")
-            .field("mode", &self.config.mode)
-            .field("window_splits", &self.window.len())
-            .field("keys", &self.output.len())
-            .field("run", &self.run_index)
+            .field("mode", &self.state.config.mode)
+            .field("window_splits", &self.state.window.len())
+            .field("keys", &self.state.output.len())
+            .field("run", &self.state.run_index)
             .finish()
     }
 }
@@ -613,13 +624,10 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// combiner with a fixed-width window).
     pub fn new(app: A, config: JobConfig) -> Result<Self, JobError> {
         let trace = config.trace.clone().resolve_env();
-        let cache = config.cache.clone().map(|cache_config| {
-            let mut cache = DistributedCache::new(cache_config);
-            cache.attach_trace(trace.clone());
-            SharedCache::new(cache)
-        });
+        let cache = config.cache.clone().map(|c| private_cache(c, &trace));
         let runtime = Runtime::auto(config.threads).with_trace(trace.clone());
-        Self::build(app, config, runtime, trace, cache, 0, None)
+        let state = JobState::new(config, 0);
+        Self::build(Arc::new(app), state, runtime, trace, cache, None)
     }
 
     /// Creates a job attached to service-wide infrastructure: the shared
@@ -637,96 +645,92 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// (as [`WindowedJob::new`]), or when `config.cache` requests a
     /// private cache alongside the shared one.
     pub fn with_shared(app: A, config: JobConfig, shared: &EngineShared) -> Result<Self, JobError> {
-        if config.cache.is_some() && shared.cache().is_some() {
-            return Err(JobError::BadConfig(
-                "shared-infrastructure jobs must not configure a private cache".into(),
-            ));
-        }
         let mut config = config;
         if config.faults.is_none() {
             config.faults = shared.fault_plan().cloned();
         }
-        let trace = shared.trace().clone();
-        let cache = shared.cache().cloned();
-        let cache_ns = if cache.is_some() {
-            shared.allocate_namespace()
-        } else {
-            0
+        // A config that clashes with the shared cache fails in `attach`
+        // without using up a namespace.
+        let cache_ns = match shared.cache() {
+            Some(_) if config.cache.is_none() => shared.allocate_namespace(),
+            _ => 0,
         };
-        let private_cache = config.cache.clone().map(|cache_config| {
-            let mut cache = DistributedCache::new(cache_config);
-            cache.attach_trace(trace.clone());
-            SharedCache::new(cache)
-        });
+        let fresh = JobCheckpoint {
+            app: Arc::new(app),
+            state: JobState::new(config, cache_ns),
+        };
+        Self::attach(fresh, shared)
+    }
+
+    /// Attaches a job's app and state to the runtime, trace sink, cache
+    /// and clock of `shared`: the step fresh construction
+    /// ([`WindowedJob::with_shared`]) and restore
+    /// ([`WindowedJob::restore_with_shared`]) share.
+    fn attach(checkpoint: JobCheckpoint<A>, shared: &EngineShared) -> Result<Self, JobError> {
+        let JobCheckpoint { app, state } = checkpoint;
+        if state.config.cache.is_some() && shared.cache().is_some() {
+            return Err(JobError::BadConfig(
+                "shared-infrastructure jobs must not configure a private cache".into(),
+            ));
+        }
+        let trace = shared.trace().clone();
+        let private = state.config.cache.clone().map(|c| private_cache(c, &trace));
         Self::build(
             app,
-            config,
+            state,
             shared.runtime().clone(),
             trace,
-            cache.or(private_cache),
-            cache_ns,
+            shared.cache().cloned().or(private),
             shared.clock().cloned(),
         )
     }
 
     fn build(
-        app: A,
-        config: JobConfig,
+        app: Arc<A>,
+        state: JobState<A::Key, A::Value, A::Output>,
         runtime: Runtime,
         trace: TraceSink,
         cache: Option<SharedCache>,
-        cache_ns: u32,
         clock: Option<SharedClock>,
     ) -> Result<Self, JobError> {
-        config.validate()?;
-        if config.mode.is_fixed_width() && !app.is_commutative() {
+        state.config.validate()?;
+        if state.config.mode.is_fixed_width() && !app.is_commutative() {
             return Err(JobError::BadConfig(
                 "fixed-width (rotating) windows require a commutative combiner".into(),
             ));
         }
-        let app = Arc::new(app);
-        let combiner = AppCombiner::new(Arc::clone(&app));
-        let shards = (0..config.partitions)
-            .map(|_| PartitionShard::default())
-            .collect();
-        let cached_objects = vec![false; config.partitions];
         Ok(WindowedJob {
+            combiner: AppCombiner::new(Arc::clone(&app)),
             app,
-            combiner,
-            config,
+            state,
             runtime,
-            window: VecDeque::new(),
-            shards,
-            output: BTreeMap::new(),
-            used_split_ids: HashSet::new(),
-            run_index: 0,
             trace,
             cache,
-            cache_ns,
             clock,
-            cached_objects,
         })
     }
 
     /// The object id partition `p`'s memoized state is cached under —
     /// namespaced so jobs sharing one cache never collide.
     fn object_id(&self, partition: usize) -> ObjectId {
-        ObjectId::namespaced(self.cache_ns, partition as u64)
+        ObjectId::namespaced(self.state.cache_ns, partition as u64)
     }
 
     /// The cache namespace this job's objects live under (`0` standalone).
     pub fn cache_namespace(&self) -> u32 {
-        self.cache_ns
+        self.state.cache_ns
     }
 
     /// The current per-key output of the job.
     pub fn output(&self) -> &BTreeMap<A::Key, A::Output> {
-        &self.output
+        &self.state.output
     }
 
-    /// The configuration in use.
+    /// The configuration in use. Its `trace` is always disabled: the job
+    /// keeps the sink it resolved at construction (see
+    /// [`WindowedJob::trace`]).
     pub fn config(&self) -> &JobConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The parallel runtime executing this job's per-shard phases. Shared
@@ -744,15 +748,16 @@ impl<A: MapReduceApp> WindowedJob<A> {
 
     /// Number of splits currently in the window.
     pub fn window_splits(&self) -> usize {
-        self.window.len()
+        self.state.window.len()
     }
 
     /// Total memoization footprint, in modeled bytes.
     pub fn memo_footprint_bytes(&self) -> u64 {
-        self.shards.iter().map(|p| p.memo_footprint).sum()
+        self.state.shards.iter().map(|p| p.memo_footprint).sum()
     }
 
-    /// Captures a deep checkpoint of the job's mutable state.
+    /// Captures a deep checkpoint of the job: its app and a clone of its
+    /// state.
     ///
     /// Aggregator trees are cloned *exactly* (not rebuilt from the window):
     /// a rebuild would reproduce the answers but diverge on memoization
@@ -763,26 +768,18 @@ impl<A: MapReduceApp> WindowedJob<A> {
     pub fn checkpoint(&self) -> JobCheckpoint<A> {
         JobCheckpoint {
             app: Arc::clone(&self.app),
-            config: self.config.clone(),
-            window: self.window.clone(),
-            shards: self.shards.clone(),
-            output: self.output.clone(),
-            used_split_ids: self.used_split_ids.clone(),
-            run_index: self.run_index,
-            cache_ns: self.cache_ns,
-            cached_objects: self.cached_objects.clone(),
+            state: self.state.clone(),
         }
     }
 
     /// Reconstructs a job from `checkpoint`, attached to `shared`
-    /// infrastructure — the restore counterpart of
-    /// [`WindowedJob::with_shared`]. The checkpoint's cache namespace is
-    /// reused verbatim (nothing is allocated), so the job finds its
-    /// memoized objects exactly where the captured job left them; the host
-    /// is responsible for restoring the shared cache's contents and
-    /// namespace watermark first.
+    /// infrastructure exactly as [`WindowedJob::with_shared`] attaches a
+    /// fresh one. The checkpoint's cache namespace is reused verbatim
+    /// (nothing is allocated), so the job finds its memoized objects
+    /// exactly where the captured job left them; the host is responsible
+    /// for restoring the shared cache's contents and namespace watermark.
     ///
-    /// The checkpoint is borrowed, not consumed: its shards are deep-cloned
+    /// The checkpoint is borrowed, not consumed: its state is cloned
     /// again, so one checkpoint restores any number of twins.
     ///
     /// # Errors
@@ -794,28 +791,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
         checkpoint: &JobCheckpoint<A>,
         shared: &EngineShared,
     ) -> Result<Self, JobError> {
-        if checkpoint.config.cache.is_some() && shared.cache().is_some() {
-            return Err(JobError::BadConfig(
-                "shared-infrastructure jobs must not configure a private cache".into(),
-            ));
-        }
-        checkpoint.config.validate()?;
-        Ok(WindowedJob {
-            app: Arc::clone(&checkpoint.app),
-            combiner: AppCombiner::new(Arc::clone(&checkpoint.app)),
-            config: checkpoint.config.clone(),
-            runtime: shared.runtime().clone(),
-            window: checkpoint.window.clone(),
-            shards: checkpoint.shards.clone(),
-            output: checkpoint.output.clone(),
-            used_split_ids: checkpoint.used_split_ids.clone(),
-            run_index: checkpoint.run_index,
-            trace: shared.trace().clone(),
-            cache: shared.cache().cloned(),
-            cache_ns: checkpoint.cache_ns,
-            clock: shared.clock().cloned(),
-            cached_objects: checkpoint.cached_objects.clone(),
-        })
+        Self::attach(checkpoint.clone(), shared)
     }
 
     /// Runs the initial computation over `splits` (the whole first window).
@@ -825,7 +801,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// Fails if the job already ran, a split id repeats, or the splits
     /// violate the window geometry.
     pub fn initial_run(&mut self, splits: Vec<Split<A::Input>>) -> Result<RunStats, JobError> {
-        if self.run_index != 0 || !self.window.is_empty() {
+        if self.state.run_index != 0 || !self.state.window.is_empty() {
             return Err(JobError::ModeViolation(
                 "initial_run may only run once".into(),
             ));
@@ -876,11 +852,11 @@ impl<A: MapReduceApp> WindowedJob<A> {
         added: Vec<Split<A::Input>>,
     ) -> Result<RunStats, JobError> {
         self.check_splice_mode(false)?;
-        if at > self.window.len() {
+        if at > self.state.window.len() {
             return Err(JobError::SpliceOutOfRange {
                 at,
                 count: added.len(),
-                window: self.window.len(),
+                window: self.state.window.len(),
             });
         }
         self.check_fresh_ids(&added)?;
@@ -909,12 +885,12 @@ impl<A: MapReduceApp> WindowedJob<A> {
         self.check_splice_mode(true)?;
         if at
             .checked_add(count)
-            .is_none_or(|end| end > self.window.len())
+            .is_none_or(|end| end > self.state.window.len())
         {
             return Err(JobError::SpliceOutOfRange {
                 at,
                 count,
-                window: self.window.len(),
+                window: self.state.window.len(),
             });
         }
         self.run_edit(Some(at), count, None)
@@ -934,9 +910,9 @@ impl<A: MapReduceApp> WindowedJob<A> {
         added: Option<Vec<Split<A::Input>>>,
     ) -> Result<RunStats, JobError> {
         let run_span = self.trace.with(|t| {
-            t.set_run(self.run_index);
+            t.set_run(self.state.run_index);
             let tr = t.track("engine");
-            t.begin(tr, SpanKind::Run, format!("run #{}", self.run_index))
+            t.begin(tr, SpanKind::Run, format!("run #{}", self.state.run_index))
         });
         let result = self.edit_window(splice_at, evict, added);
         if let Some(span) = run_span {
@@ -965,8 +941,9 @@ impl<A: MapReduceApp> WindowedJob<A> {
         let repair_before = self.repair_stats();
         let mut recovery = RecoveryStats::default();
         self.apply_planned_faults(&mut recovery)?;
-        let was_full_buckets = self.config.mode.is_fixed_width()
-            && self.window.len() == self.config.window_buckets * self.config.bucket_width;
+        let was_full_buckets = self.state.config.mode.is_fixed_width()
+            && self.state.window.len()
+                == self.state.config.window_buckets * self.state.config.bucket_width;
 
         // ---- Map phase: run Map tasks for the new splits. ---------------
         let new_entries = match &added {
@@ -974,27 +951,27 @@ impl<A: MapReduceApp> WindowedJob<A> {
             None => Vec::new(),
         };
         let at = splice_at.unwrap_or(0);
-        let removed: Vec<SplitEntry<A>> = self.window.drain(at..at + evict).collect();
-        let insert_at = splice_at.unwrap_or(self.window.len());
+        let removed: Vec<_> = self.state.window.drain(at..at + evict).collect();
+        let insert_at = splice_at.unwrap_or(self.state.window.len());
         for (offset, entry) in new_entries.iter().enumerate() {
-            self.window.insert(insert_at + offset, entry.clone());
+            self.state.window.insert(insert_at + offset, entry.clone());
         }
         for split in added.iter().flatten() {
-            self.used_split_ids.insert(split.id().0);
+            self.state.used_split_ids.insert(split.id().0);
         }
 
         let stats = self.map_phase_stats(&new_entries);
         self.trace_map_phase(&stats, &new_entries);
 
         // ---- Contraction + Reduce phase. ---------------------------------
-        let outcome = match self.config.mode.tree_kind() {
+        let outcome = match self.state.config.mode.tree_kind() {
             None => self.run_recompute(),
             Some(kind) => {
                 let cx = EditCx {
                     app: &*self.app,
                     combiner: &self.combiner,
-                    config: &self.config,
-                    window: &self.window,
+                    config: &self.state.config,
+                    window: &self.state.window,
                     removed: &removed,
                     added: &new_entries,
                     splice_at,
@@ -1002,7 +979,8 @@ impl<A: MapReduceApp> WindowedJob<A> {
                     kind,
                     // Splices run entirely in the foreground: background
                     // pre-processing follows the bucket-cadenced slides.
-                    split_processing: splice_at.is_none() && self.config.mode.split_processing(),
+                    split_processing: splice_at.is_none()
+                        && self.state.config.mode.split_processing(),
                 };
                 // Every shard edits its trees, reduces its dirty keys and
                 // pre-processes on the shared runtime; outcomes fold in
@@ -1010,7 +988,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 // thread count.
                 let results = self
                     .runtime
-                    .map_mut(&mut self.shards, |p, shard| shard.run_edit(p, &cx));
+                    .map_mut(&mut self.state.shards, |p, shard| shard.run_edit(p, &cx));
                 let mut outcome = PhaseOutcome::default();
                 for result in results {
                     self.fold_shard_outcome(&mut outcome, result?);
@@ -1033,20 +1011,20 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// were mapped this run, everything else in the (already updated)
     /// window is reused — except under [`ExecMode::Recompute`], which
     /// re-maps and re-shuffles the whole window every run.
-    fn map_phase_stats(&self, new_entries: &[SplitEntry<A>]) -> RunStats {
+    fn map_phase_stats(&self, new_entries: &[SplitEntry<A::Key, A::Value>]) -> RunStats {
         let mut stats = RunStats {
-            run: self.run_index,
+            run: self.state.run_index,
             ..Default::default()
         };
         stats.map_tasks = new_entries.len();
         stats.work.map = new_entries.iter().map(|e| e.map_work).sum();
         stats.shuffle_bytes = new_entries.iter().map(|e| e.output_bytes()).sum();
-        if self.config.mode == ExecMode::Recompute {
-            stats.map_tasks = self.window.len();
-            stats.work.map = self.window.iter().map(|e| e.map_work).sum();
-            stats.shuffle_bytes = self.window.iter().map(|e| e.output_bytes()).sum();
+        if self.state.config.mode == ExecMode::Recompute {
+            stats.map_tasks = self.state.window.len();
+            stats.work.map = self.state.window.iter().map(|e| e.map_work).sum();
+            stats.shuffle_bytes = self.state.window.iter().map(|e| e.output_bytes()).sum();
         } else {
-            stats.map_reused = self.window.len() - new_entries.len();
+            stats.map_reused = self.state.window.len() - new_entries.len();
         }
         stats
     }
@@ -1054,12 +1032,13 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// Emits the map-phase spans: one Map leaf per executed map task, in
     /// deterministic task order; leaf works sum exactly to
     /// `stats.work.map`, the shuffle leaf carries `stats.shuffle_bytes`.
-    fn trace_map_phase(&self, stats: &RunStats, new_entries: &[SplitEntry<A>]) {
+    fn trace_map_phase(&self, stats: &RunStats, new_entries: &[SplitEntry<A::Key, A::Value>]) {
         self.trace.with(|t| {
             let tr = t.track("engine");
             let map_span = t.begin(tr, SpanKind::Map, "map");
-            let mapped: Vec<(u64, u64, u64)> = if self.config.mode == ExecMode::Recompute {
-                self.window
+            let mapped: Vec<(u64, u64, u64)> = if self.state.config.mode == ExecMode::Recompute {
+                self.state
+                    .window
                     .iter()
                     .map(|e| (e.id.0, e.map_work, e.input_bytes))
                     .collect()
@@ -1088,7 +1067,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
         &mut self,
         mut stats: RunStats,
         outcome: PhaseOutcome,
-        new_entries: &[SplitEntry<A>],
+        new_entries: &[SplitEntry<A::Key, A::Value>],
         mut recovery: RecoveryStats,
         repair_before: RepairStats,
     ) -> RunStats {
@@ -1151,15 +1130,15 @@ impl<A: MapReduceApp> WindowedJob<A> {
 
         // Refresh shard footprints: every tree keeps its own current, so
         // this is a sum of O(1) reads.
-        for shard in &mut self.shards {
+        for shard in &mut self.state.shards {
             shard.refresh_footprint();
         }
         stats.memo_footprint_bytes = self.memo_footprint_bytes();
-        stats.window_input_bytes = self.window.iter().map(|e| e.input_bytes).sum();
+        stats.window_input_bytes = self.state.window.iter().map(|e| e.input_bytes).sum();
 
         // Data movement charged as work.
         let moved_bytes = stats.shuffle_bytes + stats.memo_read_bytes + stats.memo_written_bytes;
-        stats.work.movement = movement_work(moved_bytes, self.config.work_per_byte);
+        stats.work.movement = movement_work(moved_bytes, self.state.config.work_per_byte);
         trace.with(|t| {
             let tr = t.track("engine");
             let movement = t.leaf(tr, SpanKind::Movement, "movement", stats.work.movement);
@@ -1168,11 +1147,11 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 "engine.memo_footprint_bytes",
                 stats.memo_footprint_bytes as f64,
             );
-            t.gauge("engine.window_splits", self.window.len() as f64);
+            t.gauge("engine.window_splits", self.state.window.len() as f64);
         });
 
         // ---- Cluster simulation (time metric). ---------------------------
-        if let Some(sim) = self.config.simulation.clone() {
+        if let Some(sim) = self.state.config.simulation.clone() {
             let (fg, bg) = self.build_sim(&sim, new_entries, &outcome);
             stats.sim = Some(fg);
             stats.sim_background = bg;
@@ -1222,7 +1201,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             clock.advance(sim.makespan);
         }
 
-        self.run_index += 1;
+        self.state.run_index += 1;
         stats
     }
 
@@ -1269,10 +1248,10 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// even where their internal shape differs. All rebuild work lands in
     /// [`RecoveryStats`], never in the regular work breakdown.
     fn apply_planned_faults(&mut self, recovery: &mut RecoveryStats) -> Result<(), JobError> {
-        let Some(plan) = self.config.faults.clone() else {
+        let Some(plan) = self.state.config.faults.clone() else {
             return Ok(());
         };
-        let run = self.run_index;
+        let run = self.state.run_index;
         for node in plan.cache_recoveries_for_run(run) {
             self.recover_cache_node(node)?;
         }
@@ -1281,8 +1260,8 @@ impl<A: MapReduceApp> WindowedJob<A> {
         }
         if let Some(cache) = &self.cache {
             for (partition, node) in plan.corruptions_for_run(run) {
-                if partition < self.config.partitions {
-                    let object = ObjectId::namespaced(self.cache_ns, partition as u64);
+                if partition < self.state.config.partitions {
+                    let object = ObjectId::namespaced(self.state.cache_ns, partition as u64);
                     cache.with(|c| {
                         if node < c.config().nodes {
                             c.corrupt_object(object, NodeId(node));
@@ -1304,9 +1283,9 @@ impl<A: MapReduceApp> WindowedJob<A> {
         let lost: Vec<usize> = plan
             .lost_partitions(run)
             .into_iter()
-            .filter(|&p| p < self.shards.len())
+            .filter(|&p| p < self.state.shards.len())
             .collect();
-        if lost.is_empty() || self.config.mode.tree_kind().is_none() {
+        if lost.is_empty() || self.state.config.mode.tree_kind().is_none() {
             // Nothing scripted, or vanilla recompute holds no memoized
             // state a loss could destroy.
             return Ok(());
@@ -1324,19 +1303,20 @@ impl<A: MapReduceApp> WindowedJob<A> {
         recovery: &mut RecoveryStats,
     ) -> Result<(), JobError> {
         let kind = self
+            .state
             .config
             .mode
             .tree_kind()
             .expect("caller checked incremental mode");
-        let window_entries: Vec<SplitEntry<A>> = self.window.iter().cloned().collect();
+        let window_entries: Vec<_> = self.state.window.iter().cloned().collect();
         // Replaying the whole window as a slide with nothing removed
         // re-enters the initial-fill path of every tree family (`rotate`
         // sees zero pre-existing buckets, the others only additions).
         let cx = EditCx {
             app: &*self.app,
             combiner: &self.combiner,
-            config: &self.config,
-            window: &self.window,
+            config: &self.state.config,
+            window: &self.state.window,
             removed: &[],
             added: &window_entries,
             splice_at: None,
@@ -1345,7 +1325,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             split_processing: false,
         };
         for &p in lost {
-            let shard = &mut self.shards[p];
+            let shard = &mut self.state.shards[p];
             if shard.trees.is_empty() {
                 // Nothing memoized yet (e.g. a loss scripted before the
                 // initial run): nothing to recover.
@@ -1356,7 +1336,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             if let Some(cache) = &self.cache {
                 // The replicated object is gone too; the next cache read
                 // fails over and ultimately misses, metered below.
-                let object = ObjectId::namespaced(self.cache_ns, p as u64);
+                let object = ObjectId::namespaced(self.state.cache_ns, p as u64);
                 cache.with(|c| c.lose_object(object));
             }
             let mut stats = UpdateStats::default();
@@ -1390,10 +1370,10 @@ impl<A: MapReduceApp> WindowedJob<A> {
         remove_splits: usize,
         added: &[Split<A::Input>],
     ) -> Result<(), JobError> {
-        if remove_splits > self.window.len() {
+        if remove_splits > self.state.window.len() {
             return Err(JobError::RemoveExceedsWindow {
                 requested: remove_splits,
-                window: self.window.len(),
+                window: self.state.window.len(),
             });
         }
         self.check_fresh_ids(added)?;
@@ -1408,21 +1388,21 @@ impl<A: MapReduceApp> WindowedJob<A> {
         remove_splits: usize,
         added: usize,
     ) -> Result<(), JobError> {
-        let mode = self.config.mode;
+        let mode = self.state.config.mode;
         if mode.is_append_only() && remove_splits != 0 {
             return Err(JobError::ModeViolation(
                 "append-only (coalescing) jobs cannot remove splits".into(),
             ));
         }
         if mode.is_fixed_width() {
-            let w = self.config.bucket_width;
+            let w = self.state.config.bucket_width;
             if !remove_splits.is_multiple_of(w) || !added.is_multiple_of(w) {
                 return Err(JobError::ModeViolation(format!(
                     "fixed-width slides must be whole buckets of {w} splits"
                 )));
             }
-            let capacity = self.config.window_buckets * w;
-            let full = self.window.len() == capacity;
+            let capacity = self.state.config.window_buckets * w;
+            let full = self.state.window.len() == capacity;
             if full && remove_splits != added {
                 return Err(JobError::ModeViolation(
                     "a full fixed-width window must remove as many buckets as it adds".into(),
@@ -1434,7 +1414,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
                         "fixed-width windows cannot shrink while filling".into(),
                     ));
                 }
-                if self.window.len() + added > capacity {
+                if self.state.window.len() + added > capacity {
                     return Err(JobError::ModeViolation(format!(
                         "fixed-width window capacity is {capacity} splits"
                     )));
@@ -1449,7 +1429,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
     fn check_fresh_ids(&self, added: &[Split<A::Input>]) -> Result<(), JobError> {
         let mut fresh = HashSet::new();
         for split in added {
-            if self.used_split_ids.contains(&split.id().0) || !fresh.insert(split.id().0) {
+            if self.state.used_split_ids.contains(&split.id().0) || !fresh.insert(split.id().0) {
                 return Err(JobError::DuplicateSplit(split.id().0));
             }
         }
@@ -1461,7 +1441,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// notion of an interior split range, and append-only (coalescing)
     /// jobs never evict.
     pub(crate) fn check_splice_mode(&self, evicting: bool) -> Result<(), JobError> {
-        let mode = self.config.mode;
+        let mode = self.state.config.mode;
         if mode.is_fixed_width() {
             return Err(JobError::ModeViolation(
                 "fixed-width (rotating) windows are positional: interior splices \
@@ -1488,10 +1468,10 @@ impl<A: MapReduceApp> WindowedJob<A> {
         for (key, value) in shard_out.deltas {
             match value {
                 Some(out) => {
-                    self.output.insert(key, out);
+                    self.state.output.insert(key, out);
                 }
                 None => {
-                    self.output.remove(&key);
+                    self.state.output.remove(&key);
                 }
             }
         }
@@ -1500,9 +1480,9 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// Executes Map tasks for `splits` on the runtime's worker pool, with
     /// deterministic (input-order) assembly of the pre-partitioned,
     /// map-side-combined outputs.
-    fn map_splits(&self, splits: &[Split<A::Input>]) -> Vec<SplitEntry<A>> {
+    fn map_splits(&self, splits: &[Split<A::Input>]) -> Vec<SplitEntry<A::Key, A::Value>> {
         let app = &*self.app;
-        let parts = self.config.partitions;
+        let parts = self.state.config.partitions;
         self.runtime
             .map(splits, |_, split| map_one_split(app, parts, split))
     }
@@ -1513,11 +1493,11 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// delta, so the view starts empty and keys that left the window drop.
     fn run_recompute(&mut self) -> PhaseOutcome {
         let app = &*self.app;
-        let window = &self.window;
-        let results = self.runtime.map_mut(&mut self.shards, |p, shard| {
+        let window = &self.state.window;
+        let results = self.runtime.map_mut(&mut self.state.shards, |p, shard| {
             shard.run_recompute(p, app, window)
         });
-        self.output.clear();
+        self.state.output.clear();
         let mut outcome = PhaseOutcome::default();
         for shard_out in results {
             self.fold_shard_outcome(&mut outcome, shard_out);
@@ -1529,7 +1509,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
     fn build_sim(
         &self,
         sim: &SimulationConfig,
-        new_entries: &[SplitEntry<A>],
+        new_entries: &[SplitEntry<A::Key, A::Value>],
         outcome: &PhaseOutcome,
     ) -> (slider_cluster::SimReport, Option<slider_cluster::SimReport>) {
         let machines = sim.cluster.len().max(1);
@@ -1540,11 +1520,12 @@ impl<A: MapReduceApp> WindowedJob<A> {
         };
 
         // Stage 1: map tasks — all splits for vanilla, new splits otherwise.
-        let map_entries: Vec<&SplitEntry<A>> = if self.config.mode == ExecMode::Recompute {
-            self.window.iter().collect()
-        } else {
-            new_entries.iter().collect()
-        };
+        let map_entries: Vec<&SplitEntry<A::Key, A::Value>> =
+            if self.state.config.mode == ExecMode::Recompute {
+                self.state.window.iter().collect()
+            } else {
+                new_entries.iter().collect()
+            };
         let maps: Vec<Task> = map_entries
             .iter()
             .map(|e| {
@@ -1565,7 +1546,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             .map(|(p, pw)| {
                 let mut t = Task::reduce(id(), pw.fg_work + pw.reduce_work)
                     .with_input_bytes(pw.shuffle_bytes + pw.memo_read_bytes);
-                if self.config.mode != ExecMode::Recompute {
+                if self.state.config.mode != ExecMode::Recompute {
                     // Memoized state lives where this partition reduced
                     // last; the scheduler decides whether to honour that.
                     t = t.prefer(MachineId(p % machines));
@@ -1577,10 +1558,11 @@ impl<A: MapReduceApp> WindowedJob<A> {
         // This run's scripted machine faults (a trivial plan reproduces
         // the fault-free schedule bit for bit).
         let cluster_plan = self
+            .state
             .config
             .faults
             .as_ref()
-            .map(|f| f.cluster_plan_for_run(self.run_index))
+            .map(|f| f.cluster_plan_for_run(self.state.run_index))
             .unwrap_or_else(FaultPlan::none);
         let fg_report = simulate_traced(
             &sim.cluster,
@@ -1634,7 +1616,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             )
         });
         let before = cache.stats();
-        for p in 0..self.config.partitions {
+        for p in 0..self.state.config.partitions {
             let node = NodeId(p % nodes);
             let object = self.object_id(p);
             // The contraction phase reads the partition's memoized state
@@ -1643,7 +1625,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             // and still misses means the state was recomputed in the
             // foreground instead (recompute-on-miss): meter it as
             // recovery, never an error.
-            if self.cached_objects[p] {
+            if self.state.cached_objects[p] {
                 let mut outcome = cache.with(|c| c.read(object, node));
                 let mut retries = 0u32;
                 while matches!(outcome, Err(CacheError::Unavailable(_)))
@@ -1684,21 +1666,21 @@ impl<A: MapReduceApp> WindowedJob<A> {
                     }
                 }
             }
-            let footprint = self.shards[p].memo_footprint;
+            let footprint = self.state.shards[p].memo_footprint;
             if footprint > 0 {
-                cache.with(|c| c.put(object, footprint, node, self.run_index));
+                cache.with(|c| c.put(object, footprint, node, self.state.run_index));
             }
-            self.cached_objects[p] = footprint > 0;
+            self.state.cached_objects[p] = footprint > 0;
         }
         // Standalone jobs sweep the whole cache as before; namespaced jobs
         // sweep only their own objects — each tenant advances through
         // epochs at its own pace, so a global sweep at this job's epoch
         // would reap siblings' still-live state.
-        if self.cache_ns == 0 {
-            cache.with(|c| c.collect_garbage(self.run_index));
+        if self.state.cache_ns == 0 {
+            cache.with(|c| c.collect_garbage(self.state.run_index));
         } else {
-            let ns = self.cache_ns;
-            let run = self.run_index;
+            let ns = self.state.cache_ns;
+            let run = self.state.run_index;
             cache.with(|c| c.collect_garbage_scoped(ns, run));
         }
         cache.stats().delta_since(&before)
@@ -1711,7 +1693,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
     /// read stats.
     fn run_cache_maintenance(&mut self) {
         let cache = self.cache.as_ref().expect("caller checked");
-        let run = self.run_index;
+        let run = self.state.run_index;
         cache.with(|c| {
             let interval = c.config().scrub_interval;
             if interval > 0 && run.is_multiple_of(interval) {
@@ -1722,15 +1704,19 @@ impl<A: MapReduceApp> WindowedJob<A> {
     }
 }
 
-impl<A: MapReduceApp> PartitionShard<A> {
+impl<K, V> PartitionShard<K, V>
+where
+    K: Clone + Ord + Hash + Send + 'static,
+    V: Clone + Send + Sync + 'static,
+{
     /// Recomputes this shard from scratch over the whole window: incremental
     /// state is discarded and every key re-reduces over all its per-split
     /// values.
-    fn run_recompute(
+    fn run_recompute<A: MapReduceApp<Key = K, Value = V>>(
         &mut self,
         p: usize,
         app: &A,
-        window: &VecDeque<SplitEntry<A>>,
+        window: &VecDeque<SplitEntry<K, V>>,
     ) -> ShardOutcome<A> {
         self.trees.clear();
         self.memo_footprint = 0;
@@ -1756,7 +1742,11 @@ impl<A: MapReduceApp> PartitionShard<A> {
     /// One shard's share of a run: the window edit of its trees, a
     /// dirty-key reduce into output deltas, and split-mode background
     /// pre-processing.
-    fn run_edit(&mut self, p: usize, cx: &EditCx<'_, A>) -> Result<ShardOutcome<A>, JobError> {
+    fn run_edit<A: MapReduceApp<Key = K, Value = V>>(
+        &mut self,
+        p: usize,
+        cx: &EditCx<'_, A>,
+    ) -> Result<ShardOutcome<A>, JobError> {
         let live_before = self.trees.len();
         let mut outcome = ShardOutcome::default();
         let mut tree_stats = UpdateStats::default();
@@ -1781,7 +1771,12 @@ impl<A: MapReduceApp> PartitionShard<A> {
     /// Reduces the dirty keys into output deltas; keys whose window
     /// emptied are dropped. Every other output is reused untouched in the
     /// job's view. Returns the metered reduce work.
-    fn reduce_dirty(&mut self, app: &A, dirty: &[A::Key], outcome: &mut ShardOutcome<A>) -> u64 {
+    fn reduce_dirty<A: MapReduceApp<Key = K, Value = V>>(
+        &mut self,
+        app: &A,
+        dirty: &[K],
+        outcome: &mut ShardOutcome<A>,
+    ) -> u64 {
         let mut reduce_work = 0u64;
         for key in dirty {
             let Some(tree) = self.trees.get_mut(key) else {
@@ -1811,12 +1806,12 @@ impl<A: MapReduceApp> PartitionShard<A> {
     /// ([`TreeError::SpliceUnsupported`]). The rebuild work flows through
     /// the same [`TreeCx`], so it lands in this run's foreground breakdown
     /// rather than vanishing from the work model.
-    fn edit(
+    fn edit<A: MapReduceApp<Key = K, Value = V>>(
         &mut self,
         p: usize,
         cx: &EditCx<'_, A>,
         stats: &mut UpdateStats,
-    ) -> Result<Vec<A::Key>, JobError> {
+    ) -> Result<Vec<K>, JobError> {
         if cx.kind == TreeKind::Rotating {
             return self.rotate(p, cx, stats);
         }
@@ -1920,26 +1915,26 @@ impl<A: MapReduceApp> PartitionShard<A> {
     }
 
     /// Builds a fresh per-key tree honouring the split-processing flag.
-    fn fresh_tree(kind: TreeKind, mode: ExecMode) -> Box<dyn WindowAggregator<A::Key, A::Value>> {
+    fn fresh_tree(kind: TreeKind, mode: ExecMode) -> Box<dyn WindowAggregator<K, V>> {
         if kind == TreeKind::Coalescing && mode.split_processing() {
             Box::new(slider_core::CoalescingTree::with_split_processing())
         } else {
-            build_tree::<A::Key, A::Value>(kind, 0)
+            build_tree::<K, V>(kind, 0)
         }
     }
 
     /// Fixed-width bucket rotation of this shard.
-    fn rotate(
+    fn rotate<A: MapReduceApp<Key = K, Value = V>>(
         &mut self,
         p: usize,
         cx: &EditCx<'_, A>,
         stats: &mut UpdateStats,
-    ) -> Result<Vec<A::Key>, JobError> {
+    ) -> Result<Vec<K>, JobError> {
         let w = cx.config.bucket_width;
         let n = cx.config.window_buckets;
         let was_full = cx.was_full_buckets;
-        let out_buckets: Vec<&[SplitEntry<A>]> = cx.removed.chunks(w).collect();
-        let in_buckets: Vec<&[SplitEntry<A>]> = cx.added.chunks(w).collect();
+        let out_buckets: Vec<&[SplitEntry<A::Key, A::Value>]> = cx.removed.chunks(w).collect();
+        let in_buckets: Vec<&[SplitEntry<A::Key, A::Value>]> = cx.added.chunks(w).collect();
         let steps = in_buckets.len().max(out_buckets.len());
         // Buckets present before this advance (the window deque was already
         // updated by the caller).
@@ -2009,11 +2004,11 @@ impl<A: MapReduceApp> PartitionShard<A> {
     }
 
     /// Background pre-processing after the foreground result was produced.
-    fn preprocess(
+    fn preprocess<A: MapReduceApp<Key = K, Value = V>>(
         &mut self,
         p: usize,
         cx: &EditCx<'_, A>,
-        dirty: &[A::Key],
+        dirty: &[K],
         stats: &mut UpdateStats,
     ) {
         match cx.kind {
@@ -2595,6 +2590,43 @@ mod tests {
         assert!(job.memo_footprint_bytes() > 0);
         assert!(format!("{job:?}").contains("WindowedJob"));
         assert_eq!(job.config().partitions, 8);
+    }
+
+    #[test]
+    fn a_checkpoint_holds_no_trace_sink() {
+        let config = JobConfig::new(ExecMode::slider_folding()).with_trace(TraceSink::enabled());
+        let job = WindowedJob::new(WordCount, config).unwrap();
+        assert!(job.trace().is_enabled());
+        assert!(!job.config().trace.is_enabled());
+        assert!(!job.checkpoint().state.config.trace.is_enabled());
+    }
+
+    #[test]
+    fn modes_render_the_split_processing_that_runs() {
+        let cases = [
+            (ExecMode::Recompute, "recompute"),
+            (ExecMode::Strawman, "strawman"),
+            (ExecMode::slider_folding(), "slider-folding"),
+            (ExecMode::slider_randomized(), "slider-randomized"),
+            (ExecMode::slider_rotating(false), "slider-rotating"),
+            (ExecMode::slider_rotating(true), "slider-rotating+split"),
+            (ExecMode::slider_coalescing(false), "slider-coalescing"),
+            (ExecMode::slider_coalescing(true), "slider-coalescing+split"),
+            (ExecMode::slider_two_stack(), "slider-twostack"),
+            (ExecMode::slider_daba(), "slider-daba"),
+            (ExecMode::slider_daba_lite(), "slider-daba-lite"),
+            // Folding trees have no split processing, so the flag is inert.
+            (
+                ExecMode::Slider {
+                    tree: TreeKind::Folding,
+                    split_processing: true,
+                },
+                "slider-folding",
+            ),
+        ];
+        for (mode, expected) in cases {
+            assert_eq!(mode.to_string(), expected, "{mode:?}");
+        }
     }
 
     #[test]

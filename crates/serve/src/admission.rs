@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use slider_core::{CounterSnapshot, SlidingWindowCounter};
+use slider_core::SlidingWindowCounter;
 
 use crate::tenant::TenantSpec;
 
@@ -165,7 +165,8 @@ impl OverloadConfig {
 }
 
 /// Per-tenant admission state: the DGIM limiter plus quota bookkeeping.
-#[derive(Debug)]
+/// A clone is an exact checkpoint of the gate.
+#[derive(Debug, Clone)]
 pub(crate) struct AdmissionGate {
     limiter: Option<(SlidingWindowCounter, u64)>,
     quota: Option<u64>,
@@ -222,37 +223,14 @@ impl AdmissionGate {
     }
 
     /// Records admitted so far (quota consumption).
-    #[cfg(test)]
     pub(crate) fn used(&self) -> u64 {
         self.used
     }
 
-    /// Captures the gate's mutable state (the DGIM limiter's buckets and
-    /// the quota ledger); the static limits live in the [`TenantSpec`]
-    /// and are re-derived on restore.
-    pub(crate) fn snapshot(&self) -> GateSnapshot {
-        GateSnapshot {
-            limiter: self.limiter.as_ref().map(|(counter, _)| counter.snapshot()),
-            used: self.used,
-        }
+    /// The DGIM rate limiter, if the tenant has a rate limit.
+    pub(crate) fn limiter(&self) -> Option<&SlidingWindowCounter> {
+        self.limiter.as_ref().map(|(counter, _)| counter)
     }
-
-    /// Rebuilds a gate for `spec` and reimposes the captured state.
-    pub(crate) fn restore(spec: &TenantSpec, snapshot: &GateSnapshot) -> Self {
-        let mut gate = AdmissionGate::new(spec);
-        if let (Some((counter, _)), Some(captured)) = (&mut gate.limiter, &snapshot.limiter) {
-            *counter = SlidingWindowCounter::restore(captured);
-        }
-        gate.used = snapshot.used;
-        gate
-    }
-}
-
-/// Captured mutable state of one [`AdmissionGate`].
-#[derive(Debug, Clone)]
-pub(crate) struct GateSnapshot {
-    pub(crate) limiter: Option<CounterSnapshot>,
-    pub(crate) used: u64,
 }
 
 #[cfg(test)]

@@ -130,8 +130,7 @@ impl DispatchFaultPlan {
     }
 }
 
-/// The breaker's position in its state machine. Captured verbatim by
-/// service snapshots and reimposed on restore.
+/// The breaker's position in its state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Requests flow; `failures` consecutive dispatch failures so far.
@@ -152,7 +151,7 @@ pub enum BreakerState {
 /// Per-tenant circuit breaker (see the module docs for the state
 /// machine). All transitions are driven by request arrival ticks and
 /// dispatch outcomes — both deterministic — so twin services agree on
-/// every state change.
+/// every state change. A clone is an exact checkpoint of the breaker.
 #[derive(Debug, Clone)]
 pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
@@ -167,16 +166,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Rebuilds a breaker at a captured state.
-    pub(crate) fn restore(config: BreakerConfig, state: BreakerState) -> Self {
-        CircuitBreaker { config, state }
-    }
-
     #[cfg(test)]
-    pub(crate) fn config(&self) -> &BreakerConfig {
-        &self.config
-    }
-
     pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
@@ -295,8 +285,7 @@ mod tests {
             ..BreakerConfig::default()
         });
         assert!(b.on_failure(10));
-        let state = b.state();
-        let mut twin = CircuitBreaker::restore(b.config().clone(), state);
+        let mut twin = b.clone();
         assert_eq!(twin.check(12), b.check(12));
         assert_eq!(twin.check(18), b.check(18));
         assert_eq!(twin.state(), b.state());

@@ -4,7 +4,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use slider_cluster::SharedClock;
 use slider_core::SlidingWindowCounter;
+use slider_dcache::SharedCache;
 use slider_mapreduce::{
     EngineShared, EventFeeder, JobConfig, JobError, MapReduceApp, RunStats, Stamped, WindowedJob,
 };
@@ -13,7 +15,7 @@ use slider_trace::{SpanKind, TrackId};
 use crate::admission::{AdmissionGate, Decision, OverloadConfig};
 use crate::breaker::CircuitBreaker;
 use crate::error::ServeError;
-use crate::snapshot::{OverloadSnapshot, ServiceSnapshot, TenantSnapshot, SNAPSHOT_VERSION};
+use crate::snapshot::{ServiceSnapshot, TenantSnapshot, SNAPSHOT_VERSION};
 use crate::stats::{ServeStats, TenantStats};
 use crate::tenant::{TenantId, TenantReport, TenantSpec, WindowView};
 
@@ -29,28 +31,59 @@ pub struct IngestOutcome {
 }
 
 struct TenantEntry<A: MapReduceApp> {
-    name: String,
-    /// The registering spec, retained verbatim: snapshots capture it so a
-    /// restored service can recompile the tenant, and the overload path
-    /// reads priority / pressure budget from it on every request.
-    spec: TenantSpec,
+    /// Everything the service keeps for the tenant besides its feeder. A
+    /// snapshot clones it.
+    state: TenantState,
     feeder: EventFeeder<A>,
-    gate: AdmissionGate,
-    breaker: Option<CircuitBreaker>,
-    /// Admitted dispatches so far — the sequence number scripted
-    /// [`DispatchFaultPlan`](crate::DispatchFaultPlan)s key on.
-    dispatch_seq: u64,
-    stats: TenantStats,
     track: Option<TrackId>,
 }
 
+/// One tenant's service-side state. No field holds an engine handle, so a
+/// clone is a self-contained checkpoint.
+#[derive(Clone)]
+pub(crate) struct TenantState {
+    /// The registering spec, retained verbatim: it names the tenant, and
+    /// the overload and dispatch paths read priority, pressure budget,
+    /// fault plan and retry policy from it on every request.
+    pub(crate) spec: TenantSpec,
+    pub(crate) gate: AdmissionGate,
+    pub(crate) breaker: Option<CircuitBreaker>,
+    /// Admitted dispatches so far — the sequence number scripted
+    /// [`DispatchFaultPlan`](crate::DispatchFaultPlan)s key on.
+    pub(crate) dispatch_seq: u64,
+    pub(crate) stats: TenantStats,
+}
+
+impl TenantState {
+    /// The state of a tenant that has served no request yet.
+    fn new(spec: TenantSpec) -> Self {
+        TenantState {
+            gate: AdmissionGate::new(&spec),
+            breaker: spec.breaker.clone().map(CircuitBreaker::new),
+            dispatch_seq: 0,
+            stats: TenantStats::default(),
+            spec,
+        }
+    }
+}
+
+/// The service's own state, apart from its engine and tenants. A snapshot
+/// clones it.
+#[derive(Clone)]
+pub(crate) struct ServiceState {
+    pub(crate) next_id: u64,
+    pub(crate) stats: ServeStats,
+    pub(crate) overload: Option<OverloadState>,
+}
+
 /// Service-wide overload state: the DGIM gauge over admitted records.
-struct OverloadState {
-    config: OverloadConfig,
-    gauge: SlidingWindowCounter,
+#[derive(Clone)]
+pub(crate) struct OverloadState {
+    pub(crate) config: OverloadConfig,
+    pub(crate) gauge: SlidingWindowCounter,
     /// Highest arrival tick seen, so metrics can render the gauge
     /// estimate without a caller-supplied clock.
-    last_arrival: u64,
+    pub(crate) last_arrival: u64,
 }
 
 /// A multi-tenant streaming service over one shared engine.
@@ -68,11 +101,9 @@ struct OverloadState {
 /// and trace exports at every worker-thread count.
 pub struct ServiceRuntime<A: MapReduceApp> {
     shared: EngineShared,
+    state: ServiceState,
     tenants: BTreeMap<TenantId, TenantEntry<A>>,
     names: BTreeMap<String, TenantId>,
-    next_id: u64,
-    stats: ServeStats,
-    overload: Option<OverloadState>,
 }
 
 impl<A: MapReduceApp> ServiceRuntime<A> {
@@ -80,11 +111,13 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
     pub fn new(shared: EngineShared) -> Self {
         ServiceRuntime {
             shared,
+            state: ServiceState {
+                next_id: 1,
+                stats: ServeStats::default(),
+                overload: None,
+            },
             tenants: BTreeMap::new(),
             names: BTreeMap::new(),
-            next_id: 1,
-            stats: ServeStats::default(),
-            overload: None,
         }
     }
 
@@ -97,7 +130,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
     /// `(0, 1]`.
     pub fn with_overload(mut self, config: OverloadConfig) -> Result<Self, ServeError> {
         config.validate().map_err(ServeError::BadSpec)?;
-        self.overload = Some(OverloadState {
+        self.state.overload = Some(OverloadState {
             gauge: SlidingWindowCounter::new(config.window, config.epsilon),
             config,
             last_arrival: 0,
@@ -127,28 +160,29 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         }
         let job = WindowedJob::with_shared(app, config, &self.shared)?;
         let feeder = EventFeeder::new(job, spec.event)?;
-        let id = TenantId(self.next_id);
-        self.next_id += 1;
+        let id = TenantId(self.state.next_id);
+        self.state.next_id += 1;
+        self.attach(id, feeder, TenantState::new(spec));
+        self.state.stats.tenants_registered += 1;
+        Ok(id)
+    }
+
+    /// Opens the tenant's trace track (`tenant:<name>`) and enters it in
+    /// the registry: the step registration and restore share.
+    fn attach(&mut self, id: TenantId, feeder: EventFeeder<A>, state: TenantState) {
         let track = self
             .shared
             .trace()
-            .with(|t| t.track(&format!("tenant:{}", spec.name)));
-        self.names.insert(spec.name.clone(), id);
+            .with(|t| t.track(&format!("tenant:{}", state.spec.name)));
+        self.names.insert(state.spec.name.clone(), id);
         self.tenants.insert(
             id,
             TenantEntry {
-                name: spec.name.clone(),
-                gate: AdmissionGate::new(&spec),
-                breaker: spec.breaker.clone().map(CircuitBreaker::new),
-                dispatch_seq: 0,
+                state,
                 feeder,
-                stats: TenantStats::default(),
                 track,
-                spec,
             },
         );
-        self.stats.tenants_registered += 1;
-        Ok(id)
     }
 
     /// Deregisters a tenant: drains its reorder buffer and open epochs
@@ -161,19 +195,19 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             .tenants
             .remove(&id)
             .ok_or(ServeError::UnknownTenant(id.0))?;
-        self.names.remove(&entry.name);
+        self.names.remove(&entry.state.spec.name);
         // The tenant is gone whether or not its drain succeeds, so both
         // outcomes count the deregistration.
-        self.stats.tenants_deregistered += 1;
+        self.state.stats.tenants_deregistered += 1;
         self.shared.trace().with(|t| t.add("serve.deregistered", 1));
         let final_runs = entry.feeder.close_all()?;
         for run in &final_runs {
-            entry.stats.absorb(run);
-            self.stats.absorb(run);
+            entry.state.stats.absorb(run);
+            self.state.stats.absorb(run);
         }
         Ok(TenantReport {
-            name: entry.name,
-            stats: entry.stats,
+            name: entry.state.spec.name,
+            stats: entry.state.stats,
             event: entry.feeder.stats(),
             output: entry.feeder.output().clone(),
             final_runs,
@@ -215,10 +249,10 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         let count = records.len();
 
         // 1. Circuit breaker.
-        if let Some(remaining) = entry.breaker.as_mut().and_then(|b| b.check(arrival)) {
+        if let Some(remaining) = entry.state.breaker.as_mut().and_then(|b| b.check(arrival)) {
             let decision = Decision::BreakerOpen { remaining };
-            entry.stats.count(&decision, count);
-            self.stats.count(&decision, count);
+            entry.state.stats.count(&decision, count);
+            self.state.stats.count(&decision, count);
             Self::trace_decision(&self.shared, entry, decision, count);
             return Ok(IngestOutcome {
                 decision,
@@ -228,19 +262,19 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
 
         // 2. Overload pressure.
         let mut verdict = None;
-        if let Some(overload) = &mut self.overload {
+        if let Some(overload) = &mut self.state.overload {
             overload.last_arrival = overload.last_arrival.max(arrival);
             let estimate = overload.gauge.count(arrival);
             if estimate >= overload.config.record_limit {
                 let overflow = estimate - overload.config.record_limit;
-                if let Some(budget) = entry.spec.pressure_budget {
+                if let Some(budget) = entry.state.spec.pressure_budget {
                     if count > budget {
                         verdict = Some(Decision::DeadlineExceeded { budget, got: count });
                     }
                 }
-                if verdict.is_none() && u64::from(entry.spec.priority) <= overflow {
+                if verdict.is_none() && u64::from(entry.state.spec.priority) <= overflow {
                     verdict = Some(Decision::Shed {
-                        priority: entry.spec.priority,
+                        priority: entry.state.spec.priority,
                         overflow,
                     });
                 }
@@ -249,9 +283,9 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
 
         // 3. Per-tenant admission chain (skipped for overload verdicts —
         //    bounced requests must not consume rate slots or quota).
-        let decision = verdict.unwrap_or_else(|| entry.gate.admit(arrival, count));
-        entry.stats.count(&decision, count);
-        self.stats.count(&decision, count);
+        let decision = verdict.unwrap_or_else(|| entry.state.gate.admit(arrival, count));
+        entry.state.stats.count(&decision, count);
+        self.state.stats.count(&decision, count);
         if !decision.is_admitted() {
             Self::trace_decision(&self.shared, entry, decision, count);
             return Ok(IngestOutcome {
@@ -259,30 +293,31 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                 runs: Vec::new(),
             });
         }
-        if let Some(overload) = &mut self.overload {
+        if let Some(overload) = &mut self.state.overload {
             overload.gauge.record_n(arrival, count as u64);
         }
 
         // 4. Dispatch. Scripted faults fail the first `failing` attempts
         //    of this admitted dispatch; each retry charges deterministic
         //    backoff to the shared clock before trying again.
-        let seq = entry.dispatch_seq;
-        entry.dispatch_seq += 1;
+        let seq = entry.state.dispatch_seq;
+        entry.state.dispatch_seq += 1;
         let failing = entry
+            .state
             .spec
             .dispatch_faults
             .as_ref()
             .map_or(0, |plan| plan.failing_attempts(seq));
         if failing > 0 {
-            let policy = entry.spec.breaker.clone().unwrap_or_default();
+            let policy = entry.state.spec.breaker.clone().unwrap_or_default();
             // Attempt `a` (1-based) fails while a ≤ failing; after a
             // failed attempt `a` the dispatch may retry while
             // a ≤ max_retries, and retry number `a` charges
             // backoff × multiplier(a).
             let mut attempt: u32 = 1;
             while attempt <= failing && attempt <= policy.retry.max_retries {
-                entry.stats.dispatch_retries += 1;
-                self.stats.dispatch_retries += 1;
+                entry.state.stats.dispatch_retries += 1;
+                self.state.stats.dispatch_retries += 1;
                 if let Some(clock) = self.shared.clock() {
                     clock.advance(
                         policy.retry_backoff_seconds * policy.retry.backoff_multiplier(attempt),
@@ -300,7 +335,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                      (retry budget {})",
                     policy.retry.max_retries
                 ));
-                Self::fail_dispatch(&self.shared, &mut self.stats, entry, arrival, count);
+                Self::fail_dispatch(&self.shared, &mut self.state.stats, entry, arrival, count);
                 return Err(ServeError::Job(error));
             }
         }
@@ -310,16 +345,16 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             Err(e) => {
                 // A real dispatch failure charges the breaker exactly
                 // like an injected one.
-                Self::fail_dispatch(&self.shared, &mut self.stats, entry, arrival, count);
+                Self::fail_dispatch(&self.shared, &mut self.state.stats, entry, arrival, count);
                 return Err(e.into());
             }
         };
-        if let Some(breaker) = entry.breaker.as_mut() {
+        if let Some(breaker) = entry.state.breaker.as_mut() {
             breaker.on_success();
         }
         for run in &runs {
-            entry.stats.absorb(run);
-            self.stats.absorb(run);
+            entry.state.stats.absorb(run);
+            self.state.stats.absorb(run);
         }
         Self::trace_decision(&self.shared, entry, decision, count);
         Ok(IngestOutcome { decision, runs })
@@ -361,13 +396,14 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         count: usize,
     ) {
         let tripped = entry
+            .state
             .breaker
             .as_mut()
             .is_some_and(|b| b.on_failure(arrival));
-        entry.stats.dispatch_failures += 1;
+        entry.state.stats.dispatch_failures += 1;
         stats.dispatch_failures += 1;
         if tripped {
-            entry.stats.breaker_trips += 1;
+            entry.state.stats.breaker_trips += 1;
             stats.breaker_trips += 1;
         }
         shared.trace().with(|t| {
@@ -382,61 +418,47 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         });
     }
 
-    /// Captures a deep, versioned checkpoint of the whole service: every
-    /// tenant's spec, feeder and job state, admission and breaker
-    /// positions, the service roll-up, the overload gauge, and the shared
-    /// engine's mutable state (clock, cache contents, namespace
-    /// watermark). See [`ServiceSnapshot`]. The capture is a value —
-    /// restoring borrows it, so one snapshot can seed many resumed twins.
+    /// Captures a deep, versioned checkpoint of the whole service: the
+    /// service's own state and every tenant's state and feeder checkpoint,
+    /// each a clone, plus the shared engine's mutable state (clock, cache
+    /// contents, namespace watermark). See [`ServiceSnapshot`]. The
+    /// capture is a value that holds no handle to this engine — restoring
+    /// borrows it, so one snapshot can seed many resumed twins.
     #[must_use]
     pub fn snapshot(&self) -> ServiceSnapshot<A> {
         ServiceSnapshot {
             version: SNAPSHOT_VERSION,
-            clock: self
-                .shared
-                .clock()
-                .map(slider_cluster::SharedClock::snapshot),
-            cache: self
-                .shared
-                .cache()
-                .map(slider_dcache::SharedCache::snapshot_cache),
+            clock: self.shared.clock().map(SharedClock::snapshot),
+            cache: self.shared.cache().map(SharedCache::snapshot_cache),
             namespace_watermark: self.shared.namespace_watermark(),
-            next_id: self.next_id,
-            stats: self.stats,
-            overload: self.overload.as_ref().map(|o| OverloadSnapshot {
-                config: o.config.clone(),
-                gauge: o.gauge.snapshot(),
-                last_arrival: o.last_arrival,
-            }),
+            service: self.state.clone(),
             tenants: self
                 .tenants
                 .iter()
                 .map(|(id, entry)| TenantSnapshot {
                     id: *id,
-                    name: entry.name.clone(),
-                    spec: entry.spec.clone(),
+                    state: entry.state.clone(),
                     feeder: entry.feeder.checkpoint(),
-                    gate: entry.gate.snapshot(),
-                    breaker: entry.breaker.as_ref().map(CircuitBreaker::state),
-                    dispatch_seq: entry.dispatch_seq,
-                    stats: entry.stats,
                 })
                 .collect(),
         }
     }
 
     /// Resumes a service from `snapshot` onto `shared` — typically a
-    /// fresh engine standing in for a restarted process. Restores, in
-    /// order: the simulated clock, the memoization cache contents, the
-    /// namespace watermark, then every tenant (in id order, so trace
-    /// tracks are recreated deterministically) with its job, feeder,
-    /// gate, breaker and counters exactly where the capture left them.
+    /// fresh engine standing in for a restarted process. Every check comes
+    /// first: the version, the engine parts the snapshot needs, and every
+    /// tenant's job. Only then does the restore write the engine — the
+    /// simulated clock, the memoization cache contents and the namespace
+    /// watermark — and attach every tenant (in id order, so trace tracks
+    /// are recreated deterministically) with a clone of its captured
+    /// state, exactly where the capture left it.
     ///
     /// # Errors
     ///
+    /// A failed restore leaves `shared` untouched.
+    ///
     /// * [`ServeError::SnapshotVersion`] when the snapshot carries a
-    ///   different format version — checked first, before any state is
-    ///   touched.
+    ///   different format version.
     /// * [`ServeError::Snapshot`] when the snapshot needs engine parts
     ///   `shared` was built without (clock, cache).
     /// * [`ServeError::Job`] when a tenant's job rejects reconstruction.
@@ -450,64 +472,38 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                 got: snapshot.version,
             });
         }
-        if let Some(clock) = snapshot.clock {
-            let Some(target) = shared.clock() else {
-                return Err(ServeError::Snapshot(
-                    "snapshot carries a simulated clock but the engine has none".into(),
-                ));
-            };
+        if snapshot.clock.is_some() && shared.clock().is_none() {
+            return Err(ServeError::Snapshot(
+                "snapshot carries a simulated clock but the engine has none".into(),
+            ));
+        }
+        if snapshot.cache.is_some() && shared.cache().is_none() {
+            return Err(ServeError::Snapshot(
+                "snapshot carries cache contents but the engine has no cache".into(),
+            ));
+        }
+        let feeders = snapshot
+            .tenants
+            .iter()
+            .map(|t| EventFeeder::restore_with_shared(&t.feeder, &shared))
+            .collect::<Result<Vec<_>, _>>()?;
+
+        if let (Some(clock), Some(target)) = (snapshot.clock, shared.clock()) {
             target.restore(clock);
         }
-        if let Some(cache) = &snapshot.cache {
-            let Some(target) = shared.cache() else {
-                return Err(ServeError::Snapshot(
-                    "snapshot carries cache contents but the engine has no cache".into(),
-                ));
-            };
-            // The captured image shares the crashed service's trace sink;
-            // swap in this engine's before installing it.
+        if let (Some(cache), Some(target)) = (&snapshot.cache, shared.cache()) {
             let mut cache = cache.clone();
             cache.attach_trace(shared.trace().clone());
             target.restore_cache(cache);
         }
         shared.restore_namespace_watermark(snapshot.namespace_watermark);
-        let mut tenants = BTreeMap::new();
-        let mut names = BTreeMap::new();
-        for t in &snapshot.tenants {
-            let feeder = EventFeeder::restore_with_shared(&t.feeder, &shared)?;
-            let track = shared
-                .trace()
-                .with(|tr| tr.track(&format!("tenant:{}", t.name)));
-            names.insert(t.name.clone(), t.id);
-            tenants.insert(
-                t.id,
-                TenantEntry {
-                    name: t.name.clone(),
-                    gate: AdmissionGate::restore(&t.spec, &t.gate),
-                    breaker: t.breaker.map(|state| {
-                        CircuitBreaker::restore(t.spec.breaker.clone().unwrap_or_default(), state)
-                    }),
-                    dispatch_seq: t.dispatch_seq,
-                    feeder,
-                    stats: t.stats,
-                    track,
-                    spec: t.spec.clone(),
-                },
-            );
+        let mut service = Self::new(shared);
+        service.state = snapshot.service.clone();
+        for (t, feeder) in snapshot.tenants.iter().zip(feeders) {
+            service.attach(t.id, feeder, t.state.clone());
         }
-        shared.trace().with(|t| t.add("serve.restored", 1));
-        Ok(ServiceRuntime {
-            shared,
-            tenants,
-            names,
-            next_id: snapshot.next_id,
-            stats: snapshot.stats,
-            overload: snapshot.overload.as_ref().map(|o| OverloadState {
-                config: o.config.clone(),
-                gauge: SlidingWindowCounter::restore(&o.gauge),
-                last_arrival: o.last_arrival,
-            }),
-        })
+        service.shared.trace().with(|t| t.add("serve.restored", 1));
+        Ok(service)
     }
 
     /// Point-in-time view of a tenant's window: output, watermark, and
@@ -535,7 +531,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
     pub fn tenants(&self) -> Vec<(TenantId, &str)> {
         self.tenants
             .iter()
-            .map(|(id, e)| (*id, e.name.as_str()))
+            .map(|(id, e)| (*id, e.state.spec.name.as_str()))
             .collect()
     }
 
@@ -543,13 +539,13 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
     pub fn tenant_stats(&self, id: TenantId) -> Result<&TenantStats, ServeError> {
         self.tenants
             .get(&id)
-            .map(|e| &e.stats)
+            .map(|e| &e.state.stats)
             .ok_or(ServeError::UnknownTenant(id.0))
     }
 
     /// The service-wide roll-up (includes deregistered tenants).
     pub fn serve_stats(&self) -> &ServeStats {
-        &self.stats
+        &self.state.stats
     }
 
     /// The health endpoint: one line per tenant, in id order. A tenant is
@@ -560,10 +556,10 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             out,
             "service tenants={} requests={} runs={}",
             self.tenants.len(),
-            self.stats.requests,
-            self.stats.runs
+            self.state.stats.requests,
+            self.state.stats.runs
         );
-        if let Some(o) = &self.overload {
+        if let Some(o) = &self.state.overload {
             let estimate = o.gauge.count(o.last_arrival);
             let _ = write!(
                 out,
@@ -586,13 +582,13 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             let _ = write!(
                 out,
                 "ok tenant={} id={} watermark={} window_epochs={} buffered={}",
-                entry.name,
+                entry.state.spec.name,
                 id,
                 watermark,
                 entry.feeder.window_epochs().len(),
                 entry.feeder.buffered_records()
             );
-            if let Some(breaker) = &entry.breaker {
+            if let Some(breaker) = &entry.state.breaker {
                 let _ = write!(out, " breaker={}", breaker.describe());
             }
             out.push('\n');
@@ -606,7 +602,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
     /// reruns and worker-thread counts.
     pub fn metrics(&self) -> String {
         let mut out = String::new();
-        let s = &self.stats;
+        let s = &self.state.stats;
         let _ = writeln!(out, "# slider-serve metrics");
         let _ = writeln!(
             out,
@@ -638,7 +634,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             "records admitted={} rejected={}",
             s.records_admitted, s.records_rejected
         );
-        if let Some(o) = &self.overload {
+        if let Some(o) = &self.state.overload {
             let _ = writeln!(
                 out,
                 "overload limit={} window={} estimate={} last_arrival={}",
@@ -654,7 +650,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             s.runs, s.work_foreground, s.work_grand
         );
         for (id, entry) in &self.tenants {
-            let t = &entry.stats;
+            let t = &entry.state.stats;
             let _ = write!(
                 out,
                 "tenant id={} name={} requests={} admitted={} rate_limited={} \
@@ -662,7 +658,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                  deadline_exceeded={} dispatch_failures={} records={} runs={} \
                  work_fg={} work_grand={} footprint={}",
                 id,
-                entry.name,
+                entry.state.spec.name,
                 t.requests,
                 t.admitted,
                 t.rate_limited,
@@ -678,7 +674,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                 t.work_grand,
                 t.memo_footprint_bytes
             );
-            if let Some(breaker) = &entry.breaker {
+            if let Some(breaker) = &entry.state.breaker {
                 let _ = write!(out, " breaker={}", breaker.describe());
             }
             out.push('\n');
@@ -719,7 +715,7 @@ mod tests {
     use super::*;
     use crate::breaker::{BreakerConfig, DispatchFaultPlan};
     use crate::tenant::RateLimit;
-    use slider_mapreduce::{EventTimeConfig, ExecMode};
+    use slider_mapreduce::{EventTimeConfig, ExecMode, SimulationConfig};
 
     /// Tiny word-count app so the service tests need no other crate.
     #[derive(Clone, Default)]
@@ -1144,6 +1140,127 @@ mod tests {
             ServiceRuntime::<Count>::restore(EngineShared::builder().build(), &snap),
             Err(ServeError::Snapshot(_))
         ));
+    }
+
+    #[test]
+    fn a_failed_restore_leaves_the_target_engine_untouched() {
+        let shared = EngineShared::builder()
+            .cache(slider_dcache::CacheConfig::paper_defaults(2))
+            .clock()
+            .build();
+        let mut service = ServiceRuntime::new(shared);
+        let id = service
+            .register(
+                Count,
+                spec("alpha").with_simulation(SimulationConfig::paper_defaults()),
+            )
+            .unwrap();
+        service
+            .ingest(id, 0, vec![stamped(0, 0, "a b"), stamped(25, 1, "c")])
+            .unwrap();
+        let snap = service.snapshot();
+        assert!(service.shared().clock().unwrap().advances() > 0);
+
+        // The target has a clock but no cache: the restore must fail
+        // before it writes anything.
+        let target = EngineShared::builder().clock().build();
+        assert!(matches!(
+            ServiceRuntime::restore(target.clone(), &snap),
+            Err(ServeError::Snapshot(_))
+        ));
+        let clock = target.clock().unwrap();
+        assert_eq!((clock.seconds(), clock.advances()), (0.0, 0));
+        assert_eq!(target.namespace_watermark(), 1);
+    }
+
+    #[test]
+    fn a_restored_service_is_detached_from_its_source_engine() {
+        let engine = || {
+            let trace = slider_trace::TraceSink::enabled();
+            let shared = EngineShared::builder()
+                .cache(slider_dcache::CacheConfig::paper_defaults(2))
+                .clock()
+                .trace(trace.clone())
+                .build();
+            (shared, trace)
+        };
+        let build = |shared: EngineShared| {
+            let mut service = ServiceRuntime::new(shared)
+                .with_overload(OverloadConfig::new(1_000, 100))
+                .unwrap();
+            let sim = SimulationConfig::paper_defaults();
+            let a = service
+                .register(Count, spec("alpha").with_simulation(sim.clone()))
+                .unwrap();
+            let b = service
+                .register(
+                    Count,
+                    spec("bravo")
+                        .with_simulation(sim)
+                        .with_rate_limit(RateLimit::new(8, 1_000)),
+                )
+                .unwrap();
+            (service, a, b)
+        };
+        let serve = |service: &mut ServiceRuntime<Count>, ids: [TenantId; 2], steps| {
+            for i in steps {
+                let recs = vec![
+                    stamped(i * 12, i * 2, "a b"),
+                    stamped(i * 12 + 6, i * 2 + 1, "c"),
+                ];
+                service.ingest(ids[0], i, recs).unwrap();
+                service
+                    .ingest(ids[1], i, vec![stamped(i * 9, 100 + i, "d e f")])
+                    .unwrap();
+            }
+        };
+
+        // The twin serves prefix and suffix without a crash.
+        let (mut twin, a, b) = build(engine().0);
+        serve(&mut twin, [a, b], 0..4u64);
+        serve(&mut twin, [a, b], 4..8u64);
+
+        // Engine A serves the prefix, is captured, then serves traffic the
+        // capture must not see.
+        let (engine_a, trace_a) = engine();
+        let (mut source, _, _) = build(engine_a.clone());
+        serve(&mut source, [a, b], 0..4u64);
+        let snap = source.snapshot();
+        serve(&mut source, [a, b], 10..13u64);
+        let cache_a = engine_a.cache().unwrap();
+        let clock_a = engine_a.clock().unwrap();
+        let before = trace_a.snapshot().unwrap();
+        let cache_before = cache_a.stats();
+        let clock_before = (clock_a.seconds(), clock_a.advances());
+
+        // Engine B resumes from the capture and serves the suffix.
+        let (engine_b, trace_b) = engine();
+        let mut restored = ServiceRuntime::restore(engine_b, &snap).unwrap();
+        serve(&mut restored, [a, b], 4..8u64);
+
+        for id in [a, b] {
+            assert_eq!(
+                restored.query(id).unwrap().output,
+                twin.query(id).unwrap().output
+            );
+            assert_eq!(
+                restored.tenant_stats(id).unwrap(),
+                twin.tenant_stats(id).unwrap()
+            );
+        }
+        assert_eq!(restored.serve_stats(), twin.serve_stats());
+        assert_eq!(restored.metrics(), twin.metrics());
+        assert_eq!(restored.snapshot().describe(), twin.snapshot().describe());
+        // B traces its own traffic...
+        let b_trace = trace_b.snapshot().unwrap();
+        assert_eq!(b_trace.counter("serve.requests"), 8);
+        assert!(b_trace.counter("engine.map_tasks") > 0);
+        // Nothing B did reached engine A.
+        let after = trace_a.snapshot().unwrap();
+        assert_eq!(after.counters, before.counters);
+        assert_eq!(after.spans.len(), before.spans.len());
+        assert_eq!(cache_a.stats(), cache_before);
+        assert_eq!((clock_a.seconds(), clock_a.advances()), clock_before);
     }
 
     #[test]

@@ -2,19 +2,27 @@
 //!
 //! A [`ServiceSnapshot`] is a deep, versioned capture of everything a
 //! [`ServiceRuntime`](crate::ServiceRuntime) would need to resume after a
-//! crash as if the crash never happened:
+//! crash as if the crash never happened. Every layer keeps its mutable
+//! state in one value beside its engine handles, and a capture is a clone
+//! of each such value:
 //!
 //! * the shared engine's mutable state — the simulated clock, the
-//!   memoization cache *contents* (a full [`DistributedCache`] image),
-//!   and the cache-namespace watermark;
-//! * every live tenant — its [`TenantSpec`], the event-time feeder's
-//!   reorder buffer / late queue / window map, the job's aggregator
-//!   trees cloned *exactly* (see
-//!   [`WindowedJob::checkpoint`](slider_mapreduce::WindowedJob::checkpoint)),
-//!   the admission gate's DGIM buckets and quota ledger, the circuit
-//!   breaker's position, the dispatch sequence counter and the folded
-//!   statistics;
-//! * the service roll-up, the overload gauge, and the tenant-id counter.
+//!   memoization cache *contents* (a full [`DistributedCache`] image,
+//!   detached from the engine's trace sink), and the cache-namespace
+//!   watermark;
+//! * the service's own state — the roll-up statistics, the overload
+//!   gauge, and the tenant-id counter;
+//! * every live tenant — its service-side state (the
+//!   [`TenantSpec`](crate::TenantSpec), the admission gate's DGIM limiter
+//!   and quota ledger, the circuit breaker, the dispatch sequence counter
+//!   and the folded statistics) and a [`FeederCheckpoint`]: the
+//!   event-time feeder's reorder buffer, late queue and window map, and
+//!   the job's aggregator trees cloned *exactly* (see
+//!   [`WindowedJob::checkpoint`](slider_mapreduce::WindowedJob::checkpoint)).
+//!
+//! A restore feeds clones of these values through the same attach steps
+//! fresh construction uses, so the capture holds no handle to the crashed
+//! engine and the resumed service shares nothing with it.
 //!
 //! The restore invariant (proved by `tests/integration_resilience.rs`):
 //! crash at *any* ingest boundary, restore onto a fresh engine, replay
@@ -33,10 +41,9 @@ use slider_cluster::SimClock;
 use slider_dcache::DistributedCache;
 use slider_mapreduce::{FeederCheckpoint, MapReduceApp};
 
-use crate::admission::{GateSnapshot, OverloadConfig};
-use crate::breaker::BreakerState;
-use crate::stats::{ServeStats, TenantStats};
-use crate::tenant::{TenantId, TenantSpec};
+use crate::breaker::CircuitBreaker;
+use crate::service::{ServiceState, TenantState};
+use crate::tenant::TenantId;
 
 /// The snapshot-format version this build writes and the only version
 /// [`ServiceRuntime::restore`](crate::ServiceRuntime::restore) accepts;
@@ -45,23 +52,11 @@ use crate::tenant::{TenantId, TenantSpec};
 /// never a panic.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Captured overload-gauge state.
-pub(crate) struct OverloadSnapshot {
-    pub(crate) config: OverloadConfig,
-    pub(crate) gauge: slider_core::CounterSnapshot,
-    pub(crate) last_arrival: u64,
-}
-
 /// One live tenant's captured state.
 pub(crate) struct TenantSnapshot<A: MapReduceApp> {
     pub(crate) id: TenantId,
-    pub(crate) name: String,
-    pub(crate) spec: TenantSpec,
+    pub(crate) state: TenantState,
     pub(crate) feeder: FeederCheckpoint<A>,
-    pub(crate) gate: GateSnapshot,
-    pub(crate) breaker: Option<BreakerState>,
-    pub(crate) dispatch_seq: u64,
-    pub(crate) stats: TenantStats,
 }
 
 /// A versioned, deep checkpoint of a whole service (see the module
@@ -75,9 +70,7 @@ pub struct ServiceSnapshot<A: MapReduceApp> {
     pub(crate) clock: Option<SimClock>,
     pub(crate) cache: Option<DistributedCache>,
     pub(crate) namespace_watermark: u32,
-    pub(crate) next_id: u64,
-    pub(crate) stats: ServeStats,
-    pub(crate) overload: Option<OverloadSnapshot>,
+    pub(crate) service: ServiceState,
     pub(crate) tenants: Vec<TenantSnapshot<A>>,
 }
 
@@ -142,11 +135,11 @@ impl<A: MapReduceApp> ServiceSnapshot<A> {
             out,
             "service namespace_watermark={} next_tenant_id={} tenants={}",
             self.namespace_watermark,
-            self.next_id,
+            self.service.next_id,
             self.tenants.len()
         );
-        let _ = writeln!(out, "stats {:?}", self.stats);
-        match &self.overload {
+        let _ = writeln!(out, "stats {:?}", self.service.stats);
+        match &self.service.overload {
             Some(o) => {
                 let _ = writeln!(
                     out,
@@ -163,31 +156,30 @@ impl<A: MapReduceApp> ServiceSnapshot<A> {
             }
         }
         for t in &self.tenants {
-            let breaker = match t.breaker {
-                None => "none".to_string(),
-                Some(BreakerState::Closed { failures }) => format!("closed:{failures}"),
-                Some(BreakerState::Open { since }) => format!("open:{since}"),
-                Some(BreakerState::HalfOpen) => "half-open".to_string(),
-            };
+            let state = &t.state;
+            let breaker = state
+                .breaker
+                .as_ref()
+                .map_or_else(|| "none".to_string(), CircuitBreaker::describe);
             let _ = writeln!(
                 out,
                 "tenant id={} name={} ns={} runs={} window_splits={} buffered={} \
                  dispatch_seq={} gate_used={} breaker={}",
                 t.id,
-                t.name,
+                state.spec.name,
                 t.feeder.job().cache_namespace(),
                 t.feeder.job().run_index(),
                 t.feeder.job().window_splits(),
                 t.feeder.buffered_records(),
-                t.dispatch_seq,
-                t.gate.used,
+                state.dispatch_seq,
+                state.gate.used(),
                 breaker
             );
             let _ = writeln!(out, "tenant id={} event={:?}", t.id, t.feeder.stats());
-            if let Some(limiter) = &t.gate.limiter {
+            if let Some(limiter) = state.gate.limiter() {
                 let _ = writeln!(out, "tenant id={} limiter={limiter:?}", t.id);
             }
-            let _ = writeln!(out, "tenant id={} stats={:?}", t.id, t.stats);
+            let _ = writeln!(out, "tenant id={} stats={:?}", t.id, state.stats);
         }
         out
     }
