@@ -72,7 +72,9 @@ echo "==> join: join_feed output is byte-identical across runs and thread counts
 join_tmp="$(mktemp -d)"
 cargo run -q --release -p slider-bench --example join_feed > "$join_tmp/a.txt"
 SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example join_feed > "$join_tmp/b.txt"
+SLIDER_THREADS=4 cargo run -q --release -p slider-bench --example join_feed > "$join_tmp/c.txt"
 cmp "$join_tmp/a.txt" "$join_tmp/b.txt"
+cmp "$join_tmp/a.txt" "$join_tmp/c.txt"
 rm -rf "$join_tmp"
 
 echo "==> trace: same-seed exports are byte-identical"

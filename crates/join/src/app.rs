@@ -4,16 +4,20 @@
 //! (optionally) a weight per matched pair — nothing about windows, deltas
 //! or indexes. The operator derives everything else: each side becomes an
 //! [`IndexApp`], an ordinary [`MapReduceApp`] whose per-key output is the
-//! side's sorted in-window record list. That index is therefore maintained
-//! by the engine's own incremental machinery — contraction trees,
-//! memoization, fault recovery — with zero join-specific code below the
-//! probe layer.
+//! side's in-window records as an [`IndexSeq`], in window order. That
+//! index is therefore maintained by the engine's own incremental
+//! machinery — contraction trees, memoization, fault recovery — with zero
+//! join-specific code below the probe layer. A merge concatenates two
+//! shared sequences, so it costs what it copies or links, not the key's
+//! whole posting list.
 
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
 use slider_mapreduce::MapReduceApp;
+
+use crate::seq::IndexSeq;
 
 /// A two-input equi-join, written with no incremental logic — the same
 /// transparency contract as [`MapReduceApp`].
@@ -75,11 +79,16 @@ impl<V> IndexRecord<V> {
 }
 
 /// The per-side window index as a plain [`MapReduceApp`]: maps each
-/// stamped record under its join key, combines by sorted merge, and
-/// outputs the key's full sorted record list. Running it under a
+/// stamped record under its join key, combines by concatenation, and
+/// outputs the key's in-window records in window order — epochs oldest
+/// first; inside an epoch, the on-time records by `(time, seq)`, then each
+/// late splice's records. Running it under a
 /// [`WindowedJob`](slider_mapreduce::WindowedJob) gives the join a
 /// key-sharded, contraction-tree-maintained, dcache-memoized,
 /// fault-recoverable sliding index for free.
+///
+/// Concatenation is associative but not commutative; the side jobs run
+/// folding trees, which combine a key's leaves in window order.
 pub struct IndexApp<V, K> {
     key_fn: KeyFn<V, K>,
     record_bytes: u64,
@@ -109,54 +118,38 @@ where
 {
     type Input = IndexRecord<V>;
     type Key = K;
-    type Value = Vec<IndexRecord<V>>;
-    type Output = Vec<IndexRecord<V>>;
+    type Value = IndexSeq<V>;
+    type Output = IndexSeq<V>;
 
-    fn map(&self, input: &IndexRecord<V>, emit: &mut dyn FnMut(K, Vec<IndexRecord<V>>)) {
+    fn map(&self, input: &IndexRecord<V>, emit: &mut dyn FnMut(K, IndexSeq<V>)) {
         if let Some(key) = (self.key_fn)(&input.value) {
-            emit(key, vec![input.clone()]);
+            emit(key, IndexSeq::one(input.clone()));
         }
     }
 
-    fn combine(
-        &self,
-        _key: &K,
-        a: &Vec<IndexRecord<V>>,
-        b: &Vec<IndexRecord<V>>,
-    ) -> Vec<IndexRecord<V>> {
-        // Sorted merge on (time, seq): associative, commutative, and the
-        // result never depends on contraction-tree grouping.
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if (a[i].time, a[i].seq) <= (b[j].time, b[j].seq) {
-                out.push(a[i].clone());
-                i += 1;
-            } else {
-                out.push(b[j].clone());
-                j += 1;
-            }
-        }
-        out.extend(a[i..].iter().cloned());
-        out.extend(b[j..].iter().cloned());
-        out
+    fn combine(&self, _key: &K, a: &IndexSeq<V>, b: &IndexSeq<V>) -> IndexSeq<V> {
+        a.concat(b)
     }
 
-    fn reduce(&self, _key: &K, parts: &[&Vec<IndexRecord<V>>]) -> Vec<IndexRecord<V>> {
-        let mut out: Vec<IndexRecord<V>> = parts.iter().flat_map(|p| p.iter().cloned()).collect();
-        out.sort_by_key(|r| (r.time, r.seq));
-        out
+    fn is_commutative(&self) -> bool {
+        false
     }
 
-    fn combine_cost(&self, _key: &K, a: &Vec<IndexRecord<V>>, b: &Vec<IndexRecord<V>>) -> u64 {
-        (a.len() + b.len()) as u64
+    /// The parts in order; with one part, its root handle.
+    fn reduce(&self, _key: &K, parts: &[&IndexSeq<V>]) -> IndexSeq<V> {
+        parts
+            .iter()
+            .fold(IndexSeq::default(), |acc, part| acc.concat(part))
     }
 
-    fn reduce_cost(&self, _key: &K, parts: &[&Vec<IndexRecord<V>>]) -> u64 {
-        parts.iter().map(|p| p.len() as u64).sum::<u64>().max(1)
+    /// The records a merge copies, or 1 when it links two halves.
+    fn combine_cost(&self, _key: &K, a: &IndexSeq<V>, b: &IndexSeq<V>) -> u64 {
+        a.concat_cost(b)
     }
 
-    fn value_bytes(&self, _key: &K, v: &Vec<IndexRecord<V>>) -> u64 {
+    /// The records the value stands for, shared or not, so shuffle and
+    /// memo bytes do not depend on how much of it is shared.
+    fn value_bytes(&self, _key: &K, v: &IndexSeq<V>) -> u64 {
         8 + v.len() as u64 * self.record_bytes
     }
 
@@ -173,17 +166,23 @@ mod tests {
         IndexRecord::new(t, s, v)
     }
 
+    /// `n` records of one key, combined one at a time as map-side combine
+    /// does within a split.
+    fn chain(app: &IndexApp<u32, u32>, n: u64) -> IndexSeq<u32> {
+        (1..n).fold(IndexSeq::one(rec(0, 0, 0)), |acc, t| {
+            app.combine(&0, &acc, &IndexSeq::one(rec(t, 0, 0)))
+        })
+    }
+
     #[test]
-    fn combine_is_a_sorted_merge_and_commutative() {
+    fn combine_cost_charges_copies_and_links() {
         let app: IndexApp<u32, u32> = IndexApp::new(|v| Some(*v % 4), 24);
-        let a = vec![rec(1, 0, 8), rec(5, 0, 4)];
-        let b = vec![rec(2, 0, 0), rec(5, 1, 12)];
-        let ab = app.combine(&0, &a, &b);
-        let ba = app.combine(&0, &b, &a);
-        assert_eq!(ab, ba);
-        let times: Vec<(u64, u64)> = ab.iter().map(|r| (r.time, r.seq)).collect();
-        assert_eq!(times, [(1, 0), (2, 0), (5, 0), (5, 1)]);
-        assert_eq!(app.combine_cost(&0, &a, &b), 4);
+        let (a, b) = (IndexSeq::one(rec(1, 0, 8)), IndexSeq::one(rec(2, 0, 0)));
+        assert_eq!(app.combine_cost(&0, &a, &b), 2, "two small runs copy");
+        let long = chain(&app, 1000);
+        assert_eq!(app.combine_cost(&0, &long, &a), 1, "a long sequence links");
+        assert_eq!(app.combine_cost(&0, &a, &long), 1);
+        assert!(!app.is_commutative());
     }
 
     #[test]
@@ -196,13 +195,51 @@ mod tests {
     }
 
     #[test]
-    fn reduce_merges_parts_sorted() {
+    fn reduce_concatenates_parts_in_order() {
         let app: IndexApp<u32, u32> = IndexApp::new(|_| Some(0), 16);
-        let p1 = vec![rec(3, 0, 1)];
-        let p2 = vec![rec(1, 0, 2), rec(9, 0, 3)];
+        let p1 = IndexSeq::one(rec(3, 0, 1));
+        let p2 = app.combine(
+            &0,
+            &IndexSeq::one(rec(1, 0, 2)),
+            &IndexSeq::one(rec(9, 0, 3)),
+        );
         let out = app.reduce(&0, &[&p1, &p2]);
         let times: Vec<u64> = out.iter().map(|r| r.time).collect();
-        assert_eq!(times, [1, 3, 9]);
-        assert_eq!(app.value_bytes(&0, &out), 8 + 3 * 16);
+        assert_eq!(times, [3, 1, 9], "window order, not time order");
+        assert_eq!(app.reduce_cost(&0, &[&p1, &p2]), 2, "one unit per part");
+        assert_eq!(app.reduce(&0, &[&p2]), p2);
+    }
+
+    #[test]
+    fn value_bytes_charge_every_record_a_value_stands_for() {
+        let app: IndexApp<u32, u32> = IndexApp::new(|_| Some(0), 16);
+        let long = chain(&app, 100);
+        let head = chain(&app, 50);
+        let linked = app.combine(&0, &head, &head);
+        // The byte model of the copying index this replaces: 8 + 16 per
+        // record, however much of the value is shared.
+        assert_eq!(app.value_bytes(&0, &long), 8 + 100 * 16);
+        assert_eq!(app.value_bytes(&0, &linked), 8 + 100 * 16);
+        assert_eq!(app.value_bytes(&0, &IndexSeq::one(rec(1, 0, 0))), 8 + 16);
+    }
+
+    #[test]
+    fn a_million_record_chain_drops_on_a_small_stack() {
+        let app: IndexApp<u32, u32> = IndexApp::new(|_| Some(0), 16);
+        let long = chain(&app, 1_000_000);
+        let (count, equal) = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let copy = long.clone();
+                let walked = (long.iter().count(), long == copy);
+                drop(copy);
+                drop(long);
+                walked
+            })
+            .expect("thread spawns")
+            .join()
+            .expect("walks and drop never recurse");
+        assert_eq!(count, 1_000_000);
+        assert!(equal);
     }
 }

@@ -49,6 +49,7 @@ use slider_trace::{SpanKind, TraceSink};
 
 use crate::app::{IndexApp, IndexRecord, JoinApp};
 use crate::reference::reference_view;
+use crate::seq::IndexSeq;
 use crate::stats::{pair_hash, JoinCell, JoinStats, PairDelta};
 
 /// How the operator maintains its view on each joint advance.
@@ -154,8 +155,11 @@ impl From<JobError> for JoinError {
 /// The result of one joint advance ([`JoinedJob::poll`] and friends).
 #[derive(Debug, Clone)]
 pub struct JoinRun<K, L, R> {
-    /// Pair-level join-result deltas, in deterministic application order.
-    /// Empty in [`JoinMode::Recompute`].
+    /// Pair-level join-result deltas, in deterministic application order:
+    /// the left side's probes, then the right side's; within a side, probe
+    /// shards in shard order, a shard's delta records in feeder order, and
+    /// one delta record's pairs in the opposite index's window order (see
+    /// [`JoinedJob::left_index`]). Empty in [`JoinMode::Recompute`].
     pub deltas: Vec<PairDelta<K, L, R>>,
     /// Stats of the side-index runs this advance drove (left side's runs
     /// first, then right side's).
@@ -347,13 +351,17 @@ impl<J: JoinApp> JoinedJob<J> {
         self.stats
     }
 
-    /// The left side's key → sorted in-window record list index.
-    pub fn left_index(&self) -> &BTreeMap<J::Key, Vec<IndexRecord<J::Left>>> {
+    /// The left side's index: each key's in-window records in window
+    /// order — epochs oldest first; inside an epoch, the on-time records
+    /// by `(time, seq)`, then each late splice's records. A key's records
+    /// are those of [`left_window`](Self::left_window) under that key, in
+    /// the same order.
+    pub fn left_index(&self) -> &BTreeMap<J::Key, IndexSeq<J::Left>> {
         self.left.output()
     }
 
-    /// The right side's index.
-    pub fn right_index(&self) -> &BTreeMap<J::Key, Vec<IndexRecord<J::Right>>> {
+    /// The right side's index, ordered like [`left_index`](Self::left_index).
+    pub fn right_index(&self) -> &BTreeMap<J::Key, IndexSeq<J::Right>> {
         self.right.output()
     }
 
@@ -377,8 +385,10 @@ impl<J: JoinApp> JoinedJob<J> {
         self.right.job()
     }
 
-    /// All left records currently in-window, oldest first (from the
-    /// feeder's journal retention).
+    /// All left records currently in-window, in window order (from the
+    /// feeder's journal retention): epochs oldest first; inside an epoch,
+    /// the on-time records by `(time, seq)`, then each late splice's
+    /// records.
     pub fn left_window(&self) -> Vec<IndexRecord<J::Left>> {
         self.left
             .retained_records()
@@ -386,7 +396,7 @@ impl<J: JoinApp> JoinedJob<J> {
             .unwrap_or_default()
     }
 
-    /// All right records currently in-window, oldest first.
+    /// All right records currently in-window, in window order.
     pub fn right_window(&self) -> Vec<IndexRecord<J::Right>> {
         self.right
             .retained_records()
@@ -529,7 +539,7 @@ impl<J: JoinApp> JoinedJob<J> {
             let left_idx = self.left.output();
             let right_idx = self.right.output();
             let app = Arc::clone(&self.app);
-            type KeyShard<'a, K, V> = Vec<(&'a K, &'a Vec<IndexRecord<V>>)>;
+            type KeyShard<'a, K, V> = Vec<(&'a K, &'a IndexSeq<V>)>;
             let mut shards: Vec<KeyShard<'_, J::Key, J::Left>> =
                 (0..self.config.partitions).map(|_| Vec::new()).collect();
             for (key, recs) in left_idx {
@@ -545,7 +555,7 @@ impl<J: JoinApp> JoinedJob<J> {
                     };
                     let mut cell = JoinCell::default();
                     for l in lrecs.iter() {
-                        for r in rrecs {
+                        for r in rrecs.iter() {
                             work += 1;
                             cell.add(
                                 app.pair_weight(key, &l.value, &r.value),
@@ -654,12 +664,13 @@ fn collect_deltas<K, V>(
 /// Probes `deltas` against the opposite side's index, sharded by
 /// `partition_of(key)`. Each probe costs one index lookup plus one unit
 /// per pair touched. Returns per-shard `(matches, work)` in shard order;
-/// matches preserve delta order within a shard.
+/// matches preserve delta order within a shard, and one delta's matches
+/// follow the opposite index's window order.
 fn probe_deltas<K, VD, VO>(
     runtime: &Runtime,
     partitions: usize,
     deltas: &[Delta<K, VD>],
-    opposite: &BTreeMap<K, Vec<IndexRecord<VO>>>,
+    opposite: &BTreeMap<K, IndexSeq<VO>>,
 ) -> ShardMatches<K, VD, VO>
 where
     K: Clone + Ord + Hash + Send + Sync,
@@ -675,10 +686,15 @@ where
         let mut work = 0u64;
         for delta in shard {
             let (key, rec, added) = (&delta.0, &delta.1, delta.2);
-            let entry = opposite.get(key).map(Vec::as_slice).unwrap_or(&[]);
-            work += 1 + entry.len() as u64;
-            for other in entry {
-                matches.push((key.clone(), rec.clone(), other.clone(), added));
+            work += 1;
+            let Some(entry) = opposite.get(key) else {
+                continue;
+            };
+            work += entry.len() as u64;
+            for run in entry.runs() {
+                for other in run {
+                    matches.push((key.clone(), rec.clone(), other.clone(), added));
+                }
             }
         }
         (matches, work)

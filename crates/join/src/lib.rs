@@ -6,7 +6,10 @@
 //! [`IndexApp`] — an ordinary `MapReduceApp` run as a `WindowedJob` on the
 //! shared engine — so the indexes inherit the engine's contraction trees,
 //! dcache memoization (one namespace per side), and fault recovery with
-//! no join-specific plumbing. Above the indexes, the operator maintains a
+//! no join-specific plumbing. A key's index is an [`IndexSeq`]: its
+//! in-window records in window order, in runs shared between the tree
+//! levels, so a merge costs the records it copies or one link, never the
+//! key's whole posting list. Above the indexes, the operator maintains a
 //! materialized per-key view ([`JoinCell`]) and updates it on each joint
 //! advance by probing only the records that *entered or left* a window
 //! against the opposite index — never by recomputing the cross product.
@@ -30,9 +33,11 @@
 mod app;
 mod job;
 mod reference;
+mod seq;
 mod stats;
 
 pub use app::{IndexApp, IndexRecord, JoinApp};
 pub use job::{JoinConfig, JoinError, JoinMode, JoinRun, JoinRunOf, JoinedJob};
 pub use reference::reference_view;
+pub use seq::IndexSeq;
 pub use stats::{pair_hash, JoinCell, JoinStats, PairDelta};

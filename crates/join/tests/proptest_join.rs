@@ -1,13 +1,16 @@
 //! Property tests: on arbitrary two-sided streams — arbitrary gaps, keys,
-//! values, window widths, slide cadences, partition counts — the
-//! incrementally maintained join view equals the brute-force cross
-//! product after every poll, and its recompute twin lands on the same
-//! final view.
+//! values, window widths, slide cadences, partition counts, and
+//! stragglers past the lateness bound — the incrementally maintained join
+//! view equals the brute-force cross product after every poll, each
+//! side's index lists every key's window records in window order, and the
+//! recompute twin lands on the same final view.
+
+use std::collections::BTreeMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use slider_join::{JoinApp, JoinConfig, JoinMode, JoinedJob};
+use slider_join::{IndexRecord, IndexSeq, JoinApp, JoinConfig, JoinMode, JoinedJob};
 use slider_mapreduce::{EngineShared, EventTimeConfig, Stamped};
 
 /// Left records are `(key, payload)`, right records are bare u32s keyed
@@ -46,10 +49,15 @@ struct Plan {
     lateness: u64,
     partitions: usize,
     poll_every: usize,
-    /// (time-gap, key-ish, payload) triples; payload 3 ⇒ unjoinable.
-    left: Vec<(u64, u32, u8)>,
-    right: Vec<(u64, u32, u8)>,
+    /// (time-gap, key-ish, payload, lag) per record; payload 3 ⇒
+    /// unjoinable, lag below [`LATE_LAGS`] ⇒ a straggler (see [`arrivals`]).
+    left: Vec<(u64, u32, u8, u64)>,
+    right: Vec<(u64, u32, u8, u64)>,
 }
+
+/// Lags `0..LATE_LAGS` of the `0..12` drawn make a quarter of the records
+/// stragglers.
+const LATE_LAGS: u64 = 3;
 
 fn plan() -> impl Strategy<Value = Plan> {
     (
@@ -59,8 +67,8 @@ fn plan() -> impl Strategy<Value = Plan> {
         0u64..6,
         1usize..5,
         1usize..6,
-        vec((0u64..4, 0u32..40, 0u8..8), 0..60),
-        vec((0u64..4, 0u32..40, 0u8..8), 0..60),
+        vec((0u64..4, 0u32..40, 0u8..8, 0u64..12), 0..60),
+        vec((0u64..4, 0u32..40, 0u8..8, 0u64..12), 0..60),
     )
         .prop_map(
             |(keys, epoch_len, window_epochs, lateness, partitions, poll_every, left, right)| {
@@ -78,15 +86,33 @@ fn plan() -> impl Strategy<Value = Plan> {
         )
 }
 
-fn stamp<R>(gaps: &[(u64, u32, u8)], make: impl Fn(u32, u8) -> R) -> Vec<Stamped<R>> {
+/// Stamps records with event times that never decrease, then orders them
+/// by arrival. A straggler arrives `1 + lag % window_epochs` epochs past
+/// the lateness bound — at most a window — so once its epoch has closed it
+/// splices into the window's interior, behind on-time records of its
+/// epoch that it may precede in `(time, seq)`.
+fn arrivals<R>(
+    plan: &Plan,
+    records: &[(u64, u32, u8, u64)],
+    make: impl Fn(u32, u8) -> R,
+) -> Vec<Stamped<R>> {
+    let window_epochs = plan.window_epochs as u64;
     let mut time = 0u64;
-    gaps.iter()
+    let mut stamped: Vec<(u64, Stamped<R>)> = records
+        .iter()
         .enumerate()
-        .map(|(i, &(gap, k, p))| {
+        .map(|(i, &(gap, k, p, lag))| {
             time += gap;
-            Stamped::new(time, i as u64, make(k, p))
+            let delay = if lag < LATE_LAGS {
+                plan.lateness + plan.epoch_len * (1 + lag % window_epochs)
+            } else {
+                0
+            };
+            (time + delay, Stamped::new(time, i as u64, make(k, p)))
         })
-        .collect()
+        .collect();
+    stamped.sort_by_key(|(arrival, s)| (*arrival, s.seq));
+    stamped.into_iter().map(|(_, s)| s).collect()
 }
 
 fn run(plan: &Plan, mode: JoinMode) -> (String, String) {
@@ -103,10 +129,14 @@ fn run(plan: &Plan, mode: JoinMode) -> (String, String) {
         .with_mode(mode);
     let mut job = JoinedJob::new(app, config, &shared).expect("job builds");
 
-    let left = stamp(&plan.left, |k, p| {
+    let left = arrivals(plan, &plan.left, |k, p| {
         (k, if p == 3 { UNJOINABLE } else { u32::from(p) })
     });
-    let right = stamp(&plan.right, |k, p| if p == 3 { UNJOINABLE } else { k });
+    let right = arrivals(
+        plan,
+        &plan.right,
+        |k, p| if p == 3 { UNJOINABLE } else { k },
+    );
 
     let (mut li, mut ri) = (0usize, 0usize);
     while li < left.len() || ri < right.len() {
@@ -118,9 +148,11 @@ fn run(plan: &Plan, mode: JoinMode) -> (String, String) {
         ri = rend;
         job.poll().expect("poll");
         prop_assert_eq_views(&job);
+        assert_indexes_in_window_order(&app, &job);
     }
     job.close_all().expect("close_all");
     prop_assert_eq_views(&job);
+    assert_indexes_in_window_order(&app, &job);
     (format!("{:?}", job.view()), format!("{:?}", job.stats()))
 }
 
@@ -130,6 +162,44 @@ fn prop_assert_eq_views(job: &JoinedJob<PropJoin>) {
         job.view(),
         &job.reference_view(),
         "incremental view diverged from the brute-force cross product"
+    );
+}
+
+/// Each key's records of `window`, in window order.
+fn window_by_key<V: Clone>(
+    window: Vec<IndexRecord<V>>,
+    key: impl Fn(&V) -> Option<u32>,
+) -> BTreeMap<u32, Vec<IndexRecord<V>>> {
+    let mut by_key: BTreeMap<u32, Vec<IndexRecord<V>>> = BTreeMap::new();
+    for record in window {
+        if let Some(k) = key(&record.value) {
+            by_key.entry(k).or_default().push(record);
+        }
+    }
+    by_key
+}
+
+fn index_by_key<V: Clone>(
+    index: &BTreeMap<u32, IndexSeq<V>>,
+) -> BTreeMap<u32, Vec<IndexRecord<V>>> {
+    index
+        .iter()
+        .map(|(k, seq)| (*k, seq.iter().cloned().collect()))
+        .collect()
+}
+
+/// Each side's index holds exactly each key's window records, in window
+/// order: the order the probes pair them in.
+fn assert_indexes_in_window_order(app: &PropJoin, job: &JoinedJob<PropJoin>) {
+    assert_eq!(
+        index_by_key(job.left_index()),
+        window_by_key(job.left_window(), |v| app.left_key(v)),
+        "left index out of window order"
+    );
+    assert_eq!(
+        index_by_key(job.right_index()),
+        window_by_key(job.right_window(), |v| app.right_key(v)),
+        "right index out of window order"
     );
 }
 

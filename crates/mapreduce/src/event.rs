@@ -329,8 +329,11 @@ impl<A: MapReduceApp> EventFeeder<A> {
             .unwrap_or_default()
     }
 
-    /// Every record currently inside the window, oldest epoch first and
-    /// sorted within each epoch. `None` when the journal is disabled.
+    /// Every record currently inside the window, in window order: epochs
+    /// oldest first; inside an epoch, the records it closed with, sorted
+    /// by `(time, seq)`, then each late splice's records in splice order.
+    /// A late record thus follows its epoch's on-time records even when
+    /// its stamp precedes theirs. `None` when the journal is disabled.
     pub fn retained_records(&self) -> Option<Vec<&Stamped<A::Input>>> {
         self.state
             .journal
@@ -536,7 +539,9 @@ impl<A: MapReduceApp> EventFeeder<A> {
     /// epoch's split range, sorted by `(time, seq)` — for commutative
     /// combiners (every contraction-tree mode but the strawman's
     /// non-commutative uses) this reproduces the output of the stream that
-    /// never lost them.
+    /// never lost them. A non-commutative combiner, such as slider-join's
+    /// side index, sees them after the epoch's on-time records: window
+    /// order, as [`EventFeeder::retained_records`] lists them.
     fn apply_late(&mut self, runs: &mut Vec<RunStats>) -> Result<(), JobError> {
         // Ask first, so late records the job's mode cannot splice stay
         // queued.
@@ -1030,7 +1035,24 @@ mod tests {
             [FeedEvent::LateSplice { epoch: 0, records }] if records[0].record == "z"
         ));
 
-        // Closing epoch 3 evicts epoch 0 — including the spliced record.
+        // A second straggler, stamped before epoch 0's on-time "a", joins
+        // the epoch behind both earlier records: window order, not stamp
+        // order.
+        f.ingest([stamped(1, 6, "y")]);
+        f.flush().unwrap();
+        assert!(matches!(
+            &f.take_events()[..],
+            [FeedEvent::LateSplice { epoch: 0, records }] if records[0].record == "y"
+        ));
+        let retained: Vec<String> = f
+            .retained_records()
+            .unwrap()
+            .iter()
+            .map(|s| s.record.clone())
+            .collect();
+        assert_eq!(retained, ["a", "z", "y", "b", "c"]);
+
+        // Closing epoch 3 evicts epoch 0 — including the spliced records.
         f.ingest([stamped(47, 5, "e")]);
         f.flush().unwrap();
         let events = f.take_events();
@@ -1042,7 +1064,11 @@ mod tests {
                 ..
             }] => {
                 let got: Vec<&str> = evicted.iter().map(|s| s.record.as_str()).collect();
-                assert_eq!(got, ["a", "z"], "late splice ages out with its epoch");
+                assert_eq!(
+                    got,
+                    ["a", "z", "y"],
+                    "late splices age out with their epoch"
+                );
             }
             other => panic!("unexpected events: {other:?}"),
         }
