@@ -9,6 +9,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+# perfbench/ is its own Cargo workspace, so the two gates above skip it.
+echo "==> perfbench: cargo fmt --check and cargo clippy -D warnings"
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+
 echo "==> rustdoc: no broken or private intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -59,6 +59,8 @@ pub struct ChangeMeasurement {
     pub stats: RunStats,
     /// Statistics of the initial run that preceded the update.
     pub initial: RunStats,
+    /// Splits in the window before and after the update.
+    pub window_splits: (usize, usize),
 }
 
 /// Results for one app across the three window kinds.
@@ -118,6 +120,7 @@ pub fn run_slide_with<A: MapReduceApp + Clone>(
     let config = finish(config);
     let mut job = WindowedJob::new(spec.app.clone(), config).expect("valid config");
     let initial = job.initial_run(spec.initial.clone()).expect("initial run");
+    let splits_before = job.window_splits();
 
     let added: Vec<_> = spec.extra[..delta].to_vec();
     let remove = match kind {
@@ -125,6 +128,7 @@ pub fn run_slide_with<A: MapReduceApp + Clone>(
         WindowKind::Fixed | WindowKind::Variable => delta,
     };
     let stats = job.advance(remove, added).expect("slide");
+    let window_splits = (splits_before, job.window_splits());
 
     ChangeMeasurement {
         work: stats.work.foreground_total(),
@@ -133,6 +137,7 @@ pub fn run_slide_with<A: MapReduceApp + Clone>(
         background_time: stats.background_seconds(),
         stats,
         initial,
+        window_splits,
     }
 }
 
@@ -238,10 +243,9 @@ mod tests {
             10,
             SchedulerPolicy::hybrid_default(),
         );
-        assert_eq!(
-            m.stats.keys_reduced + m.stats.keys_reused,
-            m.stats.keys_reduced + m.stats.keys_reused
-        );
+        let (before, after) = m.window_splits;
+        assert!(before > 0, "the initial window holds splits");
+        assert_eq!(before, after, "a fixed-width slide keeps the split count");
         assert!(m.work > 0);
     }
 }

@@ -21,11 +21,12 @@
 //! | [`CoalescingTree`] | §4.2 | append-only, with split processing |
 //!
 //! [`StrawmanTree`] and [`RandomizedFoldingTree`] are one memoized
-//! re-pairing tree: every run re-contracts the whole leaf sequence and
-//! reuses each group whose identity an earlier run memoized. The strawman
-//! pairs a level by position, so its identities shift when the window
-//! slides; the randomized tree closes groups on coin flips keyed by node
-//! identity, so only the groups at the edges change.
+//! re-pairing tree: it keeps its levels between edits, re-cuts each level
+//! only around the change, and reuses each group whose identity the
+//! previous tree held. The strawman pairs a level by position, so its
+//! identities shift when the window slides; the randomized tree closes
+//! groups on coin flips keyed by node identity, so only the groups at the
+//! edges change.
 //!
 //! ## Constant-time aggregators
 //!
@@ -101,6 +102,8 @@ pub use dgim::SlidingWindowCounter;
 pub use error::TreeError;
 pub use folding::FoldingTree;
 pub use hash::{hash_one, hash_pair, StableHasher};
+#[cfg(feature = "oracle")]
+pub use memo::reference::RecontractingTree;
 pub use randomized::RandomizedFoldingTree;
 pub use rotating::RotatingTree;
 pub use stats::{Phase, PhaseWork, UpdateStats};

@@ -12,10 +12,12 @@
 //! cache, giving expected `O(delta + log window)` fresh combiner work.
 //! Interior splices likewise only perturb the groups straddling them.
 //!
-//! The re-contraction and memoization live in the shared `MemoTree` (see
-//! the `memo` module); this module only supplies the coin-flip grouping.
-
-use std::sync::Arc;
+//! The shared `MemoTree` (see the `memo` module) keeps every level between
+//! edits and re-cuts a level only from the group holding a change to the
+//! first boundary after it where the old groups resume, so a slide visits
+//! O(1) expected groups per level as well: the groups it leaves alone are
+//! neither re-cut nor probed. This module only supplies the coin-flip
+//! grouping.
 
 use crate::hash::hash_pair;
 use crate::memo::{memo_tree, Grouping, MemoTree};
@@ -24,8 +26,8 @@ use crate::tree::TreeKind;
 /// Closes a group on a coin flip per (seed, node, level); a group's
 /// identity hashes its members' identities.
 #[derive(Clone, Copy)]
-struct CoinFlip {
-    seed: u64,
+pub(crate) struct CoinFlip {
+    pub(crate) seed: u64,
 }
 
 impl Grouping for CoinFlip {
@@ -33,15 +35,17 @@ impl Grouping for CoinFlip {
         self.seed
     }
 
+    fn by_position(self) -> bool {
+        false
+    }
+
     /// True with probability ½, deterministic per (seed, id, level).
-    fn closes(self, id: u64, level: u64, _members: usize) -> bool {
+    fn closes(self, id: u64, level: u64) -> bool {
         hash_pair(hash_pair(self.seed, id), level) & 1 == 0
     }
 
-    fn group_id<V>(self, _position: u64, group: &[(u64, Arc<V>)]) -> u64 {
-        group
-            .iter()
-            .fold(0xfeed_5eed, |acc, (id, _)| hash_pair(acc, *id))
+    fn group_id(self, _position: u64, ids: impl Iterator<Item = u64>) -> u64 {
+        ids.fold(0xfeed_5eed, hash_pair)
     }
 }
 
@@ -70,6 +74,8 @@ impl<V> RandomizedFoldingTree<V> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::combiner::FnCombiner;
     use crate::stats::UpdateStats;

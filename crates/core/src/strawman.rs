@@ -1,12 +1,13 @@
 //! The strawman contraction tree (paper §2.2): a position-paired binary
 //! combiner tree with memoization as the *only* reuse mechanism.
 //!
-//! On every run the tree is re-paired from the current leaf sequence; a
-//! node is reused only when the exact (left, right) identity pair was
-//! memoized by an earlier run. Because a sliding window removes leaves from
-//! the *front*, the pairing alignment of every subsequent leaf shifts and
-//! most identities change — so the strawman performs work linear in the
-//! window for front-removals, which is precisely the limitation (§2.1) that
+//! A pair's identity is its position plus its children's identities, and a
+//! node is reused only when that exact identity was memoized by an earlier
+//! run. Because a sliding window removes leaves from the *front*, the
+//! pairing alignment of every subsequent leaf shifts and every identity
+//! after the change is renamed — so the strawman re-pairs each level from
+//! the change to its end and performs work linear in the window for
+//! front-removals, which is precisely the limitation (§2.1) that
 //! motivates the self-adjusting trees. It remains efficient for pure
 //! appends that preserve alignment and for in-place leaf changes under
 //! caller-derived identities ([`StrawmanTree::set_leaves`]), which is why
@@ -25,24 +26,26 @@ use crate::tree::{TreeCx, TreeKind};
 /// Pairs each level by position; a pair's identity is its position in the
 /// level plus its children's identities.
 #[derive(Clone, Copy)]
-struct ByPosition;
+pub(crate) struct ByPosition;
 
 impl Grouping for ByPosition {
     fn leaf_salt(self) -> u64 {
         0x5eed_5eed_5eed_5eed
     }
 
-    fn closes(self, _id: u64, _level: u64, members: usize) -> bool {
-        members == 2
+    fn by_position(self) -> bool {
+        true
     }
 
-    fn group_id<V>(self, position: u64, group: &[(u64, Arc<V>)]) -> u64 {
+    fn group_id(self, position: u64, mut ids: impl Iterator<Item = u64>) -> u64 {
         // Memoization is at *task* granularity: a sub-computation's
         // identity is its position in the dataflow DAG plus its input
         // lineage. A window slide that shifts leaf positions therefore
         // precludes reuse — the §2.1 limitation that motivates the
         // self-adjusting trees.
-        hash_pair(position, hash_pair(group[0].0, group[1].0))
+        let mut next = || ids.next().expect("a pair has two members");
+        let left = next();
+        hash_pair(position, hash_pair(left, next()))
     }
 }
 

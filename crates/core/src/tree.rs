@@ -242,6 +242,13 @@ impl<'a, K, V> TreeCx<'a, K, V> {
         self.stats.bytes_read += self.combiner.value_bytes(self.key, v);
     }
 
+    /// Records `count` memoized aggregates reused without being visited,
+    /// `bytes` their modeled sizes in total.
+    pub fn reuse_many(&mut self, count: u64, bytes: u64) {
+        self.stats.reused += count;
+        self.stats.bytes_read += bytes;
+    }
+
     /// Records `n` appended leaves.
     pub fn note_added(&mut self, n: u64) {
         self.stats.leaves_added += n;

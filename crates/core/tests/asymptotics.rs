@@ -5,9 +5,10 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use slider_core::{build_tree, FnCombiner, TreeCx, TreeKind, UpdateStats};
+use slider_core::{build_tree, Combiner, FnCombiner, TreeCx, TreeKind, UpdateStats};
 
 fn leaves(range: std::ops::Range<u64>) -> Vec<Option<Arc<u64>>> {
     range.map(|v| Some(Arc::new(v))).collect()
@@ -63,6 +64,62 @@ fn randomized_tree_slides_scale_logarithmically() {
     assert!(
         large < 3.0 * small,
         "randomized: {small} at 256 vs {large} at 4096 — expected O(log) growth"
+    );
+}
+
+/// A sum that counts how often a tree asks it for a cost or a size.
+#[derive(Default)]
+struct CountingSum {
+    calls: AtomicU64,
+}
+
+impl Combiner<u8, u64> for CountingSum {
+    fn combine(&self, _key: &u8, a: &u64, b: &u64) -> u64 {
+        a.wrapping_add(*b)
+    }
+
+    fn cost(&self, _key: &u8, _a: &u64, _b: &u64) -> u64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        1
+    }
+
+    fn value_bytes(&self, _key: &u8, _v: &u64) -> u64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        16
+    }
+}
+
+/// Average `cost` and `value_bytes` calls per single-leaf slide of the
+/// randomized tree at window size `n`.
+fn randomized_combiner_calls_per_slide(n: u64) -> f64 {
+    let combiner = CountingSum::default();
+    let key = 0u8;
+    let mut tree = build_tree::<u8, u64>(TreeKind::RandomizedFolding, 0);
+    let mut stats = UpdateStats::default();
+    let mut cx = TreeCx::new(&combiner, &key, &mut stats);
+    tree.rebuild(&mut cx, leaves(0..n));
+
+    let rounds = 32u64;
+    let before = combiner.calls.load(Ordering::Relaxed);
+    for i in 0..rounds {
+        let mut stats = UpdateStats::default();
+        let mut cx = TreeCx::new(&combiner, &key, &mut stats);
+        tree.advance(&mut cx, 1, leaves(n + i..n + i + 1)).unwrap();
+    }
+    (combiner.calls.load(Ordering::Relaxed) - before) as f64 / rounds as f64
+}
+
+#[test]
+fn randomized_tree_slides_touch_logarithmically_many_nodes() {
+    // Merge counts cannot see a slide that visits every memoized group
+    // without merging it; the combiner calls a visit makes can. Reuse of
+    // untouched groups must be metered from totals, not per group.
+    let small = randomized_combiner_calls_per_slide(256);
+    let large = randomized_combiner_calls_per_slide(4096);
+    assert!(
+        large < 3.0 * small,
+        "randomized: {small} combiner calls per slide at 256 vs {large} at 4096 — \
+         expected O(log) growth"
     );
 }
 

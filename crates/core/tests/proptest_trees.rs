@@ -722,3 +722,246 @@ fn twin_stack_footprints_count_shared_allocations_once() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Differential: the memo trees against their from-scratch re-contraction
+// ---------------------------------------------------------------------------
+
+/// A sum whose cost and modeled size vary with the operands, so that a
+/// metered count or byte taken from the wrong node shows.
+struct SizedSum;
+
+impl Combiner<u8, u64> for SizedSum {
+    fn combine(&self, _key: &u8, a: &u64, b: &u64) -> u64 {
+        a.wrapping_add(*b)
+    }
+
+    fn cost(&self, _key: &u8, a: &u64, b: &u64) -> u64 {
+        1 + (a ^ b) % 3
+    }
+
+    fn value_bytes(&self, _key: &u8, v: &u64) -> u64 {
+        8 + v % 17
+    }
+}
+
+/// One edit of a differential history. Positions and counts are clamped
+/// to the window when applied.
+#[derive(Debug, Clone)]
+enum MemoOp {
+    Advance {
+        remove: usize,
+        add: usize,
+    },
+    /// Slides down to `to` leaves, so the upper levels thin out and the
+    /// position-pairing valve turns on and off.
+    ShrinkTo {
+        to: usize,
+    },
+    InsertAt {
+        at: usize,
+        add: usize,
+    },
+    EvictRange {
+        at: usize,
+        count: usize,
+    },
+    Rebuild {
+        len: usize,
+    },
+    /// Strawman only: `len` caller-identified leaves whose identities are
+    /// their positions plus `offset`, except leaf `renamed`, which gets a
+    /// fresh identity.
+    SetLeaves {
+        len: usize,
+        offset: u64,
+        renamed: usize,
+    },
+}
+
+fn memo_op_strategy() -> impl Strategy<Value = MemoOp> {
+    prop_oneof![
+        (0usize..6, 0usize..6).prop_map(|(remove, add)| MemoOp::Advance { remove, add }),
+        (0usize..6, 0usize..6).prop_map(|(remove, add)| MemoOp::Advance { remove, add }),
+        (0usize..300, 0usize..80).prop_map(|(remove, add)| MemoOp::Advance { remove, add }),
+        (1usize..=8).prop_map(|to| MemoOp::ShrinkTo { to }),
+        (0usize..300, 1usize..6).prop_map(|(at, add)| MemoOp::InsertAt { at, add }),
+        (0usize..300, 0usize..12).prop_map(|(at, count)| MemoOp::EvictRange { at, count }),
+        (0usize..300).prop_map(|len| MemoOp::Rebuild { len }),
+        (0usize..300, 0u64..4, 0usize..300).prop_map(|(len, offset, renamed)| {
+            MemoOp::SetLeaves {
+                len,
+                offset,
+                renamed,
+            }
+        }),
+    ]
+}
+
+/// The tree under test: one of the two memo tree kinds.
+enum MemoUnderTest {
+    Strawman(slider_core::StrawmanTree<u64>),
+    Randomized(slider_core::RandomizedFoldingTree<u64>),
+}
+
+impl MemoUnderTest {
+    fn tree(&mut self) -> &mut dyn ContractionTree<u8, u64> {
+        match self {
+            MemoUnderTest::Strawman(tree) => tree,
+            MemoUnderTest::Randomized(tree) => tree,
+        }
+    }
+
+    /// Cached groups: every memoized allocation but the leaves.
+    fn cached_groups(&mut self) -> usize {
+        let tree = self.tree();
+        let MemoLayout::Each(held) = tree.memo_layout() else {
+            unreachable!("memo trees list each allocation");
+        };
+        held.len() - tree.len()
+    }
+}
+
+/// Drives `tree` and its re-contracting `oracle` through `ops` and checks
+/// after every op that the two agree on the outcome, root, height, every
+/// `UpdateStats` field, footprint and cache size.
+fn check_against_recontraction(
+    mut tree: MemoUnderTest,
+    mut oracle: slider_core::RecontractingTree<u64>,
+    initial: usize,
+    ops: &[MemoOp],
+) -> Result<(), TestCaseError> {
+    let combiner = SizedSum;
+    let key = 0u8;
+    let mut next = 0u64;
+    let mut values = |n: usize| -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                next += 1;
+                next.wrapping_mul(0x9e37_79b9)
+            })
+            .collect()
+    };
+    let mut renames = 1u64 << 40;
+    let ops = std::iter::once(MemoOp::Rebuild { len: initial }).chain(ops.iter().cloned());
+    for (i, op) in ops.enumerate() {
+        let len = oracle.len();
+        let (mut got, mut want) = (UpdateStats::default(), UpdateStats::default());
+        let mut cx = TreeCx::new(&combiner, &key, &mut got);
+        let mut ox = TreeCx::new(&combiner, &key, &mut want);
+        let (a, b) = match &op {
+            MemoOp::Advance { remove, add } => {
+                let added = leaves(&values(*add));
+                let remove = if *remove > 250 {
+                    *remove
+                } else {
+                    (*remove).min(len)
+                };
+                (
+                    tree.tree().advance(&mut cx, remove, added.clone()),
+                    oracle.advance(&mut ox, remove, added),
+                )
+            }
+            MemoOp::ShrinkTo { to } => {
+                let remove = len.saturating_sub(*to);
+                (
+                    tree.tree().advance(&mut cx, remove, Vec::new()),
+                    oracle.advance(&mut ox, remove, Vec::new()),
+                )
+            }
+            MemoOp::InsertAt { at, add } => {
+                let at = (*at).min(len);
+                let added: Vec<Arc<u64>> = values(*add).into_iter().map(Arc::new).collect();
+                (
+                    tree.tree().insert_at(&mut cx, at, added.clone()),
+                    oracle.insert_at(&mut ox, at, added),
+                )
+            }
+            MemoOp::EvictRange { at, count } => {
+                let at = (*at).min(len);
+                let count = (*count).min(len - at);
+                (
+                    tree.tree().evict_range(&mut cx, at, count),
+                    oracle.evict_range(&mut ox, at, count),
+                )
+            }
+            MemoOp::Rebuild { len } => {
+                let added = leaves(&values(*len));
+                tree.tree().rebuild(&mut cx, added.clone());
+                oracle.rebuild(&mut ox, added);
+                (Ok(()), Ok(()))
+            }
+            MemoOp::SetLeaves {
+                len,
+                offset,
+                renamed,
+            } => {
+                let MemoUnderTest::Strawman(straw) = &mut tree else {
+                    continue;
+                };
+                renames += 1;
+                let leaves: Vec<(u64, Arc<u64>)> = values(*len)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(j, v)| {
+                        let id = if j == *renamed {
+                            renames
+                        } else {
+                            j as u64 + offset
+                        };
+                        (id, Arc::new(v))
+                    })
+                    .collect();
+                straw.set_leaves(&mut cx, leaves.clone());
+                oracle.set_leaves(&mut ox, leaves);
+                (Ok(()), Ok(()))
+            }
+        };
+        let at = format!("op {i} ({op:?})");
+        prop_assert_eq!(a, b, "outcome after {}", at);
+        prop_assert_eq!(tree.tree().root(), oracle.root(), "root after {}", at);
+        prop_assert_eq!(tree.tree().height(), oracle.height(), "height after {}", at);
+        prop_assert_eq!(got, want, "stats after {}", at);
+        prop_assert_eq!(tree.tree().len(), oracle.len(), "len after {}", at);
+        prop_assert_eq!(
+            tree.tree().memo_bytes(),
+            oracle.memo_bytes(),
+            "footprint after {}",
+            at
+        );
+        prop_assert_eq!(
+            tree.cached_groups(),
+            oracle.cached_groups(),
+            "cache after {}",
+            at
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The strawman and the randomized tree, which keep their levels
+    /// between edits and re-cut only around each change, meter exactly what
+    /// re-contracting the whole window on every edit meters.
+    #[test]
+    fn memo_trees_match_their_recontraction(
+        seed in prop_oneof![Just(0x0ddb_a11d_5eed_u64), 0u64..6],
+        initial in 0usize..300,
+        ops in proptest::collection::vec(memo_op_strategy(), 0..24),
+    ) {
+        check_against_recontraction(
+            MemoUnderTest::Strawman(slider_core::StrawmanTree::new()),
+            slider_core::RecontractingTree::strawman(),
+            initial,
+            &ops,
+        )?;
+        check_against_recontraction(
+            MemoUnderTest::Randomized(slider_core::RandomizedFoldingTree::with_seed(seed)),
+            slider_core::RecontractingTree::randomized(seed),
+            initial,
+            &ops,
+        )?;
+    }
+}
