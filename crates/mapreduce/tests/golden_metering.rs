@@ -72,7 +72,9 @@ fn line(out: &mut String, mode: ExecMode, step: &str, s: &RunStats) {
     .unwrap();
 }
 
-fn transcript(threads: usize) -> String {
+/// Runs the script in every mode, handing `each` every run's mode, step
+/// and stats, and the job's output key count after the run.
+fn script(threads: usize, mut each: impl FnMut(ExecMode, &str, &RunStats, usize)) {
     let modes = [
         ExecMode::Recompute,
         ExecMode::Strawman,
@@ -86,7 +88,6 @@ fn transcript(threads: usize) -> String {
         ExecMode::slider_daba(),
         ExecMode::slider_daba_lite(),
     ];
-    let mut out = String::new();
     for mode in modes {
         let fixed_width = mode.tree_kind() == Some(TreeKind::Rotating);
         let append_only = mode.tree_kind() == Some(TreeKind::Coalescing);
@@ -98,25 +99,30 @@ fn transcript(threads: usize) -> String {
         let remove = if append_only { 0 } else { 2 };
 
         let s = job.initial_run(make_splits(0, corpus(0, 12), 1)).unwrap();
-        line(&mut out, mode, "initial", &s);
+        each(mode, "initial", &s, job.output().len());
         let s = job
             .advance(remove, make_splits(100, corpus(12, 2), 1))
             .unwrap();
-        line(&mut out, mode, "slide", &s);
+        each(mode, "slide", &s, job.output().len());
         if !fixed_width {
             let late = vec!["w1 late w3".to_string(), "late w6".to_string()];
             let s = job.insert_splits_at(4, make_splits(200, late, 1)).unwrap();
-            line(&mut out, mode, "insert", &s);
+            each(mode, "insert", &s, job.output().len());
         }
         if !fixed_width && !append_only {
             let s = job.evict_splits_range(3, 4).unwrap();
-            line(&mut out, mode, "evict", &s);
+            each(mode, "evict", &s, job.output().len());
         }
         let s = job
             .advance(remove, make_splits(300, corpus(20, 2), 1))
             .unwrap();
-        line(&mut out, mode, "slide", &s);
+        each(mode, "slide", &s, job.output().len());
     }
+}
+
+fn transcript(threads: usize) -> String {
+    let mut out = String::new();
+    script(threads, |mode, step, s, _| line(&mut out, mode, step, s));
     out
 }
 
@@ -128,17 +134,17 @@ recompute evict: fg 0/0 bg 0/0 reused 0 keys 8/0 read 0 footprint 0
 recompute slide: fg 0/0 bg 0/0 reused 0 keys 8/0 read 0 footprint 0
 strawman initial: fg 23/67 bg 0/0 reused 0 keys 9/0 read 0 footprint 888
 strawman slide: fg 17/47 bg 0/0 reused 7 keys 7/2 read 144 footprint 904
-strawman insert: fg 14/38 bg 0/0 reused 14 keys 4/5 read 288 footprint 1044
+strawman insert: fg 14/38 bg 0/0 reused 14 keys 4/6 read 288 footprint 1044
 strawman evict: fg 13/31 bg 0/0 reused 6 keys 6/2 read 120 footprint 728
 strawman slide: fg 17/44 bg 0/0 reused 3 keys 7/1 read 52 footprint 736
 slider-folding initial: fg 23/67 bg 0/0 reused 0 keys 9/0 read 0 footprint 888
 slider-folding slide: fg 12/38 bg 0/0 reused 13 keys 7/2 read 196 footprint 900
-slider-folding insert: fg 10/28 bg 0/0 reused 6 keys 4/5 read 92 footprint 1044
+slider-folding insert: fg 10/28 bg 0/0 reused 6 keys 4/6 read 92 footprint 1044
 slider-folding evict: fg 8/22 bg 0/0 reused 7 keys 6/2 read 104 footprint 716
 slider-folding slide: fg 11/23 bg 0/0 reused 12 keys 7/1 read 184 footprint 748
 slider-randomized initial: fg 23/72 bg 0/0 reused 0 keys 9/0 read 0 footprint 804
 slider-randomized slide: fg 18/49 bg 0/0 reused 3 keys 7/2 read 52 footprint 772
-slider-randomized insert: fg 14/39 bg 0/0 reused 1 keys 4/5 read 16 footprint 960
+slider-randomized insert: fg 14/39 bg 0/0 reused 1 keys 4/6 read 16 footprint 960
 slider-randomized evict: fg 12/32 bg 0/0 reused 3 keys 6/2 read 52 footprint 620
 slider-randomized slide: fg 17/43 bg 0/0 reused 1 keys 7/1 read 20 footprint 572
 slider-rotating initial: fg 31/93 bg 0/0 reused 46 keys 9/0 read 728 footprint 824
@@ -149,25 +155,25 @@ slider-rotating+split slide: fg 6/19 bg 27/73 reused 36 keys 7/2 read 496 footpr
 slider-rotating+split slide: fg 6/15 bg 27/64 reused 37 keys 7/2 read 520 footprint 1040
 slider-coalescing initial: fg 23/64 bg 0/0 reused 0 keys 9/0 read 0 footprint 216
 slider-coalescing slide: fg 6/19 bg 0/0 reused 0 keys 6/3 read 0 footprint 240
-slider-coalescing insert: fg 19/49 bg 0/0 reused 0 keys 4/5 read 0 footprint 268
+slider-coalescing insert: fg 19/49 bg 0/0 reused 0 keys 4/6 read 0 footprint 268
 slider-coalescing slide: fg 6/17 bg 0/0 reused 0 keys 5/5 read 0 footprint 292
 slider-coalescing+split initial: fg 23/64 bg 0/0 reused 0 keys 9/0 read 0 footprint 216
 slider-coalescing+split slide: fg 0/0 bg 6/19 reused 6 keys 6/3 read 140 footprint 240
-slider-coalescing+split insert: fg 19/49 bg 0/0 reused 0 keys 4/5 read 0 footprint 268
+slider-coalescing+split insert: fg 19/49 bg 0/0 reused 0 keys 4/6 read 0 footprint 268
 slider-coalescing+split slide: fg 1/3 bg 5/14 reused 5 keys 5/5 read 148 footprint 292
 slider-twostack initial: fg 23/64 bg 0/0 reused 0 keys 9/0 read 0 footprint 592
 slider-twostack slide: fg 21/60 bg 0/0 reused 5 keys 7/2 read 120 footprint 716
-slider-twostack insert: fg 15/41 bg 0/0 reused 0 keys 4/5 read 0 footprint 964
+slider-twostack insert: fg 15/41 bg 0/0 reused 0 keys 4/6 read 0 footprint 964
 slider-twostack evict: fg 15/40 bg 0/0 reused 0 keys 6/2 read 0 footprint 700
 slider-twostack slide: fg 10/27 bg 0/0 reused 5 keys 7/1 read 108 footprint 636
 slider-daba initial: fg 23/62 bg 0/0 reused 0 keys 9/0 read 0 footprint 544
 slider-daba slide: fg 12/34 bg 0/0 reused 1 keys 7/2 read 24 footprint 604
-slider-daba insert: fg 15/41 bg 0/0 reused 0 keys 4/5 read 0 footprint 896
+slider-daba insert: fg 15/41 bg 0/0 reused 0 keys 4/6 read 0 footprint 896
 slider-daba evict: fg 15/40 bg 0/0 reused 0 keys 6/2 read 0 footprint 676
 slider-daba slide: fg 6/16 bg 0/0 reused 3 keys 7/1 read 72 footprint 616
 slider-daba-lite initial: fg 23/62 bg 0/0 reused 0 keys 9/0 read 0 footprint 544
 slider-daba-lite slide: fg 12/34 bg 0/0 reused 1 keys 7/2 read 24 footprint 568
-slider-daba-lite insert: fg 15/41 bg 0/0 reused 0 keys 4/5 read 0 footprint 728
+slider-daba-lite insert: fg 15/41 bg 0/0 reused 0 keys 4/6 read 0 footprint 728
 slider-daba-lite evict: fg 15/40 bg 0/0 reused 0 keys 6/2 read 0 footprint 492
 slider-daba-lite slide: fg 6/16 bg 0/0 reused 3 keys 7/1 read 72 footprint 468
 ";
@@ -178,4 +184,19 @@ fn every_mode_meters_slides_and_splices_exactly() {
         let got = transcript(threads);
         assert_eq!(got, GOLDEN, "threads={threads}; transcript:\n{got}");
     }
+}
+
+#[test]
+fn reduced_and_reused_keys_are_the_output_keys() {
+    // Every output key is either reduced by the run or reused untouched;
+    // a key the run created is reduced, never reused.
+    script(1, |mode, step, s, outputs| {
+        assert_eq!(
+            s.keys_reduced + s.keys_reused,
+            outputs,
+            "{mode} {step}: keys {}/{}",
+            s.keys_reduced,
+            s.keys_reused
+        );
+    });
 }
