@@ -64,7 +64,9 @@ echo "==> serve: dashboard output is byte-identical across runs and thread count
 serve_tmp="$(mktemp -d)"
 cargo run -q --release -p slider-bench --example serve_dashboard > "$serve_tmp/a.txt"
 SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example serve_dashboard > "$serve_tmp/b.txt"
+SLIDER_THREADS=4 cargo run -q --release -p slider-bench --example serve_dashboard > "$serve_tmp/c.txt"
 cmp "$serve_tmp/a.txt" "$serve_tmp/b.txt"
+cmp "$serve_tmp/a.txt" "$serve_tmp/c.txt"
 rm -rf "$serve_tmp"
 
 echo "==> join: incremental view == brute force across threads, faults, disorder"
@@ -89,8 +91,10 @@ trap 'rm -rf "$trace_tmp" "$shootout_tmp"' EXIT
 # trace_viewer validates the Chrome trace JSON before writing it.
 cargo run -q --release -p slider-bench --example trace_viewer -- "$trace_tmp/a"
 SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example trace_viewer -- "$trace_tmp/b"
+SLIDER_THREADS=4 cargo run -q --release -p slider-bench --example trace_viewer -- "$trace_tmp/c"
 for f in chrome_trace.json flame.folded metrics.json; do
   cmp "$trace_tmp/a/$f" "$trace_tmp/b/$f"
+  cmp "$trace_tmp/a/$f" "$trace_tmp/c/$f"
 done
 
 echo "==> shootout: regenerate and gate against the checked-in baseline"

@@ -8,9 +8,12 @@
 //! preferences), it simulates list-scheduling those tasks onto a cluster of
 //! multi-slot machines and reports the makespan.
 //!
-//! It also implements the scheduling policies of §6: Hadoop's vanilla
-//! scheduler, Slider's memoization-aware scheduler, and the hybrid
-//! straggler-mitigating scheduler (Table 1), plus straggler injection.
+//! It also implements the scheduling policies of §6 as the three
+//! [`SchedulerPolicy`] values — Hadoop's vanilla placement, Slider's
+//! memoization-aware placement, and the hybrid straggler-mitigating
+//! placement (Table 1) — plus straggler injection. Each stage's waiting
+//! tasks sit in a queue indexed by what the policies ask for, so a
+//! simulation costs about as much as its events.
 //!
 //! ```
 //! use slider_cluster::{ClusterSpec, SchedulerPolicy, SlotKind, Task, simulate};
@@ -38,7 +41,7 @@ mod topology;
 pub use clock::{SharedClock, SimClock};
 pub use fault::{FaultPlan, MachineCrash, Slowdown};
 pub use machine::{Machine, MachineId, MachineSpec};
-pub use scheduler::{PendingTask, Scheduler, SchedulerPolicy};
+pub use scheduler::SchedulerPolicy;
 pub use simulator::{simulate, simulate_traced, simulate_with_faults, SimReport, StageReport};
 pub use task::{SlotKind, Task, TaskId};
 pub use topology::CostModel;

@@ -82,7 +82,7 @@ impl Default for MachineSpec {
     }
 }
 
-/// Runtime view of a machine handed to schedulers.
+/// Runtime view of a machine during a simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Machine {
     /// The machine's identity.

@@ -329,6 +329,19 @@ impl DistributedCache {
         }
     }
 
+    /// Puts `object` into `home`'s memory tier. LRU pressure may push other
+    /// objects out; each victim is billed to its namespace, so noisy
+    /// neighbours show in per-tenant accounting and the namespaces'
+    /// evictions sum to [`CacheStats::evictions`].
+    fn put_in_memory(&mut self, home: NodeId, object: ObjectId, bytes: u64) {
+        for victim in self.nodes[home.0].memory.put(object.0, bytes) {
+            self.namespaces
+                .entry(ObjectId(victim).namespace())
+                .or_default()
+                .evictions += 1;
+        }
+    }
+
     /// Stores `object` of `bytes` with its memory copy on `home` and up to
     /// `replicas` persistent copies on distinct nodes walking the ring from
     /// `home + 1`, tagged with the GC `epoch` of the producing run. With
@@ -380,15 +393,7 @@ impl DistributedCache {
         }
 
         if self.config.memory_enabled && self.nodes[home.0].alive {
-            // LRU pressure on the home node may push other objects out of
-            // memory; bill each victim's namespace so noisy neighbors are
-            // visible in per-tenant accounting.
-            for victim in self.nodes[home.0].memory.put(object.0, bytes) {
-                self.namespaces
-                    .entry(ObjectId(victim).namespace())
-                    .or_default()
-                    .evictions += 1;
-            }
+            self.put_in_memory(home, object, bytes);
         }
         let mut live_copies = 0usize;
         for &replica in &replicas {
@@ -545,7 +550,7 @@ impl DistributedCache {
         // Promote back into memory on the home node (re-warm after failure
         // or eviction).
         if self.config.memory_enabled && self.nodes[meta.home.0].alive {
-            self.nodes[meta.home.0].memory.put(object.0, meta.bytes);
+            self.put_in_memory(meta.home, object, meta.bytes);
         }
         self.stats.disk_reads += 1;
         self.stats.read_seconds += seconds;
@@ -1414,6 +1419,39 @@ mod tests {
             "evicted object must still be readable from disk, got {:?}",
             out.source
         );
+    }
+
+    #[test]
+    fn an_oversized_re_put_is_read_from_disk() {
+        let mut config = CacheConfig::paper_defaults(3);
+        config.memory_capacity_bytes = 100;
+        let mut c = DistributedCache::new(config);
+        c.put(ObjectId(1), 40, NodeId(0), 0);
+        c.put(ObjectId(1), 400, NodeId(0), 0); // too large for memory
+        let out = c.read(ObjectId(1), NodeId(0)).unwrap();
+        assert_eq!(out.bytes, 400);
+        assert!(
+            matches!(out.source, ReadSource::LocalDisk | ReadSource::RemoteDisk),
+            "the stale 40-byte memory copy must not be served, got {:?}",
+            out.source
+        );
+    }
+
+    #[test]
+    fn namespace_evictions_sum_to_the_global_count() {
+        let mut config = CacheConfig::paper_defaults(3);
+        config.memory_capacity_bytes = 100;
+        let mut c = DistributedCache::new(config);
+        let (a, b) = (ObjectId::namespaced(1, 1), ObjectId::namespaced(2, 1));
+        c.put(a, 60, NodeId(0), 0);
+        c.put(b, 60, NodeId(0), 0); // evicts a
+        c.read(a, NodeId(0)).unwrap(); // disk read promotes a, evicting b
+        c.read(b, NodeId(0)).unwrap(); // and back again, evicting a
+        c.put(ObjectId::namespaced(1, 2), 500, NodeId(1), 0); // not admitted
+        let global = c.stats().evictions;
+        assert_eq!(global, 4);
+        let per_tenant = c.namespace_stats(1).evictions + c.namespace_stats(2).evictions;
+        assert_eq!(per_tenant, global);
     }
 
     #[test]

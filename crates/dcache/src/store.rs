@@ -32,18 +32,19 @@ impl InMemoryStore {
 
     /// Inserts `object` of `size` bytes, evicting LRU entries as needed.
     /// Returns the ids evicted to make room. Objects larger than the whole
-    /// capacity are not admitted (and are reported as "evicted" instantly).
+    /// capacity are not admitted (and are reported as "evicted" instantly);
+    /// a previous copy of `object` is dropped either way.
     pub fn put(&mut self, object: u64, size: u64) -> Vec<u64> {
         self.clock += 1;
+        if let Some((old, _)) = self.objects.remove(&object) {
+            self.used_bytes -= old;
+        }
         let mut evicted = Vec::new();
         if size > self.capacity_bytes {
             // Too large for the memory tier altogether.
             self.evictions += 1;
             evicted.push(object);
             return evicted;
-        }
-        if let Some((old, _)) = self.objects.remove(&object) {
-            self.used_bytes -= old;
         }
         while self.used_bytes + size > self.capacity_bytes {
             let lru = self
@@ -146,6 +147,16 @@ mod tests {
         assert_eq!(evicted, vec![1]);
         assert!(s.get(1).is_none());
         assert_eq!(s.used_bytes(), 0);
+    }
+
+    #[test]
+    fn oversized_re_put_drops_the_old_copy() {
+        let mut s = InMemoryStore::new(100);
+        s.put(1, 40);
+        assert_eq!(s.put(1, 400), vec![1]);
+        assert!(s.get(1).is_none(), "the 40-byte copy is stale");
+        assert_eq!(s.used_bytes(), 0);
+        assert!(s.is_empty());
     }
 
     #[test]
