@@ -101,6 +101,9 @@ echo "==> shootout: regenerate and gate against the checked-in baseline"
 BENCH_JSON_DIR="$shootout_tmp" cargo bench -q -p slider-bench --bench shootout > /dev/null
 cargo run -q --release -p slider-bench --example shootout_viewer -- \
   --check BENCH_shootout.json "$shootout_tmp/BENCH_shootout.json"
+# The modeled numbers are deterministic: a change that moves any of them
+# must check in its regenerated baseline.
+cmp BENCH_shootout.json "$shootout_tmp/BENCH_shootout.json"
 cargo run -q --release -p slider-bench --example shootout_viewer -- \
   BENCH_shootout.json > "$shootout_tmp/view_a.txt"
 SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example shootout_viewer -- \
@@ -111,6 +114,7 @@ echo "==> join bench: regenerate and gate against the checked-in baseline"
 BENCH_JSON_DIR="$shootout_tmp" cargo bench -q -p slider-bench --bench join > /dev/null
 cargo run -q --release -p slider-bench --example join_viewer -- \
   --check BENCH_join.json "$shootout_tmp/BENCH_join.json"
+cmp BENCH_join.json "$shootout_tmp/BENCH_join.json"
 cargo run -q --release -p slider-bench --example join_viewer -- \
   BENCH_join.json > "$shootout_tmp/join_a.txt"
 SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example join_viewer -- \

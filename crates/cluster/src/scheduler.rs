@@ -288,7 +288,7 @@ impl PendingQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::MachineId;
+    use crate::machine::{Machine, MachineId, MachineSpec};
 
     /// A queue holding `tasks` in order, all enqueued at `at`.
     fn queue(policy: SchedulerPolicy, tasks: &[Task], at: f64) -> PendingQueue {
@@ -415,8 +415,14 @@ mod tests {
         assert_eq!(pick(&mut q, 0.0, 3, SlotKind::Reduce), Some(1));
         // Machine 1 dies: its waiting task now prefers machine 2.
         let alive = [true, false, true, true, true, true];
+        let machines: Vec<Machine> = (0..alive.len())
+            .map(|m| Machine {
+                id: MachineId(m),
+                spec: MachineSpec::healthy(),
+            })
+            .collect();
         for task in &mut tasks {
-            task.repoint_preference(&alive);
+            task.repoint_preference(&alive, &machines);
         }
         q.relane(&tasks);
         assert_eq!(pick(&mut q, 0.0, 1, SlotKind::Reduce), None);

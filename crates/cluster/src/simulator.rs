@@ -395,7 +395,9 @@ pub fn simulate_with_faults(
         };
         // Machines that died in (or before) an earlier stage stay dead:
         // apply any crash that has already happened, zero the dead
-        // machines' slots, and move placement preferences off them.
+        // machines' slots, and move placement preferences off them — and
+        // off machines without a slot of the task's kind, which would
+        // leave a memoization-aware reduce waiting forever.
         run.apply_crashes_until(stage_start);
         for mi in 0..run.slots.len() {
             if !run.alive[mi] {
@@ -403,7 +405,7 @@ pub fn simulate_with_faults(
             }
         }
         for task in &mut run.tasks {
-            task.repoint_preference(run.alive);
+            task.repoint_preference(run.alive, run.machines);
         }
         for (index, task) in run.tasks.iter().enumerate() {
             let pending = Pending {
@@ -684,7 +686,7 @@ impl StageRun<'_> {
             // Strict memoization-aware placement would wait forever for a
             // dead machine; preferences follow the replica chain instead.
             for task in &mut self.tasks {
-                task.repoint_preference(self.alive);
+                task.repoint_preference(self.alive, self.machines);
             }
             self.pending.relane(&self.tasks);
         }
@@ -1031,6 +1033,32 @@ mod tests {
             without.makespan
         );
         assert!(with.recovery_seconds > 0.0, "the loser's run is waste");
+    }
+
+    #[test]
+    fn a_preference_for_a_machine_without_the_slot_kind_moves_on() {
+        // Machine 1 has no reduce slot, so a reduce task that prefers it
+        // must not wait for one under memoization-aware placement: its
+        // preference moves to machine 0, as a dead machine's would.
+        let no_reduce = MachineSpec {
+            reduce_slots: 0,
+            ..MachineSpec::healthy()
+        };
+        let spec = ClusterSpec {
+            machines: vec![MachineSpec::healthy(), no_reduce],
+            cost: tiny_cost(),
+        };
+        let stages = [vec![Task::reduce(0, 10).prefer(MachineId(1))]];
+        for policy in [
+            SchedulerPolicy::Vanilla,
+            SchedulerPolicy::MemoizationAware,
+            SchedulerPolicy::hybrid_default(),
+        ] {
+            let report = simulate_with_faults(&spec, policy, &stages, &FaultPlan::none());
+            assert_eq!(report.tasks_run, 1, "{policy:?}");
+            assert_eq!(report.makespan, 10.0, "{policy:?}");
+            assert_eq!(report.stages[0].remote_placements, 0, "{policy:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Simulated tasks: the unit of scheduling.
 
-use crate::machine::MachineId;
+use crate::machine::{Machine, MachineId};
 
 /// Identifies a task within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,21 +68,23 @@ impl Task {
         self
     }
 
-    /// Re-points a preference at a dead machine to the next alive machine
-    /// (wrap-around), mirroring where the memoization layer's replicas live
-    /// (`home + 1 + i`). A preference at an alive machine — or no
-    /// preference — is left untouched; if no machine is alive the
-    /// preference is also left untouched (the simulation is doomed either
-    /// way and reports a deadlock).
-    pub fn repoint_preference(&mut self, alive: &[bool]) {
+    /// Re-points a preference at a machine that can never run this task —
+    /// dead, or without a slot of the task's kind — to the next alive
+    /// machine with such a slot (wrap-around), mirroring where the
+    /// memoization layer's replicas live (`home + 1 + i`). A preference at
+    /// a machine that can run the task — or no preference — is left
+    /// untouched; if no machine can, the preference is also left untouched
+    /// (the simulation is doomed either way and reports a deadlock).
+    pub fn repoint_preference(&mut self, alive: &[bool], machines: &[Machine]) {
         let Some(MachineId(m)) = self.preferred else {
             return;
         };
-        if alive.get(m).copied().unwrap_or(false) {
+        let runs = |i: usize| alive[i] && machines[i].spec.slots(self.kind) > 0;
+        if m < alive.len() && runs(m) {
             return;
         }
         let n = alive.len();
-        if let Some(next) = (1..=n).map(|i| (m + i) % n).find(|&i| alive[i]) {
+        if let Some(next) = (1..=n).map(|i| (m + i) % n).find(|&i| runs(i)) {
             self.preferred = Some(MachineId(next));
         }
     }
@@ -91,6 +93,7 @@ impl Task {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineSpec;
 
     #[test]
     fn builders_compose() {
@@ -108,25 +111,51 @@ mod tests {
         assert_eq!(Task::reduce(2, 1).kind, SlotKind::Reduce);
     }
 
+    fn machines(specs: &[MachineSpec]) -> Vec<Machine> {
+        let ids = (0..).map(MachineId);
+        ids.zip(specs)
+            .map(|(id, &spec)| Machine { id, spec })
+            .collect()
+    }
+
     #[test]
     fn repoint_moves_to_next_alive_machine() {
+        let healthy = machines(&[MachineSpec::healthy(); 4]);
         let mut t = Task::reduce(0, 1).prefer(MachineId(1));
         // Preferred machine dead, next alive is 3 (2 is dead too).
-        t.repoint_preference(&[true, false, false, true]);
+        t.repoint_preference(&[true, false, false, true], &healthy);
         assert_eq!(t.preferred, Some(MachineId(3)));
         // Wrap-around past the end.
         let mut t = Task::reduce(0, 1).prefer(MachineId(3));
-        t.repoint_preference(&[true, false, false, false]);
+        t.repoint_preference(&[true, false, false, false], &healthy);
         assert_eq!(t.preferred, Some(MachineId(0)));
     }
 
     #[test]
-    fn repoint_leaves_alive_and_preference_free_tasks_alone() {
+    fn repoint_skips_machines_without_a_slot_of_the_kind() {
+        let no_reduce = MachineSpec {
+            reduce_slots: 0,
+            ..MachineSpec::healthy()
+        };
+        let specs = machines(&[MachineSpec::healthy(), no_reduce, no_reduce]);
+        let alive = [true; 3];
         let mut t = Task::reduce(0, 1).prefer(MachineId(1));
-        t.repoint_preference(&[true, true]);
+        t.repoint_preference(&alive, &specs);
+        assert_eq!(t.preferred, Some(MachineId(0)));
+        // A map task may stay: machine 1 has map slots.
+        let mut t = Task::map(0, 1).prefer(MachineId(1));
+        t.repoint_preference(&alive, &specs);
+        assert_eq!(t.preferred, Some(MachineId(1)));
+    }
+
+    #[test]
+    fn repoint_leaves_alive_and_preference_free_tasks_alone() {
+        let healthy = machines(&[MachineSpec::healthy(); 2]);
+        let mut t = Task::reduce(0, 1).prefer(MachineId(1));
+        t.repoint_preference(&[true, true], &healthy);
         assert_eq!(t.preferred, Some(MachineId(1)));
         let mut t = Task::map(0, 1);
-        t.repoint_preference(&[false, false]);
+        t.repoint_preference(&[false, false], &healthy);
         assert_eq!(t.preferred, None);
     }
 }

@@ -64,11 +64,17 @@ impl<V> CoalescingTree<V> {
 
     /// Folds `delta` into the root (merging in `phase` when a root exists).
     fn coalesce<K>(&mut self, cx: &mut TreeCx<'_, K, V>, phase: Phase, delta: Arc<V>) {
-        let root = match &self.root {
-            Some(root) => cx.merge(phase, root, &delta),
-            None => delta,
+        let (root, bytes) = match &self.root {
+            Some(root) => {
+                let (merged, bytes) = cx.merge(phase, root, &delta);
+                (Arc::new(merged), bytes)
+            }
+            None => {
+                let bytes = cx.value_bytes(&delta);
+                (delta, bytes)
+            }
         };
-        self.root_bytes = cx.value_bytes(&root);
+        self.root_bytes = bytes;
         self.root = Some(root);
     }
 
@@ -167,17 +173,17 @@ where
         self.flush_pending(cx, Phase::Background);
     }
 
-    fn root(&self) -> Option<Arc<V>> {
+    fn root(&self) -> Option<&V> {
         // Under split processing the materialized root lags the window by
         // the still-pending delta; reduce_parts() exposes the full window.
-        self.root.clone()
+        self.root.as_deref()
     }
 
-    fn reduce_parts(&self) -> Vec<Arc<V>> {
+    fn reduce_parts(&self) -> Vec<&V> {
         self.root
             .iter()
-            .chain(self.pending.iter())
-            .cloned()
+            .chain(&self.pending)
+            .map(|v| &**v)
             .collect()
     }
 
@@ -190,8 +196,8 @@ where
     }
 
     #[cfg(feature = "oracle")]
-    fn memo_layout(&self) -> MemoLayout<V> {
-        MemoLayout::Each(self.root.iter().chain(&self.pending).cloned().collect())
+    fn memo_layout(&self) -> MemoLayout<'_, V> {
+        MemoLayout::Each(WindowAggregator::<K, V>::reduce_parts(self))
     }
 
     fn kind(&self) -> TreeKind {

@@ -38,6 +38,29 @@ pub trait Combiner<K, V>: Send + Sync {
     fn value_bytes(&self, _key: &K, _v: &V) -> u64 {
         16
     }
+
+    /// One metered invocation: [`Combiner::cost`], [`Combiner::combine`]
+    /// and the [`Combiner::value_bytes`] of the result, in that order, in
+    /// one call. The trees call only this, so a merge behind a
+    /// `dyn Combiner` costs one dynamic dispatch.
+    fn merge(&self, key: &K, a: &V, b: &V) -> Merged<V> {
+        let cost = self.cost(key, a, b);
+        let value = self.combine(key, a, b);
+        let bytes = self.value_bytes(key, &value);
+        Merged { value, cost, bytes }
+    }
+}
+
+/// The outcome of [`Combiner::merge`]: the merged aggregate with its
+/// modeled cost and size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Merged<V> {
+    /// `combine(key, a, b)`.
+    pub value: V,
+    /// `cost(key, a, b)`, in work units.
+    pub cost: u64,
+    /// `value_bytes(key, value)`.
+    pub bytes: u64,
 }
 
 /// The final reduction from contraction-tree roots to the job output.
@@ -122,6 +145,20 @@ mod tests {
         assert_eq!(c.combine(&(), &4, &9), 9);
         assert!(c.is_commutative());
         assert_eq!(c.cost(&(), &4, &9), 1);
+    }
+
+    #[test]
+    fn merge_meters_one_combine() {
+        let c = FnCombiner::new(|_: &(), a: &u64, b: &u64| a + b);
+        let merged = c.merge(&(), &4, &9);
+        assert_eq!(
+            merged,
+            Merged {
+                value: 13,
+                cost: 1,
+                bytes: 16
+            }
+        );
     }
 
     #[test]

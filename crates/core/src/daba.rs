@@ -74,7 +74,7 @@ fn fold_present<K, V>(
     for part in parts.into_iter().flatten() {
         acc = Some(match acc {
             None => part,
-            Some(prev) => cx.merge(Phase::Foreground, &prev, &part),
+            Some(prev) => Arc::new(cx.merge(Phase::Foreground, &prev, &part).0),
         });
     }
     acc
@@ -174,13 +174,13 @@ impl<V> TwinStacks<V> {
         };
         let agg = match self.mid_done.last() {
             Some(newer) => {
-                let agg = cx.merge(Phase::Foreground, &v, &newer.agg);
-                self.memo += cx.value_bytes(&agg);
+                let (agg, bytes) = cx.merge(Phase::Foreground, &v, &newer.agg);
+                self.memo += bytes;
                 if self.lite {
                     // The lite entry keeps only the aggregate.
                     self.memo -= cx.value_bytes(&v);
                 }
-                agg
+                Arc::new(agg)
             }
             // The newest leaf is its own suffix aggregate: one allocation.
             None => Arc::clone(&v),
@@ -250,13 +250,13 @@ impl<V> TwinStacks<V> {
         self.memo += cx.value_bytes(&v);
         self.back_agg = Some(match self.back_agg.take() {
             Some(acc) => {
-                let total = cx.merge(Phase::Foreground, &acc, &v);
-                self.memo += cx.value_bytes(&total);
+                let (total, bytes) = cx.merge(Phase::Foreground, &acc, &v);
+                self.memo += bytes;
                 // A one-leaf back's total is that leaf, which the back keeps.
                 if !Arc::ptr_eq(&acc, &self.back[0]) {
                     self.memo -= cx.value_bytes(&acc);
                 }
-                total
+                Arc::new(total)
             }
             None => Arc::clone(&v),
         });
@@ -280,9 +280,9 @@ impl<V> TwinStacks<V> {
         for v in live.into_iter().rev() {
             let agg = match &acc {
                 Some(newer) => {
-                    let agg = cx.merge(Phase::Foreground, &v, newer);
-                    self.memo += cx.value_bytes(&agg);
-                    agg
+                    let (agg, bytes) = cx.merge(Phase::Foreground, &v, newer);
+                    self.memo += bytes;
+                    Arc::new(agg)
                 }
                 None => Arc::clone(&v),
             };
@@ -325,7 +325,7 @@ impl<V> TwinStacks<V> {
 
     /// Every holder of an allocation, shared ones once per holder.
     #[cfg(feature = "oracle")]
-    fn memo_layout(&self) -> MemoLayout<V> {
+    fn memo_layout(&self) -> MemoLayout<'_, V> {
         let entries = self.front.iter().chain(&self.mid_done);
         let held = entries
             .flat_map(|e| e.val.iter().chain(std::iter::once(&e.agg)))
@@ -404,8 +404,8 @@ macro_rules! twin_stack_aggregator {
                 self.core.advance(cx, remove, added)
             }
 
-            fn root(&self) -> Option<Arc<V>> {
-                self.core.root.clone()
+            fn root(&self) -> Option<&V> {
+                self.core.root.as_deref()
             }
 
             fn len(&self) -> usize {
@@ -417,7 +417,7 @@ macro_rules! twin_stack_aggregator {
             }
 
             #[cfg(feature = "oracle")]
-            fn memo_layout(&self) -> MemoLayout<V> {
+            fn memo_layout(&self) -> MemoLayout<'_, V> {
                 self.core.memo_layout()
             }
 

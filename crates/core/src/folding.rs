@@ -15,27 +15,32 @@
 //! from dirtied slots to the root — `O(delta · log window)` combiner
 //! invocations — while every off-path node is reused from its in-place
 //! memoized value.
+//!
+//! Every value the tree holds lives in its slab (see the `slab` module): a
+//! slot holds a handle, a pass-through node shares its only child's, and
+//! the slab's total is the memoization footprint.
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::error::TreeError;
+use crate::slab::{Handle, Slab};
 use crate::stats::Phase;
 #[cfg(feature = "oracle")]
 use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
 /// Variable-width self-adjusting contraction tree. See the module docs.
+#[derive(Clone)]
 pub struct FoldingTree<V> {
     /// `levels[0]` are the leaf slots (power-of-two length); `levels[h]`
-    /// halves in length as `h` grows; the last level is the root.
-    levels: Vec<Vec<Option<Arc<V>>>>,
-    /// Modeled bytes each slot of `levels` adds to the footprint: a leaf's
-    /// size, a merged node's size, 0 for void slots and for pass-through
-    /// nodes (they share their only child's allocation).
-    bytes: Vec<Vec<u64>>,
-    /// Sum of `bytes`: the memoization footprint.
-    memo: u64,
+    /// halves in length as `h` grows; the last level is the root. A
+    /// present slot holds a handle into `slab`: a leaf or a merged node its
+    /// own, a pass-through node its only child's.
+    levels: Vec<Vec<Option<Handle>>>,
+    /// Every value the levels hold, each once: its bytes are the
+    /// memoization footprint.
+    slab: Slab<V>,
     /// First live slot: slots `start..start+len` hold the window.
     start: usize,
     /// Number of live leaves.
@@ -44,6 +49,9 @@ pub struct FoldingTree<V> {
     /// slot capacity exceeds `factor × window size` — the simple rebalancing
     /// strategy §3.2 describes for workloads where drastic shrinks are rare.
     rebuild_factor: Option<u32>,
+    /// The leaf slots the current edit changed, empty between edits; kept
+    /// for its capacity.
+    dirty: Vec<usize>,
 }
 
 impl<V> FoldingTree<V> {
@@ -51,11 +59,11 @@ impl<V> FoldingTree<V> {
     pub fn new() -> Self {
         FoldingTree {
             levels: vec![vec![None]],
-            bytes: vec![vec![0]],
-            memo: 0,
+            slab: Slab::new(),
             start: 0,
             len: 0,
             rebuild_factor: None,
+            dirty: Vec::new(),
         }
     }
 
@@ -79,60 +87,75 @@ impl<V> FoldingTree<V> {
 
     /// Resets to the canonical empty state.
     fn clear(&mut self) {
-        self.levels = vec![vec![None]];
-        self.bytes = vec![vec![0]];
-        self.memo = 0;
+        self.levels.truncate(1);
+        self.levels[0].clear();
+        self.levels[0].push(None);
+        self.slab.clear();
         self.start = 0;
         self.len = 0;
+        self.dirty.clear();
     }
 
-    /// Stores `value` in slot `i` of level `h`, charging `bytes` to the
-    /// footprint in place of what the old occupant charged.
-    fn write(&mut self, h: usize, i: usize, value: Option<Arc<V>>, bytes: u64) {
-        self.memo = self.memo - self.bytes[h][i] + bytes;
-        self.bytes[h][i] = bytes;
-        self.levels[h][i] = value;
+    /// Stores `value` in slot `i` of level `h`, releasing the old occupant.
+    fn write(&mut self, h: usize, i: usize, value: Option<Handle>) {
+        if let Some(old) = std::mem::replace(&mut self.levels[h][i], value) {
+            self.slab.release(old);
+        }
     }
 
-    /// Stores leaf `value` (or voids the slot) in leaf slot `i`.
-    fn write_leaf<K>(&mut self, cx: &TreeCx<'_, K, V>, i: usize, value: Option<Arc<V>>) {
-        let bytes = value.as_deref().map_or(0, |v| cx.value_bytes(v));
-        self.write(0, i, value, bytes);
+    /// Moves leaf `value` into the slab and stores it in leaf slot `i`.
+    fn write_leaf<K>(&mut self, cx: &TreeCx<'_, K, V>, i: usize, value: Arc<V>)
+    where
+        V: Clone,
+    {
+        let bytes = cx.value_bytes(&value);
+        let handle = self.slab.insert(Arc::unwrap_or_clone(value), bytes);
+        self.write(0, i, Some(handle));
     }
 
     /// Moves leaf slot `from` into the (void) leaf slot `to`.
     fn move_leaf(&mut self, from: usize, to: usize) {
         let value = self.levels[0][from].take();
-        let bytes = std::mem::take(&mut self.bytes[0][from]);
-        self.memo -= bytes;
-        self.write(0, to, value, bytes);
+        self.write(0, to, value);
     }
 
-    /// Full bottom-up construction over the current leaf level (the only
-    /// level left: see `do_rebuild`).
-    fn build_internal<K>(&mut self, cx: &mut TreeCx<'_, K, V>) {
-        debug_assert_eq!(self.levels.len(), 1);
+    /// The parent of two possibly absent children: a fresh merge when both
+    /// are present, else the present child's value, shared.
+    fn join<K>(
+        &mut self,
+        cx: &mut TreeCx<'_, K, V>,
+        left: Option<Handle>,
+        right: Option<Handle>,
+    ) -> Option<Handle> {
+        match (left, right) {
+            (Some(l), Some(r)) => {
+                let (value, bytes) =
+                    cx.merge(Phase::Foreground, self.slab.get(l), self.slab.get(r));
+                Some(self.slab.insert(value, bytes))
+            }
+            (Some(child), None) | (None, Some(child)) => Some(self.slab.share(child)),
+            (None, None) => None,
+        }
+    }
+
+    /// Builds every interior level over `leaves`, the live leaf slots in
+    /// window order, with the slab holding only those leaves (the paper's
+    /// initial run).
+    fn build<K>(&mut self, cx: &mut TreeCx<'_, K, V>, mut leaves: Vec<Option<Handle>>) {
+        self.start = 0;
+        self.len = leaves.len();
+        leaves.resize(self.len.max(1).next_power_of_two(), None);
+        self.levels.clear();
+        self.levels.push(leaves);
         let mut width = self.capacity() / 2;
-        let mut child_level = 0;
         while width >= 1 {
             let mut level = Vec::with_capacity(width);
-            let mut bytes = Vec::with_capacity(width);
             for i in 0..width {
-                let (value, b) = {
-                    let children = &self.levels[child_level];
-                    cx.join(
-                        Phase::Foreground,
-                        children[2 * i].as_ref(),
-                        children[2 * i + 1].as_ref(),
-                    )
-                };
-                level.push(value);
-                bytes.push(b);
-                self.memo += b;
+                let children = &self.levels[self.levels.len() - 1];
+                let (left, right) = (children[2 * i], children[2 * i + 1]);
+                level.push(self.join(cx, left, right));
             }
             self.levels.push(level);
-            self.bytes.push(bytes);
-            child_level += 1;
             width /= 2;
         }
     }
@@ -141,88 +164,104 @@ impl<V> FoldingTree<V> {
     /// new root; the right half starts void.
     fn unfold(&mut self) {
         let cap = self.capacity();
-        for (level, bytes) in self.levels.iter_mut().zip(&mut self.bytes) {
-            let width = level.len();
-            level.extend(std::iter::repeat_with(|| None).take(width));
-            bytes.resize(2 * width, 0);
+        for level in &mut self.levels {
+            level.resize(2 * level.len(), None);
         }
         // New root level: left child is the old root, right child void, so
-        // the new root passes the old one through and adds no bytes.
-        let old_root = self.levels.last().and_then(|l| l[0].clone());
-        self.levels.push(vec![old_root]);
-        self.bytes.push(vec![0]);
+        // the new root passes the old one through.
+        let old_root = self.levels.last().and_then(|l| l[0]);
+        let root = old_root.map(|h| self.slab.share(h));
+        self.levels.push(vec![root]);
         debug_assert_eq!(self.capacity(), cap * 2);
     }
 
     /// Halves the capacity by promoting the right child of the root, valid
     /// only when the whole left half of the leaf level is void. The dropped
-    /// nodes (possibly stale until the caller propagates) return what they
-    /// charged.
+    /// nodes (possibly stale until the caller propagates) release their
+    /// values.
     fn fold(&mut self) {
         let half = self.capacity() / 2;
         debug_assert!(self.start >= half, "fold requires a void left half");
-        self.levels.pop(); // drop the root level
-        let mut freed: u64 = self.bytes.pop().map_or(0, |root| root.iter().sum());
-        for (level, bytes) in self.levels.iter_mut().zip(&mut self.bytes) {
-            let keep = level.len() / 2;
-            level.drain(..keep);
-            freed += bytes.drain(..keep).sum::<u64>();
+        let root = self.levels.pop().expect("a tree has a root level");
+        for handle in root.into_iter().flatten() {
+            self.slab.release(handle);
         }
-        self.memo -= freed;
+        for level in &mut self.levels {
+            let keep = level.len() / 2;
+            for handle in level.drain(..keep).flatten() {
+                self.slab.release(handle);
+            }
+        }
         self.start -= half;
     }
 
-    /// Propagates changes at the given leaf slots up to the root.
-    fn propagate<K>(&mut self, cx: &mut TreeCx<'_, K, V>, mut dirty: Vec<usize>) {
+    /// Brings the interior up to date after a slide or an eviction: folds
+    /// while the whole left half of the leaf level is void, then rebuilds
+    /// if the rebuild factor calls for it, or else propagates the dirty
+    /// slots.
+    fn settle<K>(&mut self, cx: &mut TreeCx<'_, K, V>) {
+        while self.capacity() > 1 && self.start >= self.capacity() / 2 {
+            let half = self.capacity() / 2;
+            self.fold();
+            // Slot indices shifted down by `half`; voided slots in the
+            // dropped half no longer exist (their removal is subsumed by
+            // discarding the root that referenced them).
+            self.dirty
+                .retain_mut(|i| i.checked_sub(half).map(|shifted| *i = shifted).is_some());
+        }
+        // Simple rebalancing strategy (§3.2): rebuild when the tree is far
+        // taller than the window warrants. The live leaves keep their slab
+        // slots; every interior node is made afresh.
+        if let Some(factor) = self.rebuild_factor {
+            let factor = usize::try_from(factor).unwrap_or(usize::MAX);
+            if self.capacity() > factor.saturating_mul(self.len.max(1)) {
+                self.dirty.clear();
+                for level in self.levels.drain(1..) {
+                    for handle in level.into_iter().flatten() {
+                        self.slab.release(handle);
+                    }
+                }
+                let leaves = self.levels[0][self.start..self.end()].to_vec();
+                self.build(cx, leaves);
+                return;
+            }
+        }
+        self.propagate(cx);
+    }
+
+    /// Propagates the changes at the leaf slots in `dirty` up to the root.
+    /// Each level walks its sorted changed slots once and leaves their
+    /// parents, the next level's changed slots, in their place.
+    fn propagate<K>(&mut self, cx: &mut TreeCx<'_, K, V>) {
+        let mut dirty = std::mem::take(&mut self.dirty);
         dirty.sort_unstable();
         dirty.dedup();
-        for child_level in 0..self.levels.len().saturating_sub(1) {
-            let mut parents: Vec<usize> = dirty.iter().map(|i| i / 2).collect();
-            parents.dedup();
-            for &p in &parents {
-                let (value, bytes) = {
-                    let children = &self.levels[child_level];
-                    let left = children[2 * p].as_ref();
-                    let right = children[2 * p + 1].as_ref();
-                    // A present sibling that is not itself dirty is a reused
-                    // memoized sub-computation.
-                    let l_dirty = dirty.binary_search(&(2 * p)).is_ok();
-                    let r_dirty = dirty.binary_search(&(2 * p + 1)).is_ok();
-                    if let (Some(l), false) = (left, l_dirty) {
-                        cx.reuse(l);
+        for child_level in 0..self.levels.len() - 1 {
+            let (mut read, mut parents) = (0, 0);
+            while read < dirty.len() {
+                let p = dirty[read] / 2;
+                let left_dirty = dirty[read] == 2 * p;
+                read += usize::from(left_dirty);
+                let right_dirty = dirty.get(read) == Some(&(2 * p + 1));
+                read += usize::from(right_dirty);
+                let children = &self.levels[child_level];
+                let (left, right) = (children[2 * p], children[2 * p + 1]);
+                // A present sibling that is not itself dirty is a reused
+                // memoized sub-computation.
+                for (child, changed) in [(left, left_dirty), (right, right_dirty)] {
+                    if let (Some(child), false) = (child, changed) {
+                        cx.reuse_many(1, self.slab.bytes_of(child));
                     }
-                    if let (Some(r), false) = (right, r_dirty) {
-                        cx.reuse(r);
-                    }
-                    cx.join(Phase::Foreground, left, right)
-                };
-                self.write(child_level + 1, p, value, bytes);
+                }
+                let value = self.join(cx, left, right);
+                self.write(child_level + 1, p, value);
+                dirty[parents] = p;
+                parents += 1;
             }
-            dirty = parents;
+            dirty.truncate(parents);
         }
-    }
-
-    fn do_rebuild<K>(&mut self, cx: &mut TreeCx<'_, K, V>, live: Vec<Arc<V>>) {
-        let n = live.len();
-        let cap = n.max(1).next_power_of_two();
-        let mut leaf_bytes: Vec<u64> = live.iter().map(|v| cx.value_bytes(v)).collect();
-        leaf_bytes.resize(cap, 0);
-        let mut leaf_level: Vec<Option<Arc<V>>> = live.into_iter().map(Some).collect();
-        leaf_level.resize_with(cap, || None);
-        self.memo = leaf_bytes.iter().sum();
-        self.levels = vec![leaf_level];
-        self.bytes = vec![leaf_bytes];
-        self.start = 0;
-        self.len = n;
-        self.build_internal(cx);
-    }
-
-    /// Live leaves, oldest first (used by the rebuild threshold and tests).
-    fn live_leaves(&self) -> Vec<Arc<V>> {
-        self.levels[0][self.start..self.end()]
-            .iter()
-            .map(|slot| Arc::clone(slot.as_ref().expect("live slot range must be non-void")))
-            .collect()
+        dirty.clear();
+        self.dirty = dirty;
     }
 }
 
@@ -243,32 +282,25 @@ impl<V> fmt::Debug for FoldingTree<V> {
     }
 }
 
-impl<V> Clone for FoldingTree<V> {
-    fn clone(&self) -> Self {
-        FoldingTree {
-            levels: self.levels.clone(),
-            bytes: self.bytes.clone(),
-            memo: self.memo,
-            start: self.start,
-            len: self.len,
-            rebuild_factor: self.rebuild_factor,
-        }
-    }
-}
-
 impl<K, V> WindowAggregator<K, V> for FoldingTree<V>
 where
     K: Send + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn boxed_clone(&self) -> Box<dyn WindowAggregator<K, V>> {
         Box::new(self.clone())
     }
 
     fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
-        let live: Vec<Arc<V>> = leaves.into_iter().flatten().collect();
+        self.slab.clear();
+        self.dirty.clear();
+        let mut live = Vec::with_capacity(leaves.len());
+        for value in leaves.into_iter().flatten() {
+            let bytes = cx.value_bytes(&value);
+            live.push(Some(self.slab.insert(Arc::unwrap_or_clone(value), bytes)));
+        }
         cx.note_added(live.len() as u64);
-        self.do_rebuild(cx, live);
+        self.build(cx, live);
     }
 
     fn advance(
@@ -283,21 +315,19 @@ where
                 window: self.len,
             });
         }
-        let added: Vec<Arc<V>> = added.into_iter().flatten().collect();
+        let count = added.iter().flatten().count();
         cx.note_removed(remove as u64);
-        cx.note_added(added.len() as u64);
-
-        let mut dirty: Vec<usize> = Vec::with_capacity(remove + added.len());
+        cx.note_added(count as u64);
 
         // Drop the oldest `remove` leaves: mark their slots void.
         for i in self.start..self.start + remove {
-            self.write(0, i, None, 0);
-            dirty.push(i);
+            self.write(0, i, None);
+            self.dirty.push(i);
         }
         self.start += remove;
         self.len -= remove;
 
-        if self.len == 0 && added.is_empty() {
+        if self.len == 0 && count == 0 {
             self.clear();
             return Ok(());
         }
@@ -305,41 +335,16 @@ where
         // Append new leaves, unfolding whenever the slots run out. Unfolding
         // preserves existing slot indices, so pending dirty entries stay
         // valid.
-        for value in added {
+        for value in added.into_iter().flatten() {
             if self.end() == self.capacity() {
                 self.unfold();
             }
             let slot = self.end();
-            self.write_leaf(cx, slot, Some(value));
-            dirty.push(slot);
+            self.write_leaf(cx, slot, value);
+            self.dirty.push(slot);
             self.len += 1;
         }
-
-        // Fold while the entire left half of the leaf level is void.
-        while self.capacity() > 1 && self.start >= self.capacity() / 2 {
-            let half = self.capacity() / 2;
-            self.fold();
-            // Slot indices shifted down by `half`; voided slots in the
-            // dropped half no longer exist (their removal is subsumed by
-            // discarding the root that referenced them).
-            dirty = dirty
-                .into_iter()
-                .filter_map(|i| i.checked_sub(half))
-                .collect();
-        }
-
-        // Simple rebalancing strategy (§3.2): rebuild when the tree is far
-        // taller than the window warrants.
-        if let Some(factor) = self.rebuild_factor {
-            let factor = usize::try_from(factor).unwrap_or(usize::MAX);
-            if self.capacity() > factor.saturating_mul(self.len.max(1)) {
-                let live = self.live_leaves();
-                self.do_rebuild(cx, live);
-                return Ok(());
-            }
-        }
-
-        self.propagate(cx, dirty);
+        self.settle(cx);
         Ok(())
     }
 
@@ -363,20 +368,18 @@ where
         cx.note_added(k as u64);
         let a = self.start;
         let suffix = self.len - at;
-        let mut dirty: Vec<usize> = Vec::with_capacity(2 * (at.min(suffix) + k));
         if a >= k && at <= suffix {
             // Shift the (smaller) prefix left by `k`: the vacated gap
             // `[a - k + at, a + at)` receives the new leaves. Ascending
             // order is safe because every target slot precedes its source.
             for i in a..a + at {
                 self.move_leaf(i, i - k);
-                dirty.push(i - k);
-                dirty.push(i);
+                self.dirty.extend([i - k, i]);
             }
             for (j, v) in values.into_iter().enumerate() {
                 let slot = a - k + at + j;
-                self.write_leaf(cx, slot, Some(v));
-                dirty.push(slot);
+                self.write_leaf(cx, slot, v);
+                self.dirty.push(slot);
             }
             self.start = a - k;
             self.len += k;
@@ -388,17 +391,16 @@ where
             }
             for i in (a + at..a + self.len).rev() {
                 self.move_leaf(i, i + k);
-                dirty.push(i);
-                dirty.push(i + k);
+                self.dirty.extend([i, i + k]);
             }
             for (j, v) in values.into_iter().enumerate() {
                 let slot = a + at + j;
-                self.write_leaf(cx, slot, Some(v));
-                dirty.push(slot);
+                self.write_leaf(cx, slot, v);
+                self.dirty.push(slot);
             }
             self.len += k;
         }
-        self.propagate(cx, dirty);
+        self.propagate(cx);
         Ok(())
     }
 
@@ -421,25 +423,22 @@ where
         cx.note_removed(count as u64);
         let a = self.start;
         let suffix = self.len - at - count;
-        let mut dirty: Vec<usize> = Vec::with_capacity(count + 2 * at.min(suffix));
         // Void the evicted range, then close the gap by shifting whichever
         // side is smaller.
         for i in a + at..a + at + count {
-            self.write(0, i, None, 0);
-            dirty.push(i);
+            self.write(0, i, None);
+            self.dirty.push(i);
         }
         if at <= suffix {
             for i in (a..a + at).rev() {
                 self.move_leaf(i, i + count);
-                dirty.push(i);
-                dirty.push(i + count);
+                self.dirty.extend([i, i + count]);
             }
             self.start = a + count;
         } else {
             for i in a + at + count..a + self.len {
                 self.move_leaf(i, i - count);
-                dirty.push(i);
-                dirty.push(i - count);
+                self.dirty.extend([i, i - count]);
             }
         }
         self.len -= count;
@@ -447,33 +446,17 @@ where
             self.clear();
             return Ok(());
         }
-        // A prefix shift may push `start` across the midpoint: fold, with
-        // the same dirty-slot remap as `advance`.
-        while self.capacity() > 1 && self.start >= self.capacity() / 2 {
-            let half = self.capacity() / 2;
-            self.fold();
-            dirty = dirty
-                .into_iter()
-                .filter_map(|i| i.checked_sub(half))
-                .collect();
-        }
-        if let Some(factor) = self.rebuild_factor {
-            let factor = usize::try_from(factor).unwrap_or(usize::MAX);
-            if self.capacity() > factor.saturating_mul(self.len.max(1)) {
-                let live = self.live_leaves();
-                self.do_rebuild(cx, live);
-                return Ok(());
-            }
-        }
-        self.propagate(cx, dirty);
+        // A prefix shift may push `start` across the midpoint: `settle`
+        // folds as `advance` does.
+        self.settle(cx);
         Ok(())
     }
 
-    fn root(&self) -> Option<Arc<V>> {
+    fn root(&self) -> Option<&V> {
         if self.len == 0 {
             None
         } else {
-            self.levels.last().and_then(|l| l[0].clone())
+            self.levels.last()?[0].map(|h| self.slab.get(h))
         }
     }
 
@@ -482,12 +465,14 @@ where
     }
 
     fn memo_bytes(&self) -> u64 {
-        self.memo
+        self.slab.bytes()
     }
 
     #[cfg(feature = "oracle")]
-    fn memo_layout(&self) -> MemoLayout<V> {
-        MemoLayout::Levels(self.levels.clone())
+    fn memo_layout(&self) -> MemoLayout<'_, V> {
+        let node = |slot: &Option<Handle>| slot.map(|h| (h.index(), self.slab.get(h)));
+        let levels = self.levels.iter();
+        MemoLayout::Levels(levels.map(|l| l.iter().map(node).collect()).collect())
     }
 
     fn kind(&self) -> TreeKind {
@@ -498,7 +483,7 @@ where
 impl<K, V> ContractionTree<K, V> for FoldingTree<V>
 where
     K: Send + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn height(&self) -> usize {
         if self.len == 0 {
@@ -733,11 +718,10 @@ mod tests {
                 tree.len
             );
         }
+        let value = |slot: Option<Handle>| slot.map(|h| *tree.slab.get(h));
         for (i, want) in reference.iter().enumerate() {
-            let got = tree.levels[0][tree.start + i]
-                .as_ref()
-                .expect("live slot checked above");
-            assert_eq!(**got, *want, "leaf {i} value");
+            let got = value(tree.levels[0][tree.start + i]);
+            assert_eq!(got, Some(*want), "leaf {i} value");
         }
         for h in 1..tree.levels.len() {
             assert_eq!(
@@ -745,22 +729,27 @@ mod tests {
                 tree.levels[h - 1].len(),
                 "level {h} width"
             );
-            for (i, node) in tree.levels[h].iter().enumerate() {
-                let left = tree.levels[h - 1][2 * i].as_deref().copied();
-                let right = tree.levels[h - 1][2 * i + 1].as_deref().copied();
-                let want = match (left, right) {
+            for (i, &node) in tree.levels[h].iter().enumerate() {
+                let left = tree.levels[h - 1][2 * i];
+                let right = tree.levels[h - 1][2 * i + 1];
+                let want = match (value(left), value(right)) {
                     (Some(l), Some(r)) => Some(l + r),
                     (Some(l), None) => Some(l),
                     (None, Some(r)) => Some(r),
                     (None, None) => None,
                 };
                 assert_eq!(
-                    node.as_deref().copied(),
+                    value(node),
                     want,
                     "internal node (level {h}, index {i}) is stale"
                 );
+                // A pass-through shares its only child's slot.
+                if left.is_none() || right.is_none() {
+                    assert_eq!(node, left.or(right), "pass-through (level {h}, index {i})");
+                }
             }
         }
+        assert!(tree.dirty.is_empty(), "no dirty slot outlives an edit");
     }
 
     #[test]

@@ -91,12 +91,13 @@ mod hash;
 mod memo;
 mod randomized;
 mod rotating;
+mod slab;
 mod stats;
 mod strawman;
 mod tree;
 
 pub use coalescing::CoalescingTree;
-pub use combiner::{Combiner, FnCombiner, Reducer};
+pub use combiner::{Combiner, FnCombiner, Merged, Reducer};
 pub use daba::{DabaLiteTree, DabaTree, TwoStackTree};
 pub use dgim::SlidingWindowCounter;
 pub use error::TreeError;

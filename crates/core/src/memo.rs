@@ -26,6 +26,11 @@
 //! outside the current window. Because of that, a group an edit left alone
 //! is metered as reused from the cache's maintained totals, without being
 //! visited.
+//!
+//! Every value the tree holds, each leaf and each cached group, lives in
+//! one slab (see the `slab` module). Nodes hold handles, a promoted
+//! singleton shares its member's, and the cache maps an identity to its
+//! group's handle. The slab's total is the memoization footprint.
 
 use std::collections::{hash_map, HashMap, VecDeque};
 use std::fmt;
@@ -34,6 +39,7 @@ use std::sync::Arc;
 
 use crate::error::TreeError;
 use crate::hash::hash_one;
+use crate::slab::{Handle, Slab};
 use crate::stats::Phase;
 #[cfg(feature = "oracle")]
 use crate::tree::MemoLayout;
@@ -42,12 +48,13 @@ use crate::tree::TreeCx;
 #[cfg(feature = "oracle")]
 pub(crate) mod reference;
 
-/// A memo table mapping stable node identities to cached aggregates, each
-/// counted by the tree nodes that hold it.
-#[derive(Debug)]
-pub(crate) struct MemoCache<V> {
-    entries: HashMap<u64, Entry<V>, BuildHasherDefault<IdentityHasher>>,
-    /// Sum of the live entries' sizes, as given to [`MemoCache::put`].
+/// A memo table mapping stable node identities to the slab handles of the
+/// cached aggregates. An entry is one holder of its value; it leaves the
+/// cache once it is the only holder left.
+#[derive(Debug, Clone)]
+pub(crate) struct MemoCache {
+    entries: HashMap<u64, Handle, BuildHasherDefault<IdentityHasher>>,
+    /// Sum of the live entries' sizes, as the slab stores them.
     bytes: u64,
 }
 
@@ -72,35 +79,7 @@ impl Hasher for IdentityHasher {
     }
 }
 
-#[derive(Debug)]
-struct Entry<V> {
-    value: Arc<V>,
-    bytes: u64,
-    holders: u32,
-}
-
-// Manual impls: every cached value sits behind an `Arc`, so a cache clone
-// shares allocations and needs no `V: Clone` (which a derive would demand).
-impl<V> Clone for MemoCache<V> {
-    fn clone(&self) -> Self {
-        MemoCache {
-            entries: self.entries.clone(),
-            bytes: self.bytes,
-        }
-    }
-}
-
-impl<V> Clone for Entry<V> {
-    fn clone(&self) -> Self {
-        Entry {
-            value: Arc::clone(&self.value),
-            bytes: self.bytes,
-            holders: self.holders,
-        }
-    }
-}
-
-impl<V> MemoCache<V> {
+impl MemoCache {
     /// Creates an empty cache.
     pub(crate) fn new() -> Self {
         MemoCache {
@@ -109,34 +88,41 @@ impl<V> MemoCache<V> {
         }
     }
 
-    /// Looks up `id`; a hit gains one holder.
-    pub(crate) fn acquire(&mut self, id: u64) -> Option<Arc<V>> {
-        self.entries.get_mut(&id).map(|entry| {
-            entry.holders += 1;
-            Arc::clone(&entry.value)
-        })
+    /// Empties the cache, whose values the caller frees with their slab.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.bytes = 0;
     }
 
-    /// Inserts a computed aggregate under `id` with one holder; `bytes` is
-    /// its modeled size, counted in [`MemoCache::bytes`] while it lives.
-    pub(crate) fn put(&mut self, id: u64, value: Arc<V>, bytes: u64) {
-        let entry = Entry {
-            value,
-            bytes,
-            holders: 1,
-        };
-        self.bytes += bytes;
-        if let Some(old) = self.entries.insert(id, entry) {
-            self.bytes -= old.bytes;
+    /// The value cached under `id`, with one more holder for the caller.
+    /// On a miss, `make` stores a fresh value in `slab`, held by the
+    /// caller, and the cache becomes its second holder. Also says whether
+    /// it was a miss.
+    pub(crate) fn acquire_or_put<V>(
+        &mut self,
+        slab: &mut Slab<V>,
+        id: u64,
+        make: impl FnOnce(&mut Slab<V>) -> Handle,
+    ) -> (Handle, bool) {
+        match self.entries.entry(id) {
+            hash_map::Entry::Occupied(entry) => (slab.share(*entry.get()), false),
+            hash_map::Entry::Vacant(entry) => {
+                let value = make(slab);
+                self.bytes += slab.bytes_of(value);
+                entry.insert(slab.share(value));
+                (value, true)
+            }
         }
     }
 
-    /// Drops one holder of `id`; the last one removes the entry.
-    pub(crate) fn release(&mut self, id: u64) {
-        if let hash_map::Entry::Occupied(mut entry) = self.entries.entry(id) {
-            entry.get_mut().holders -= 1;
-            if entry.get().holders == 0 {
-                self.bytes -= entry.remove().bytes;
+    /// Removes `id` once its entry is the only holder of its value left.
+    pub(crate) fn release<V>(&mut self, slab: &mut Slab<V>, id: u64) {
+        if let hash_map::Entry::Occupied(entry) = self.entries.entry(id) {
+            let value = *entry.get();
+            if slab.holders(value) == 1 {
+                entry.remove();
+                self.bytes -= slab.bytes_of(value);
+                slab.release(value);
             }
         }
     }
@@ -146,15 +132,15 @@ impl<V> MemoCache<V> {
         self.entries.len()
     }
 
-    /// Memoization footprint: the sizes the live entries were put with.
+    /// Memoization footprint: the sizes of the live entries' values.
     pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
     /// Every cached value, in no particular order.
     #[cfg(feature = "oracle")]
-    pub(crate) fn values(&self) -> impl Iterator<Item = &Arc<V>> {
-        self.entries.values().map(|e| &e.value)
+    fn values(&self) -> impl Iterator<Item = Handle> + '_ {
+        self.entries.values().copied()
     }
 }
 
@@ -181,10 +167,11 @@ pub(crate) trait Grouping: Copy {
 }
 
 /// A node of one level: a window leaf, the parent of a memoized group, or
-/// a singleton promoted unchanged.
-struct Node<V> {
+/// a singleton promoted unchanged (which shares its member's value).
+#[derive(Clone, Copy)]
+struct Node {
     id: u64,
-    value: Arc<V>,
+    value: Handle,
     /// Members on the level below: 0 for a leaf, 1 for a promoted
     /// singleton, 2 or more for a group held in the cache.
     span: u32,
@@ -192,9 +179,9 @@ struct Node<V> {
     lone: bool,
 }
 
-impl<V> Node<V> {
-    /// A node entering level `level`.
-    fn new<G: Grouping>(grouping: G, level: usize, id: u64, value: Arc<V>, span: u32) -> Self {
+impl Node {
+    /// A node entering level `level`, holding `value`.
+    fn new<G: Grouping>(grouping: G, level: usize, id: u64, value: Handle, span: u32) -> Self {
         let lone = !grouping.by_position() && grouping.closes(id, level as u64);
         Node {
             id,
@@ -209,20 +196,10 @@ impl<V> Node<V> {
     }
 }
 
-impl<V> Clone for Node<V> {
-    fn clone(&self) -> Self {
-        Node {
-            id: self.id,
-            value: Arc::clone(&self.value),
-            span: self.span,
-            lone: self.lone,
-        }
-    }
-}
-
 /// One level of a [`MemoTree`], with what its next cut needs to know.
-struct Level<V> {
-    nodes: VecDeque<Node<V>>,
+#[derive(Clone)]
+struct Level {
+    nodes: VecDeque<Node>,
     /// Nodes that do not close a group on their own. When at most the last
     /// node is one, a cut by [`Grouping::closes`] would not shrink the
     /// level.
@@ -233,22 +210,12 @@ struct Level<V> {
     paired: bool,
 }
 
-impl<V> Level<V> {
+impl Level {
     fn new() -> Self {
         Level {
             nodes: VecDeque::new(),
             holdouts: 0,
             paired: false,
-        }
-    }
-}
-
-impl<V> Clone for Level<V> {
-    fn clone(&self) -> Self {
-        Level {
-            nodes: self.nodes.clone(),
-            holdouts: self.holdouts,
-            paired: self.paired,
         }
     }
 }
@@ -269,46 +236,47 @@ impl Splice {
 }
 
 /// A level's splices and, in splice order, the nodes they add.
-struct Change<V> {
+#[derive(Clone, Default)]
+struct Change {
     splices: Vec<Splice>,
-    nodes: Vec<Node<V>>,
+    nodes: Vec<Node>,
 }
 
 /// What one edit did to the cache: the identities of the groups it
 /// replaced, and the groups it merged afresh.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Pass {
     replaced: Vec<u64>,
     fresh: u64,
     fresh_bytes: u64,
 }
 
-/// A memoized re-pairing tree: its levels, leaves first, and the memo
-/// cache of their groups. See the module docs.
+/// The buffers of one edit, empty between edits and kept for their
+/// capacity: the change of the level being cut, the change it makes to
+/// the level above, and the edit's [`Pass`].
+#[derive(Clone, Default)]
+struct Scratch {
+    change: Change,
+    next: Change,
+    pass: Pass,
+}
+
+/// A memoized re-pairing tree: its levels, leaves first, the memo cache of
+/// their groups, and the slab that holds the values of both. See the
+/// module docs.
+#[derive(Clone)]
 pub(crate) struct MemoTree<V, G> {
     /// Never empty. The last level holds the root alone, unless the window
     /// is empty.
-    levels: Vec<Level<V>>,
+    levels: Vec<Level>,
     /// The groups of `levels`, keyed by lineage identity.
-    cache: MemoCache<V>,
+    cache: MemoCache,
+    /// The leaves' and the cached groups' values: its bytes are the
+    /// memoization footprint.
+    slab: Slab<V>,
     next_id: u64,
-    /// Modeled bytes of the window leaves (the cache counts its own).
-    leaf_bytes: u64,
     grouping: G,
-}
-
-// Manual: nodes and cache entries share their `Arc`ed values, so no
-// `V: Clone` is needed.
-impl<V, G: Grouping> Clone for MemoTree<V, G> {
-    fn clone(&self) -> Self {
-        MemoTree {
-            levels: self.levels.clone(),
-            cache: self.cache.clone(),
-            next_id: self.next_id,
-            leaf_bytes: self.leaf_bytes,
-            grouping: self.grouping,
-        }
-    }
+    scratch: Scratch,
 }
 
 impl<V, G: Grouping> MemoTree<V, G> {
@@ -316,19 +284,15 @@ impl<V, G: Grouping> MemoTree<V, G> {
         MemoTree {
             levels: vec![Level::new()],
             cache: MemoCache::new(),
+            slab: Slab::new(),
             next_id: 0,
-            leaf_bytes: 0,
             grouping,
+            scratch: Scratch::default(),
         }
     }
 
-    fn leaves(&self) -> &VecDeque<Node<V>> {
+    fn leaves(&self) -> &VecDeque<Node> {
         &self.levels[0].nodes
-    }
-
-    pub(crate) fn root(&self) -> Option<Arc<V>> {
-        let top = self.levels.last()?;
-        top.nodes.front().map(|node| Arc::clone(&node.value))
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -343,16 +307,6 @@ impl<V, G: Grouping> MemoTree<V, G> {
         }
     }
 
-    pub(crate) fn memo_bytes(&self) -> u64 {
-        self.cache.bytes() + self.leaf_bytes
-    }
-
-    #[cfg(feature = "oracle")]
-    pub(crate) fn memo_layout(&self) -> MemoLayout<V> {
-        let leaves = self.leaves().iter().map(|node| &node.value);
-        MemoLayout::Each(leaves.chain(self.cache.values()).cloned().collect())
-    }
-
     pub(crate) fn debug(&self, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct(name)
             .field("leaves", &self.len())
@@ -360,40 +314,65 @@ impl<V, G: Grouping> MemoTree<V, G> {
             .field("cached_nodes", &self.cache.len())
             .finish()
     }
+}
 
-    /// Added leaves with fresh identities; their bytes join the footprint.
+impl<V: Clone, G: Grouping> MemoTree<V, G> {
+    pub(crate) fn root(&self) -> Option<&V> {
+        let top = self.levels.last()?;
+        top.nodes.front().map(|node| self.slab.get(node.value))
+    }
+
+    pub(crate) fn memo_bytes(&self) -> u64 {
+        self.slab.bytes()
+    }
+
+    #[cfg(feature = "oracle")]
+    pub(crate) fn memo_layout(&self) -> MemoLayout<'_, V> {
+        let leaves = self.leaves().iter().map(|node| node.value);
+        let held = leaves.chain(self.cache.values());
+        MemoLayout::Each(held.map(|value| self.slab.get(value)).collect())
+    }
+
+    /// Moves `leaves` into the slab as the next edit's added leaves, each
+    /// with its identity; their bytes join the footprint. Returns how many
+    /// were added.
+    fn add_leaves<K>(
+        &mut self,
+        cx: &mut TreeCx<'_, K, V>,
+        leaves: impl IntoIterator<Item = (u64, Arc<V>)>,
+    ) -> usize {
+        let added = &mut self.scratch.change.nodes;
+        let before = added.len();
+        for (id, value) in leaves {
+            let bytes = cx.value_bytes(&value);
+            let value = self.slab.insert(Arc::unwrap_or_clone(value), bytes);
+            added.push(Node::new(self.grouping, 0, id, value, 0));
+        }
+        added.len() - before
+    }
+
+    /// Added leaves with fresh identities.
     fn fresh_leaves<K>(
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         values: impl IntoIterator<Item = Arc<V>>,
-    ) -> Vec<Node<V>> {
-        let mut leaves = Vec::new();
-        for value in values {
-            let id = hash_one(self.next_id ^ self.grouping.leaf_salt());
-            self.next_id += 1;
-            self.leaf_bytes += cx.value_bytes(&value);
-            cx.note_added(1);
-            leaves.push(Node::new(self.grouping, 0, id, value, 0));
-        }
-        leaves
-    }
-
-    /// Leaves `[at, at + count)` leave the window; their bytes leave the
-    /// footprint.
-    fn drop_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, at: usize, count: usize) {
-        for node in self.levels[0].nodes.range(at..at + count) {
-            self.leaf_bytes -= cx.value_bytes(&node.value);
-        }
-        cx.note_removed(count as u64);
+    ) -> usize {
+        let salt = self.grouping.leaf_salt();
+        let numbered = values.into_iter().zip(self.next_id..);
+        let added = self.add_leaves(cx, numbered.map(|(value, n)| (hash_one(n ^ salt), value)));
+        self.next_id += added as u64;
+        cx.note_added(added as u64);
+        added
     }
 
     /// Discards all state and builds over the present `leaves`.
     pub(crate) fn rebuild<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
-        self.levels = vec![Level::new()];
-        self.cache = MemoCache::new();
-        self.leaf_bytes = 0;
+        self.levels.clear();
+        self.levels.push(Level::new());
+        self.cache.clear();
+        self.slab.clear();
         let added = self.fresh_leaves(cx, leaves.into_iter().flatten());
-        self.edit(cx, &[Splice::new(0, 0, added.len())], added);
+        self.edit(cx, &[Splice::new(0, 0, added)]);
     }
 
     /// Drops `remove` leaves from the front and appends the present `added`.
@@ -410,10 +389,9 @@ impl<V, G: Grouping> MemoTree<V, G> {
                 window: len,
             });
         }
-        self.drop_leaves(cx, 0, remove);
+        cx.note_removed(remove as u64);
         let added = self.fresh_leaves(cx, added.into_iter().flatten());
-        let splices = [Splice::new(0, remove, 0), Splice::new(len, 0, added.len())];
-        self.edit(cx, &splices, added);
+        self.edit(cx, &[Splice::new(0, remove, 0), Splice::new(len, 0, added)]);
         Ok(())
     }
 
@@ -437,7 +415,7 @@ impl<V, G: Grouping> MemoTree<V, G> {
             return Ok(());
         }
         let added = self.fresh_leaves(cx, values);
-        self.edit(cx, &[Splice::new(at, 0, added.len())], added);
+        self.edit(cx, &[Splice::new(at, 0, added)]);
         Ok(())
     }
 
@@ -458,8 +436,8 @@ impl<V, G: Grouping> MemoTree<V, G> {
         if count == 0 {
             return Ok(());
         }
-        self.drop_leaves(cx, at, count);
-        self.edit(cx, &[Splice::new(at, count, 0)], Vec::new());
+        cx.note_removed(count as u64);
+        self.edit(cx, &[Splice::new(at, count, 0)]);
         Ok(())
     }
 
@@ -472,47 +450,38 @@ impl<V, G: Grouping> MemoTree<V, G> {
         } else {
             cx.note_removed((before - after) as u64);
         }
-        self.leaf_bytes = leaves.iter().map(|(_, v)| cx.value_bytes(v)).sum();
-        let grouping = self.grouping;
-        let added: Vec<Node<V>> = leaves
-            .into_iter()
-            .map(|(id, value)| Node::new(grouping, 0, id, value, 0))
-            .collect();
-        self.edit(cx, &[Splice::new(0, before, added.len())], added);
+        self.add_leaves(cx, leaves);
+        self.edit(cx, &[Splice::new(0, before, after)]);
     }
 
     /// Applies `splices` (sorted, disjoint, counted before the edit) to
-    /// the leaves, taking their added leaves from `leaves` in order, and
-    /// carries the change up level by level: each level re-cuts only around
-    /// its splices, and the parents it replaces are the next level's
-    /// splices. Then frees the replaced groups that were not re-created and
-    /// meters every group the edit did not merge as reused, from the
-    /// cache's totals.
-    fn edit<K>(&mut self, cx: &mut TreeCx<'_, K, V>, splices: &[Splice], leaves: Vec<Node<V>>) {
-        let mut change = Change {
-            splices: splices
-                .iter()
-                .filter(|s| s.removed + s.added > 0)
-                .copied()
-                .collect(),
-            nodes: leaves,
-        };
-        let mut next = Change {
-            splices: Vec::new(),
-            nodes: Vec::new(),
-        };
-        let mut pass = Pass::default();
+    /// the leaves, taking their added leaves in order from the scratch
+    /// change, and carries the change up level by level: each level re-cuts
+    /// only around its splices, and the parents it replaces are the next
+    /// level's splices. Then frees the replaced groups that were not
+    /// re-created and meters every group the edit did not merge as reused,
+    /// from the cache's totals.
+    fn edit<K>(&mut self, cx: &mut TreeCx<'_, K, V>, splices: &[Splice]) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch { change, next, pass } = &mut scratch;
+        let touched = splices.iter().filter(|s| s.removed + s.added > 0);
+        change.splices.extend(touched);
         let mut h = 0;
         while !change.splices.is_empty() {
             let old_len = self.levels[h].nodes.len();
-            self.apply(h, &mut change, &mut pass.replaced);
+            self.apply(h, change, &mut pass.replaced);
             let level = &self.levels[h];
             let new_len = level.nodes.len();
             if new_len <= 1 {
                 for above in self.levels.drain(h + 1..) {
-                    let groups = above.nodes.into_iter().filter(|node| node.span > 1);
-                    pass.replaced.extend(groups.map(|node| node.id));
+                    for node in above.nodes {
+                        self.slab.release(node.value);
+                        if node.span > 1 {
+                            pass.replaced.push(node.id);
+                        }
+                    }
                 }
+                change.splices.clear();
                 break;
             }
             // The valve: if every node but the last closes a group on its
@@ -528,30 +497,33 @@ impl<V, G: Grouping> MemoTree<V, G> {
                 self.levels.push(Level::new());
             }
             self.levels[h].paired = paired;
-            self.recut(cx, h, &change.splices, old_len, &mut next, &mut pass);
-            std::mem::swap(&mut change, &mut next);
+            self.recut(cx, h, &change.splices, old_len, next, pass);
+            std::mem::swap(change, next);
             next.splices.clear();
             h += 1;
         }
-        for id in pass.replaced {
-            self.cache.release(id);
+        for id in pass.replaced.drain(..) {
+            self.cache.release(&mut self.slab, id);
         }
         cx.reuse_many(
             self.cache.len() as u64 - pass.fresh,
             self.cache.bytes() - pass.fresh_bytes,
         );
+        (pass.fresh, pass.fresh_bytes) = (0, 0);
+        self.scratch = scratch;
     }
 
     /// Applies `change` to level `h`, its last splice first so that every
     /// `at` still counts the level before the edit, taking each splice's
-    /// nodes from the end of `change.nodes`. Removed groups join
-    /// `replaced`.
-    fn apply(&mut self, h: usize, change: &mut Change<V>, replaced: &mut Vec<u64>) {
+    /// nodes from the end of `change.nodes`. Removed nodes release their
+    /// values; removed groups join `replaced`.
+    fn apply(&mut self, h: usize, change: &mut Change, replaced: &mut Vec<u64>) {
         let level = &mut self.levels[h];
         let added = &mut change.nodes;
         for splice in change.splices.iter().rev() {
             for node in level.nodes.drain(splice.at..splice.at + splice.removed) {
                 level.holdouts -= usize::from(!node.lone);
+                self.slab.release(node.value);
                 if node.span > 1 {
                     replaced.push(node.id);
                 }
@@ -584,14 +556,14 @@ impl<V, G: Grouping> MemoTree<V, G> {
         h: usize,
         splices: &[Splice],
         old_len: usize,
-        out: &mut Change<V>,
+        out: &mut Change,
         pass: &mut Pass,
     ) {
         let grouping = self.grouping;
         let level = &self.levels[h];
         let nodes = &level.nodes;
         let groups = &self.levels[h + 1].nodes;
-        let cache = &mut self.cache;
+        let (cache, slab) = (&mut self.cache, &mut self.slab);
         let pairs = level.paired || grouping.by_position();
         let added = &mut out.nodes;
         let new_len = nodes.len();
@@ -655,7 +627,9 @@ impl<V, G: Grouping> MemoTree<V, G> {
                 if k == new_len || closes {
                     let position = offset(g0, parent_shift) + added.len() - emitted;
                     let group = nodes.range(group_start..k);
-                    added.push(parent(cx, cache, grouping, h + 1, position, group, pass));
+                    let (id, value) = parent(cx, cache, slab, grouping, position, group, pass);
+                    let span = u32::try_from(members).expect("a group fits its level");
+                    added.push(Node::new(grouping, h + 1, id, value, span));
                     group_start = k;
                     members = 0;
                 }
@@ -682,8 +656,8 @@ fn offset(index: usize, shift: isize) -> usize {
 /// The old group holding old node `target`, as (index, first node), walked
 /// from the cursor group `g` (first node `at`, not past `target`) or from
 /// the level's end, whichever is nearer. The groups' spans sum to `len`.
-fn locate<V>(
-    groups: &VecDeque<Node<V>>,
+fn locate(
+    groups: &VecDeque<Node>,
     len: usize,
     mut g: usize,
     mut at: usize,
@@ -705,37 +679,38 @@ fn locate<V>(
     }
 }
 
-/// The parent of a group, the `position`-th of its level `level`, via the
-/// memo cache. A singleton promotes unchanged, identity included, so upper
-/// levels keep their memoized structure.
+/// The identity and value of a group, the `position`-th of its level, via
+/// the memo cache; the caller holds the value. A singleton promotes
+/// unchanged, identity and value shared, so upper levels keep their
+/// memoized structure.
 fn parent<K, V, G: Grouping>(
     cx: &mut TreeCx<'_, K, V>,
-    cache: &mut MemoCache<V>,
+    cache: &mut MemoCache,
+    slab: &mut Slab<V>,
     grouping: G,
-    level: usize,
     position: usize,
-    mut group: std::collections::vec_deque::Iter<'_, Node<V>>,
+    mut group: std::collections::vec_deque::Iter<'_, Node>,
     pass: &mut Pass,
-) -> Node<V> {
-    let span = u32::try_from(group.len()).expect("a group fits its level");
-    if span == 1 {
+) -> (u64, Handle) {
+    if group.len() == 1 {
         let node = group.next().expect("a group has a member");
-        return Node::new(grouping, level, node.id, Arc::clone(&node.value), 1);
+        return (node.id, slab.share(node.value));
     }
     let id = grouping.group_id(position as u64, group.clone().map(|node| node.id));
-    if let Some(value) = cache.acquire(id) {
-        return Node::new(grouping, level, id, value, span);
+    let (value, fresh) = cache.acquire_or_put(slab, id, |slab| {
+        let first = group.next().expect("a group has two members").value;
+        let second = group.next().expect("a group has two members").value;
+        let (mut acc, mut bytes) = cx.merge(Phase::Foreground, slab.get(first), slab.get(second));
+        for node in group {
+            (acc, bytes) = cx.merge(Phase::Foreground, &acc, slab.get(node.value));
+        }
+        slab.insert(acc, bytes)
+    });
+    if fresh {
+        pass.fresh += 1;
+        pass.fresh_bytes += slab.bytes_of(value);
     }
-    let first = group.next().expect("a group has a member");
-    let mut acc = Arc::clone(&first.value);
-    for node in group {
-        acc = cx.merge(Phase::Foreground, &acc, &node.value);
-    }
-    let bytes = cx.value_bytes(&acc);
-    cache.put(id, Arc::clone(&acc), bytes);
-    pass.fresh += 1;
-    pass.fresh_bytes += bytes;
-    Node::new(grouping, level, id, acc, span)
+    (id, value)
 }
 
 /// Declares a public tree type over a private [`MemoTree`] with the given
@@ -761,7 +736,7 @@ macro_rules! memo_tree {
             }
         }
 
-        impl<V> Clone for $name<V> {
+        impl<V: Clone> Clone for $name<V> {
             fn clone(&self) -> Self {
                 $name {
                     core: self.core.clone(),
@@ -772,7 +747,7 @@ macro_rules! memo_tree {
         impl<K, V> $crate::tree::WindowAggregator<K, V> for $name<V>
         where
             K: Send + 'static,
-            V: Send + Sync + 'static,
+            V: Clone + Send + Sync + 'static,
         {
             fn boxed_clone(&self) -> Box<dyn $crate::tree::WindowAggregator<K, V>> {
                 Box::new(self.clone())
@@ -813,7 +788,7 @@ macro_rules! memo_tree {
                 self.core.evict_range(cx, at, count)
             }
 
-            fn root(&self) -> Option<std::sync::Arc<V>> {
+            fn root(&self) -> Option<&V> {
                 self.core.root()
             }
 
@@ -826,7 +801,7 @@ macro_rules! memo_tree {
             }
 
             #[cfg(feature = "oracle")]
-            fn memo_layout(&self) -> $crate::tree::MemoLayout<V> {
+            fn memo_layout(&self) -> $crate::tree::MemoLayout<'_, V> {
                 self.core.memo_layout()
             }
 
@@ -838,7 +813,7 @@ macro_rules! memo_tree {
         impl<K, V> $crate::tree::ContractionTree<K, V> for $name<V>
         where
             K: Send + 'static,
-            V: Send + Sync + 'static,
+            V: Clone + Send + Sync + 'static,
         {
             fn height(&self) -> usize {
                 self.core.height()
@@ -852,59 +827,84 @@ pub(crate) use memo_tree;
 mod tests {
     use super::*;
 
+    /// Caches `value` under `id` as a fresh group would be: held by its
+    /// node and by the cache.
+    fn put(cache: &mut MemoCache, slab: &mut Slab<u64>, id: u64, value: u64, bytes: u64) -> Handle {
+        let (handle, fresh) = cache.acquire_or_put(slab, id, |slab| slab.insert(value, bytes));
+        assert!(fresh, "{id} was not cached yet");
+        handle
+    }
+
+    /// The value cached under `id`, as one more holder of it, if any.
+    fn acquire(cache: &MemoCache, slab: &mut Slab<u64>, id: u64) -> Option<Handle> {
+        cache.entries.get(&id).map(|&value| slab.share(value))
+    }
+
     #[test]
     fn get_put_roundtrip() {
-        let mut cache = MemoCache::new();
-        assert!(cache.acquire(1).is_none());
-        cache.put(1, Arc::new(10u32), 4);
-        assert_eq!(*cache.acquire(1).unwrap(), 10);
+        let (mut cache, mut slab) = (MemoCache::new(), Slab::new());
+        assert!(acquire(&cache, &mut slab, 1).is_none());
+        assert_eq!(cache.len(), 0);
+        put(&mut cache, &mut slab, 1, 10, 4);
+        let hit = acquire(&cache, &mut slab, 1).unwrap();
+        assert_eq!(*slab.get(hit), 10);
     }
 
     #[test]
     fn release_removes_an_entry_with_no_holder_left() {
-        let mut cache = MemoCache::new();
-        cache.put(1, Arc::new(1u8), 1);
-        cache.put(2, Arc::new(2u8), 1);
-        cache.release(2);
+        let (mut cache, mut slab) = (MemoCache::new(), Slab::new());
+        let one = put(&mut cache, &mut slab, 1, 1, 1);
+        let two = put(&mut cache, &mut slab, 2, 2, 1);
+        // While a node still holds the value, the entry stays.
+        cache.release(&mut slab, 2);
+        assert_eq!(cache.len(), 2);
+        slab.release(two);
+        cache.release(&mut slab, 2);
         assert_eq!(cache.len(), 1);
-        assert!(cache.acquire(1).is_some());
-        assert!(cache.acquire(2).is_none());
+        assert_eq!(acquire(&cache, &mut slab, 1), Some(one));
+        assert!(acquire(&cache, &mut slab, 2).is_none());
         // Releasing an absent identity changes nothing.
-        cache.release(2);
+        cache.release(&mut slab, 2);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn footprint_sums_value_sizes() {
-        let mut cache = MemoCache::new();
-        cache.put(1, Arc::new(vec![0u8; 3]), 3);
-        cache.put(2, Arc::new(vec![0u8; 5]), 5);
+        let (mut cache, mut slab) = (MemoCache::new(), Slab::new());
+        put(&mut cache, &mut slab, 1, 0, 3);
+        put(&mut cache, &mut slab, 2, 0, 5);
         assert_eq!(cache.bytes(), 8);
     }
 
     #[test]
     fn bytes_follow_put_and_release() {
-        let mut cache = MemoCache::new();
-        cache.put(1, Arc::new(vec![0u8; 3]), 3);
-        cache.put(2, Arc::new(vec![0u8; 5]), 5);
-        cache.release(2);
+        let (mut cache, mut slab) = (MemoCache::new(), Slab::new());
+        let one = put(&mut cache, &mut slab, 1, 0, 3);
+        let two = put(&mut cache, &mut slab, 2, 0, 5);
+        slab.release(two);
+        cache.release(&mut slab, 2);
         assert_eq!(cache.bytes(), 3);
-        cache.release(1);
+        slab.release(one);
+        cache.release(&mut slab, 1);
         assert_eq!(cache.bytes(), 0);
         assert_eq!(cache.len(), 0);
+        assert_eq!(slab.bytes(), 0, "the last holder frees the value");
     }
 
     #[test]
     fn a_reacquired_entry_survives_its_release() {
         // An edit that re-creates a group it replaced acquires the entry
         // before it releases the replaced one: the entry stays.
-        let mut cache = MemoCache::new();
-        cache.put(1, Arc::new(7u8), 1);
-        assert_eq!(cache.acquire(1).map(|v| *v), Some(7));
-        cache.release(1);
+        let (mut cache, mut slab) = (MemoCache::new(), Slab::new());
+        let first = put(&mut cache, &mut slab, 1, 7, 1);
+        slab.release(first);
+        let again = acquire(&cache, &mut slab, 1).unwrap();
+        assert_eq!(*slab.get(again), 7);
+        cache.release(&mut slab, 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 1);
-        cache.release(1);
+        slab.release(again);
+        cache.release(&mut slab, 1);
         assert_eq!(cache.len(), 0);
     }
 }

@@ -92,8 +92,8 @@ impl<V> RecontractingTree<V> {
     }
 
     /// The aggregate of the whole window.
-    pub fn root(&self) -> Option<Arc<V>> {
-        self.root.clone()
+    pub fn root(&self) -> Option<&V> {
+        self.root.as_deref()
     }
 
     /// Number of leaves.
@@ -318,7 +318,7 @@ impl<V> RecontractingTree<V> {
         }
         let mut acc = Arc::clone(&group[0].1);
         for (_, v) in &group[1..] {
-            acc = cx.merge(Phase::Foreground, &acc, v);
+            acc = Arc::new(cx.merge(Phase::Foreground, &acc, v).0);
         }
         touched.insert(id, (Arc::clone(&acc), cx.value_bytes(&acc)));
         (id, acc)

@@ -90,7 +90,7 @@ mod tests {
     }
 
     fn root_of(tree: &RandomizedFoldingTree<u64>) -> Option<u64> {
-        WindowAggregator::<u8, u64>::root(tree).map(|v| *v)
+        WindowAggregator::<u8, u64>::root(tree).copied()
     }
 
     #[test]

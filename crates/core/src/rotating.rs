@@ -203,7 +203,7 @@ impl<V> RotatingTree<V> {
             if let Some(s) = &self.nodes[sibling] {
                 cx.reuse(s);
                 acc = Some(match acc {
-                    Some(a) => cx.merge(phase, &a, s),
+                    Some(a) => Arc::new(cx.merge(phase, &a, s).0),
                     None => Arc::clone(s),
                 });
             }
@@ -338,7 +338,7 @@ where
             if let Some((off_path, _)) = self.precombined.take() {
                 let value = added.next().expect("remove == added.len() == 1");
                 let root = match (&value, &off_path) {
-                    (Some(v), Some(i)) => Some(cx.merge(Phase::Foreground, v, i)),
+                    (Some(v), Some(i)) => Some(Arc::new(cx.merge(Phase::Foreground, v, i).0)),
                     (Some(v), None) => Some(Arc::clone(v)),
                     (None, Some(i)) => Some(Arc::clone(i)),
                     (None, None) => None,
@@ -397,11 +397,11 @@ where
         self.precombined = Some((off_path, bytes));
     }
 
-    fn root(&self) -> Option<Arc<V>> {
-        if let Some(root) = &self.root_override {
-            return root.clone();
+    fn root(&self) -> Option<&V> {
+        match &self.root_override {
+            Some(root) => root.as_deref(),
+            None => self.nodes[1].as_deref(),
         }
-        self.nodes[1].clone()
     }
 
     fn len(&self) -> usize {
@@ -419,7 +419,7 @@ where
     }
 
     #[cfg(feature = "oracle")]
-    fn memo_layout(&self) -> MemoLayout<V> {
+    fn memo_layout(&self) -> MemoLayout<'_, V> {
         MemoLayout::Heap {
             nodes: self.nodes.clone(),
             width: self.width,
@@ -461,7 +461,7 @@ mod tests {
     }
 
     fn root_of(tree: &RotatingTree<u64>) -> Option<u64> {
-        WindowAggregator::<u8, u64>::root(tree).map(|v| *v)
+        WindowAggregator::<u8, u64>::root(tree).copied()
     }
 
     #[test]

@@ -63,7 +63,9 @@ impl<V> StrawmanTree<V> {
             core: MemoTree::new(ByPosition),
         }
     }
+}
 
+impl<V: Clone> StrawmanTree<V> {
     /// Replaces the entire leaf sequence with caller-identified leaves and
     /// recombines, reusing memoized pairings wherever identities align.
     ///

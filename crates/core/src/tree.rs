@@ -189,13 +189,13 @@ impl<'a, K, V> TreeCx<'a, K, V> {
     }
 
     /// Executes one combiner invocation, charging its cost to `phase` and
-    /// recording the memoization bytes the fresh aggregate occupies.
-    pub fn merge(&mut self, phase: Phase, a: &Arc<V>, b: &Arc<V>) -> Arc<V> {
-        let cost = self.combiner.cost(self.key, a, b);
-        self.stats.phase_mut(phase).record(cost);
-        let out = Arc::new(self.combiner.combine(self.key, a, b));
-        self.stats.bytes_written += self.combiner.value_bytes(self.key, &out);
-        out
+    /// recording the memoization bytes the fresh aggregate occupies. Returns
+    /// the aggregate and those bytes.
+    pub fn merge(&mut self, phase: Phase, a: &V, b: &V) -> (V, u64) {
+        let merged = self.combiner.merge(self.key, a, b);
+        self.stats.phase_mut(phase).record(merged.cost);
+        self.stats.bytes_written += merged.bytes;
+        (merged.value, merged.bytes)
     }
 
     /// The parent of two possibly absent children, with the bytes it adds
@@ -210,9 +210,8 @@ impl<'a, K, V> TreeCx<'a, K, V> {
     ) -> (Option<Arc<V>>, u64) {
         match (left, right) {
             (Some(l), Some(r)) => {
-                let merged = self.merge(phase, l, r);
-                let bytes = self.value_bytes(&merged);
-                (Some(merged), bytes)
+                let (merged, bytes) = self.merge(phase, l, r);
+                (Some(Arc::new(merged)), bytes)
             }
             (Some(child), None) | (None, Some(child)) => (Some(Arc::clone(child)), 0),
             (None, None) => (None, 0),
@@ -230,14 +229,14 @@ impl<'a, K, V> TreeCx<'a, K, V> {
         let first = iter.next()?;
         let mut acc = first;
         for part in iter {
-            acc = self.merge(phase, &acc, &part);
+            acc = Arc::new(self.merge(phase, &acc, &part).0);
         }
         Some(acc)
     }
 
     /// Records reuse of one memoized aggregate, including the bytes the
     /// contraction phase reads to consume it.
-    pub fn reuse(&mut self, v: &Arc<V>) {
+    pub fn reuse(&mut self, v: &V) {
         self.stats.reused += 1;
         self.stats.bytes_read += self.combiner.value_bytes(self.key, v);
     }
@@ -290,7 +289,11 @@ impl<K, V> fmt::Debug for TreeCx<'_, K, V> {
 ///
 /// Leaves are `Option<Arc<V>>`: a `None` leaf is a window slot in which this
 /// key did not appear (relevant for the slot-addressed rotating tree; the
-/// other structures simply skip absent leaves).
+/// other structures simply skip absent leaves). `Arc` marks only this
+/// boundary: the folding and memo trees move each leaf into their own slab
+/// (see [`FoldingTree`](crate::FoldingTree)), and every aggregate leaves a
+/// structure as a borrow ([`WindowAggregator::root`],
+/// [`WindowAggregator::reduce_parts`]).
 pub trait WindowAggregator<K, V>: fmt::Debug + Send {
     /// Discards all state and rebuilds from `leaves` (the paper's *initial
     /// run*). All construction work is charged to the foreground phase.
@@ -391,12 +394,12 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
     ///
     /// In split mode this may force deferred merges conceptually; trees keep
     /// it cheap by returning the most recently produced equivalent root.
-    fn root(&self) -> Option<Arc<V>>;
+    fn root(&self) -> Option<&V>;
 
     /// The partial aggregates to hand the Reduce task. Usually one part
     /// (the root); the coalescing tree in split mode returns the previous
     /// root plus the fresh delta (§4.2). Empty if the window is empty.
-    fn reduce_parts(&self) -> Vec<Arc<V>> {
+    fn reduce_parts(&self) -> Vec<&V> {
         self.root().into_iter().collect()
     }
 
@@ -419,21 +422,22 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
     /// from scratch (the property tests' oracle for
     /// [`WindowAggregator::memo_bytes`]).
     #[cfg(feature = "oracle")]
-    fn memo_layout(&self) -> MemoLayout<V>;
+    fn memo_layout(&self) -> MemoLayout<'_, V>;
 
     /// Which family member this is.
     fn kind(&self) -> TreeKind;
 
     /// Deep copy behind the object-safe interface.
     ///
-    /// The copy shares leaf/aggregate allocations (everything is
-    /// `Arc`-backed) but duplicates all structural state — slot layout,
-    /// memo caches, generation counters, pending repairs — so that the
-    /// clone and the original **meter identical work on identical future
-    /// slides**. This is the checkpoint primitive: rebuilding from window
-    /// contents via `rebuild` is answer-equivalent but not stats-canonical
-    /// (the reconstructed shape reuses different nodes), so restore paths
-    /// clone instead.
+    /// The copy duplicates all state — slot layout, slab, memo caches,
+    /// pending repairs — so that the clone and the original **meter
+    /// identical work on identical future slides**. The slab-backed trees
+    /// copy their values; the others share their `Arc`ed ones.
+    ///
+    /// This is the checkpoint primitive: rebuilding from window contents
+    /// via `rebuild` is answer-equivalent but not stats-canonical (the
+    /// reconstructed shape reuses different nodes), so restore paths clone
+    /// instead.
     fn boxed_clone(&self) -> Box<dyn WindowAggregator<K, V>>;
 }
 
@@ -442,15 +446,16 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
 /// [`WindowAggregator::memo_bytes`] from scratch.
 #[cfg(feature = "oracle")]
 #[derive(Debug)]
-pub enum MemoLayout<V> {
+pub enum MemoLayout<'a, V> {
     /// Allocations each counted once per listing (strawman, randomized
     /// folding tree: window leaves and memo-cache entries; coalescing
     /// tree: the root and the pending delta).
-    Each(Vec<Arc<V>>),
+    Each(Vec<&'a V>),
     /// Binary levels, leaves first: node `i` of level `h` has the children
-    /// `2i` and `2i + 1` of level `h - 1`. A node that shares a child's
-    /// allocation (a pass-through) is not counted again (folding tree).
-    Levels(Vec<Vec<Option<Arc<V>>>>),
+    /// `2i` and `2i + 1` of level `h - 1`, and names its slab slot beside
+    /// its value. A node that shares a child's slot (a pass-through) is not
+    /// counted again (folding tree).
+    Levels(Vec<Vec<Option<(u32, &'a V)>>>),
     /// A 1-based segment tree (node `i` has children `2i` and `2i + 1`;
     /// nodes from `width` on are leaves) with the same pass-through rule,
     /// plus the prepared off-path aggregate, always counted (rotating tree).
@@ -489,7 +494,7 @@ pub trait ContractionTree<K, V>: WindowAggregator<K, V> {
 pub fn build_tree<K, V>(kind: TreeKind, capacity: usize) -> Box<dyn WindowAggregator<K, V>>
 where
     K: Send + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     match kind {
         TreeKind::Strawman => Box::new(StrawmanTree::new()),
@@ -517,7 +522,7 @@ pub fn build_contraction_tree<K, V>(
 ) -> Box<dyn ContractionTree<K, V>>
 where
     K: Send + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     match kind {
         TreeKind::Strawman => Box::new(StrawmanTree::new()),
@@ -599,9 +604,10 @@ mod tests {
         let mut stats = UpdateStats::default();
         let key = 0u8;
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-        let out = cx.merge(Phase::Foreground, &Arc::new(1), &Arc::new(2));
-        assert_eq!(*out, 3);
+        let (out, bytes) = cx.merge(Phase::Foreground, &1, &2);
+        assert_eq!((out, bytes), (3, 16));
         assert_eq!(stats.foreground.merges, 1);
+        assert_eq!(stats.bytes_written, 16);
     }
 
     #[test]

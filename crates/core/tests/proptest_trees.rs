@@ -170,7 +170,7 @@ proptest! {
                 let mut stats = UpdateStats::default();
                 let mut cx = TreeCx::new(&combiner, &key, &mut stats);
                 tree.advance(&mut cx, remove, leaves(&slide.add)).unwrap();
-                roots.push(tree.root().map(|v| *v));
+                roots.push(tree.root().copied());
             }
             for (kind, root) in kinds.iter().zip(&roots) {
                 prop_assert_eq!(
@@ -285,7 +285,7 @@ proptest! {
 
             let expected: Option<u64> = slots.iter().flatten().copied()
                 .reduce(|a, b| a.wrapping_add(b));
-            let got = tree.root().map(|v| *v);
+            let got = tree.root().copied();
             prop_assert_eq!(got, expected);
             prop_assert_eq!(tree.len(), slots.iter().flatten().count());
         }
@@ -382,7 +382,7 @@ fn all_trees_agree_with_each_other() {
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         tree.advance(&mut cx, 5, vec![Some(Arc::new(vec![1000, 1001]))])
             .unwrap();
-        roots.push((kind, tree.root().map(|v| (*v).clone())));
+        roots.push((kind, tree.root().cloned()));
     }
     let first = roots[0].1.clone();
     for (kind, root) in &roots {
@@ -415,7 +415,7 @@ impl Combiner<u8, List> for ListCombiner {
     }
 }
 
-fn list_bytes(v: &Arc<List>) -> u64 {
+fn list_bytes(v: &List) -> u64 {
     ListCombiner.value_bytes(&0, v)
 }
 
@@ -432,16 +432,17 @@ fn passes_through(node: &Arc<List>, children: [Option<&Option<Arc<List>>>; 2]) -
 /// allocation once, per the layout's sharing rules.
 fn recount(layout: MemoLayout<List>) -> u64 {
     match layout {
-        MemoLayout::Each(held) => held.iter().map(list_bytes).sum(),
+        MemoLayout::Each(held) => held.iter().map(|v| list_bytes(v)).sum(),
         MemoLayout::Levels(levels) => {
             let mut bytes = 0;
             for (h, level) in levels.iter().enumerate() {
                 for (i, node) in level.iter().enumerate() {
-                    let Some(v) = node else { continue };
-                    let shared = h > 0 && {
-                        let children = &levels[h - 1];
-                        passes_through(v, [children.get(2 * i), children.get(2 * i + 1)])
-                    };
+                    let Some((slot, v)) = node else { continue };
+                    // A pass-through names its child's slab slot.
+                    let shared = h > 0
+                        && [2 * i, 2 * i + 1].into_iter().any(|c| {
+                            matches!(levels[h - 1].get(c), Some(Some((child, _))) if child == slot)
+                        });
                     if !shared {
                         bytes += list_bytes(v);
                     }
@@ -463,13 +464,13 @@ fn recount(layout: MemoLayout<List>) -> u64 {
                     bytes += list_bytes(v);
                 }
             }
-            bytes + prepared.as_ref().map_or(0, list_bytes)
+            bytes + prepared.as_deref().map_or(0, list_bytes)
         }
         MemoLayout::Shared(held) => {
             let mut seen = std::collections::HashSet::new();
             held.iter()
                 .filter(|v| seen.insert(Arc::as_ptr(v)))
-                .map(list_bytes)
+                .map(|v| list_bytes(v))
                 .sum()
         }
     }

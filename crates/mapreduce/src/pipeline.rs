@@ -291,7 +291,7 @@ impl<A: StageApp<Input = R>, R: Clone + Eq + Hash + Send + Sync> InnerStage<A, R
         tree.set_leaves(&mut cx, leaves);
         let root = slider_core::WindowAggregator::<A::Key, A::Value>::root(tree)
             .expect("non-empty leaf set has a root");
-        let refs = [root.as_ref()];
+        let refs = [root];
         let reduce_work = app.reduce_cost(key, &refs);
         let output = app.reduce(key, &refs);
         KeyOutcome {

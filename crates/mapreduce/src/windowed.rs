@@ -1791,10 +1791,9 @@ where
                 continue;
             }
             let parts = tree.reduce_parts();
-            let refs: Vec<&A::Value> = parts.iter().map(|a| a.as_ref()).collect();
-            reduce_work += app.reduce_cost(key, &refs);
+            reduce_work += app.reduce_cost(key, &parts);
             outcome.keys_reduced += 1;
-            let out = app.reduce(key, &refs);
+            let out = app.reduce(key, &parts);
             outcome.deltas.push((key.clone(), Some(out)));
         }
         reduce_work
