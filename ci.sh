@@ -44,6 +44,8 @@ cargo test -q -p slider-bench --test integration_serve
 echo "==> resilience: crash/restore, breaker quarantine, overload shedding"
 cargo test -q -p slider-bench --test integration_resilience
 
+# The examples' default-thread stdout is pinned under examples/expected/: a
+# change that moves any of it must check in the new output.
 echo "==> resilience: chaos_restore output is byte-identical across runs and thread counts"
 chaos_tmp="$(mktemp -d)"
 cargo run -q --release -p slider-bench --example chaos_restore > "$chaos_tmp/a.txt"
@@ -51,6 +53,7 @@ SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example chaos_restore 
 SLIDER_THREADS=4 cargo run -q --release -p slider-bench --example chaos_restore > "$chaos_tmp/c.txt"
 cmp "$chaos_tmp/a.txt" "$chaos_tmp/b.txt"
 cmp "$chaos_tmp/a.txt" "$chaos_tmp/c.txt"
+cmp examples/expected/chaos_restore.txt "$chaos_tmp/a.txt"
 rm -rf "$chaos_tmp"
 
 echo "==> batches: netsession_audit output is byte-identical across runs and thread counts"
@@ -58,6 +61,7 @@ batch_tmp="$(mktemp -d)"
 cargo run -q --release -p slider-apps --example netsession_audit > "$batch_tmp/a.txt"
 SLIDER_THREADS=1 cargo run -q --release -p slider-apps --example netsession_audit > "$batch_tmp/b.txt"
 cmp "$batch_tmp/a.txt" "$batch_tmp/b.txt"
+cmp examples/expected/netsession_audit.txt "$batch_tmp/a.txt"
 rm -rf "$batch_tmp"
 
 echo "==> serve: dashboard output is byte-identical across runs and thread counts"
@@ -67,6 +71,7 @@ SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example serve_dashboar
 SLIDER_THREADS=4 cargo run -q --release -p slider-bench --example serve_dashboard > "$serve_tmp/c.txt"
 cmp "$serve_tmp/a.txt" "$serve_tmp/b.txt"
 cmp "$serve_tmp/a.txt" "$serve_tmp/c.txt"
+cmp examples/expected/serve_dashboard.txt "$serve_tmp/a.txt"
 rm -rf "$serve_tmp"
 
 echo "==> join: incremental view == brute force across threads, faults, disorder"
@@ -82,6 +87,7 @@ SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example join_feed > "$
 SLIDER_THREADS=4 cargo run -q --release -p slider-bench --example join_feed > "$join_tmp/c.txt"
 cmp "$join_tmp/a.txt" "$join_tmp/b.txt"
 cmp "$join_tmp/a.txt" "$join_tmp/c.txt"
+cmp examples/expected/join_feed.txt "$join_tmp/a.txt"
 rm -rf "$join_tmp"
 
 echo "==> trace: same-seed exports are byte-identical"
