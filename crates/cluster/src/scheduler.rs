@@ -57,6 +57,16 @@ pub(crate) struct Pending {
     pub attempt: u32,
 }
 
+impl Pending {
+    /// The instant from which the hybrid policy may migrate this task: the
+    /// time its wake-up is armed for. Every migration test compares `now`
+    /// with this sum; `now - enqueued_at >= threshold` can round below the
+    /// threshold at the wake-up itself, which then arms no new one.
+    pub fn migrates_at(&self, threshold: f64) -> f64 {
+        self.enqueued_at + threshold
+    }
+}
+
 /// The end of a lane.
 const NIL: usize = usize::MAX;
 
@@ -257,8 +267,10 @@ impl PendingQueue {
                 .or_else(|| self.first(unpreferred))
                 .or_else(|| {
                     let oldest = self.first(all)?;
-                    let waited = now - self.entries[oldest].pending.enqueued_at;
-                    migrated = waited >= migration_threshold;
+                    migrated = now
+                        >= self.entries[oldest]
+                            .pending
+                            .migrates_at(migration_threshold);
                     migrated.then_some(oldest)
                 }),
         })?;
@@ -281,7 +293,7 @@ impl PendingQueue {
         };
         let all = self.lane(SlotKind::Reduce, ALL);
         self.first(all)
-            .is_some_and(|id| now - self.entries[id].pending.enqueued_at >= migration_threshold)
+            .is_some_and(|id| now >= self.entries[id].pending.migrates_at(migration_threshold))
     }
 }
 

@@ -759,7 +759,7 @@ impl StageRun<'_> {
         let Some(oldest) = self.pending.oldest() else {
             return;
         };
-        let earliest = oldest.enqueued_at + migration_threshold;
+        let earliest = oldest.migrates_at(migration_threshold);
         // A wake-up is only useful when the oldest pending task has NOT yet
         // crossed the migration threshold: once it has, it is already
         // eligible and only a freed slot (a Done event) can unblock it —
@@ -881,6 +881,41 @@ mod tests {
         assert!(report.makespan < 110.0, "makespan = {}", report.makespan);
         assert_eq!(report.migrations, 1);
         assert_eq!(report.stages[0].remote_bytes, 2);
+    }
+
+    /// The hybrid wake-up fires at `enqueued_at + threshold`; at that
+    /// instant the waiting task must count as due. With stage 1 ending at
+    /// 3.00322 s, `now - enqueued_at` rounds to just below the 5-s
+    /// threshold at the wake-up, so a test by subtraction would leave the
+    /// short reduce waiting 100 s for the long one instead of migrating.
+    #[test]
+    fn hybrid_migrates_at_its_own_wake_up() {
+        let spec = ClusterSpec {
+            machines: vec![
+                MachineSpec {
+                    reduce_slots: 1,
+                    ..MachineSpec::healthy()
+                };
+                2
+            ],
+            cost: CostModel {
+                work_per_second: 100_000.0,
+                ..tiny_cost()
+            },
+        };
+        let run = |map_work| {
+            let reduces = vec![
+                Task::reduce(1, 10_000_000).prefer(MachineId(0)),
+                Task::reduce(2, 50_000).prefer(MachineId(0)),
+            ];
+            let stages = [vec![Task::map(0, map_work)], reduces];
+            simulate(&spec, SchedulerPolicy::hybrid_default(), &stages)
+        };
+        for (map_work, stage_one_end) in [(300_000, 3.0), (300_322, 3.00322)] {
+            let report = run(map_work);
+            assert_eq!(report.migrations, 1, "stage 1 ends at {stage_one_end} s");
+            assert_eq!(report.makespan, stage_one_end + 100.0);
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn choose(
             let stale = pending
                 .iter()
                 .enumerate()
-                .filter(|(_, p)| of_kind(p) && now - p.enqueued_at >= migration_threshold)
+                .filter(|(_, p)| of_kind(p) && now >= p.enqueued_at + migration_threshold)
                 .min_by(|(_, a), (_, b)| {
                     a.enqueued_at
                         .partial_cmp(&b.enqueued_at)
