@@ -8,8 +8,6 @@
 //!    after a drastic shrink, how aggressively should the folding tree be
 //!    rebuilt from scratch?
 
-use std::sync::Arc;
-
 use slider_bench::{banner, hct_spec, run_slide_with, Table, WindowKind};
 use slider_core::{
     ContractionTree, FnCombiner, FoldingTree, TreeCx, UpdateStats, WindowAggregator,
@@ -66,9 +64,7 @@ fn main() {
             Some(f) => FoldingTree::with_rebuild_factor(f),
         };
         let n = 4096u64;
-        let mk = |r: std::ops::Range<u64>| -> Vec<Option<Arc<u64>>> {
-            r.map(|v| Some(Arc::new(v))).collect()
-        };
+        let mk = |r: std::ops::Range<u64>| -> Vec<Option<u64>> { r.map(Some).collect() };
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         WindowAggregator::<u8, u64>::rebuild(&mut tree, &mut cx, mk(0..n));
@@ -114,9 +110,7 @@ fn main() {
     let mut table = Table::new(&["slide", "fresh merges", "reused nodes"]);
     for remove in [1usize, 2, 3] {
         let mut tree = slider_core::StrawmanTree::new();
-        let mk = |r: std::ops::Range<u64>| -> Vec<Option<Arc<u64>>> {
-            r.map(|v| Some(Arc::new(v))).collect()
-        };
+        let mk = |r: std::ops::Range<u64>| -> Vec<Option<u64>> { r.map(Some).collect() };
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         WindowAggregator::<u8, u64>::rebuild(&mut tree, &mut cx, mk(0..512));

@@ -11,7 +11,6 @@
 //! show the §3.2 mechanism directly, beside the in-process wall time of
 //! one update (printed only, not gated).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use slider_bench::{banner, fmt_f64, kmeans_spec, matrix_spec, MicrobenchSpec, Table};
@@ -54,9 +53,7 @@ fn core_trend(kind: TreeKind, shrink_pct: u64) -> (usize, u64, f64) {
     let combiner = FnCombiner::new(|_: &u8, a: &u64, b: &u64| a.wrapping_add(*b));
     let key = 0u8;
     let mut tree = build_contraction_tree::<u8, u64>(kind, 0);
-    let mk = |range: std::ops::Range<u64>| -> Vec<Option<Arc<u64>>> {
-        range.map(|v| Some(Arc::new(v))).collect()
-    };
+    let mk = |range: std::ops::Range<u64>| -> Vec<Option<u64>> { range.map(Some).collect() };
     let mut stats = UpdateStats::default();
     let mut cx = TreeCx::new(&combiner, &key, &mut stats);
     tree.rebuild(&mut cx, mk(0..n));

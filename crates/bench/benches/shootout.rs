@@ -1,6 +1,6 @@
 //! Head-to-head aggregation-structure shootout (companion analysis to the
-//! paper's §7 figures): per-leaf modeled work and simulated seconds for
-//! every window-capable structure across window size × slide fraction.
+//! paper's §7 figures): per-leaf modeled work for every window-capable
+//! structure across window size × slide fraction.
 //!
 //! Run with `cargo bench -p slider-bench --bench shootout`; set
 //! `BENCH_JSON_DIR` to also write `BENCH_shootout.json` (the file CI
@@ -14,8 +14,8 @@ fn main() {
     print!("{}", shootout_table(&points).render());
     println!(
         "expected: strawman grows linearly with the window, the contraction\n\
-         trees logarithmically, and the twin-stack family (twostack, daba,\n\
-         daba-lite) stays flat — the O(1) vs O(log n) crossover."
+         trees logarithmically, and the twin-stack family (twostack, daba)\n\
+         stays flat — the O(1) vs O(log n) crossover."
     );
     if let Some(path) = shootout_report(&points).write_if_configured() {
         println!("wrote {}", path.display());

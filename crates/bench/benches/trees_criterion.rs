@@ -8,15 +8,13 @@
 //! gives the merges per slide of a fixed, untimed run of the same slides,
 //! so that ns per slide divides into ns per merge.
 
-use std::sync::Arc;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slider_core::{
     build_tree, Combiner, FnCombiner, TreeCx, TreeKind, UpdateStats, WindowAggregator,
 };
 
-fn leaves(n: u64) -> Vec<Option<Arc<u64>>> {
-    (0..n).map(|v| Some(Arc::new(v))).collect()
+fn leaves(n: u64) -> Vec<Option<u64>> {
+    (0..n).map(Some).collect()
 }
 
 /// Slides run untimed to count merges per slide.
@@ -45,8 +43,7 @@ fn bench_slides(c: &mut Criterion) {
             let slide = |tree: &mut Box<dyn WindowAggregator<u8, u64>>, next: u64| {
                 let mut stats = UpdateStats::default();
                 let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-                tree.advance(&mut cx, 1, vec![Some(Arc::new(next))])
-                    .unwrap();
+                tree.advance(&mut cx, 1, vec![Some(next)]).unwrap();
                 stats.total_merges()
             };
             let mut tree = fresh();
@@ -78,8 +75,7 @@ fn bench_slides(c: &mut Criterion) {
                 let mut stats = UpdateStats::default();
                 let mut cx = TreeCx::new(&combiner, &key, &mut stats);
                 next += 1;
-                tree.advance(&mut cx, 0, vec![Some(Arc::new(next))])
-                    .unwrap();
+                tree.advance(&mut cx, 0, vec![Some(next)]).unwrap();
             });
         });
     }
@@ -147,7 +143,7 @@ impl ServeShaped {
         let added = (0..add)
             .map(|_| {
                 self.next += 1;
-                Some(Arc::new(self.next))
+                Some(self.next)
             })
             .collect();
         let mut stats = UpdateStats::default();

@@ -20,7 +20,10 @@ use slider_mapreduce::{EngineShared, EventTimeConfig, Stamped};
 use slider_workloads::twitter::{follow_stream, generate, TwitterConfig};
 
 use crate::report::{BenchJson, Table};
-use crate::shootout::WORK_UNITS_PER_SECOND;
+
+/// Modeled work units per simulated second, for the seconds the report
+/// prints beside the work.
+const WORK_UNITS_PER_SECOND: f64 = 1e6;
 
 /// Window sizes swept, in records per side (1 record ≈ 1 time unit).
 pub const JOIN_WINDOWS: [u64; 3] = [256, 1024, 4096];

@@ -33,5 +33,5 @@ pub use report::{
 };
 pub use shootout::{
     measure, point_key, run_shootout, shootout_report, shootout_table, ShootoutPoint,
-    SHOOTOUT_KINDS, SLIDE_PCTS, WINDOWS, WORK_UNITS_PER_SECOND,
+    SHOOTOUT_KINDS, SLIDE_PCTS, WINDOWS,
 };

@@ -2,13 +2,12 @@
 //!
 //! Drives every window-capable [`TreeKind`] through the *same* slide
 //! schedule at the core [`slider_core::WindowAggregator`] layer — no cluster, no
-//! shuffle, just the aggregation structure — and reports modeled work,
-//! merges and simulated seconds *per leaf replaced*, over a grid of
-//! window sizes × slide fractions. This is the head-to-head the companion
-//! analyses predict (cf. arXiv 1604.00794 §6, arXiv 2009.13768 §7): the
-//! O(log n) contraction trees' per-update cost grows with the window
-//! while the twin-stack family stays flat, with the strawman's linear
-//! rescan as the ceiling.
+//! shuffle, just the aggregation structure — and reports modeled work
+//! *per leaf replaced*, over a grid of window sizes × slide fractions.
+//! This is the head-to-head the companion analyses predict (cf. arXiv
+//! 1604.00794 §6, arXiv 2009.13768 §7): the O(log n) contraction trees'
+//! per-update cost grows with the window while the twin-stack family
+//! stays flat, with the strawman's linear rescan as the ceiling.
 //!
 //! The measurement is pure integer work accounting ([`UpdateStats`]), so
 //! the numbers are bit-identical across reruns, machines and thread
@@ -16,8 +15,6 @@
 //! and a checked-in baseline gates regressions in CI.
 
 #![deny(clippy::cast_possible_truncation)]
-
-use std::sync::Arc;
 
 use slider_core::{build_tree, FnCombiner, TreeCx, TreeKind, UpdateStats};
 
@@ -27,14 +24,13 @@ use crate::report::{fmt_f64, BenchJson, Table};
 /// genuine sliding window (front eviction + back insertion). The
 /// append-only coalescing tree is excluded — it rejects evictions by
 /// design, so it has no point on these curves.
-pub const SHOOTOUT_KINDS: [TreeKind; 7] = [
+pub const SHOOTOUT_KINDS: [TreeKind; 6] = [
     TreeKind::Strawman,
     TreeKind::Folding,
     TreeKind::RandomizedFolding,
     TreeKind::Rotating,
     TreeKind::TwoStack,
     TreeKind::Daba,
-    TreeKind::DabaLite,
 ];
 
 /// Window sizes (leaves) swept by the shootout.
@@ -46,16 +42,12 @@ pub const WINDOWS: [u64; 4] = [64, 256, 1024, 4096];
 /// amortize a tree's root path over the whole batch).
 pub const SLIDE_PCTS: [u64; 3] = [0, 1, 10];
 
-/// Work units per simulated second — the same constant the cluster
-/// simulation uses to turn modeled work into modeled time.
-pub const WORK_UNITS_PER_SECOND: f64 = 1e6;
-
 /// Slides measured per grid point (after the untimed initial fill).
 const ROUNDS: u64 = 24;
 
-/// One structure's cost at one (window, slide) grid point. All `per_leaf`
-/// figures are normalized by the number of leaves replaced, so points
-/// with different slide sizes are directly comparable.
+/// One structure's cost at one (window, slide) grid point, normalized by
+/// the number of leaves replaced, so points with different slide sizes are
+/// directly comparable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShootoutPoint {
     /// The structure measured.
@@ -66,12 +58,9 @@ pub struct ShootoutPoint {
     pub slide_pct: u64,
     /// Leaves evicted+appended per slide (`max(1, window·pct/100)`).
     pub slide_leaves: u64,
-    /// Combiner invocations per leaf replaced.
-    pub merges_per_leaf: f64,
-    /// Modeled work units per leaf replaced.
+    /// Modeled work units per leaf replaced. The shootout's combiner costs
+    /// one unit per merge, so this is also its merges per leaf.
     pub work_per_leaf: f64,
-    /// Simulated seconds per leaf replaced (`work / 1e6`).
-    pub seconds_per_leaf: f64,
 }
 
 /// Measures one structure at one grid point: fills a `window`-leaf
@@ -81,9 +70,7 @@ pub struct ShootoutPoint {
 pub fn measure(kind: TreeKind, window: u64, slide_pct: u64) -> ShootoutPoint {
     let combiner = FnCombiner::new(|_: &u8, a: &u64, b: &u64| a.wrapping_add(*b));
     let key = 0u8;
-    let leaves = |r: std::ops::Range<u64>| -> Vec<Option<Arc<u64>>> {
-        r.map(|v| Some(Arc::new(v))).collect()
-    };
+    let leaves = |r: std::ops::Range<u64>| -> Vec<Option<u64>> { r.map(Some).collect() };
     let slide_leaves = (window * slide_pct / 100).max(1);
 
     let mut tree = build_tree::<u8, u64>(kind, usize::try_from(window).unwrap());
@@ -106,16 +93,12 @@ pub fn measure(kind: TreeKind, window: u64, slide_pct: u64) -> ShootoutPoint {
         total.merge_from(&stats);
     }
 
-    let denom = (ROUNDS * slide_leaves) as f64;
-    let work_per_leaf = total.foreground.work as f64 / denom;
     ShootoutPoint {
         kind,
         window,
         slide_pct,
         slide_leaves,
-        merges_per_leaf: total.foreground.merges as f64 / denom,
-        work_per_leaf,
-        seconds_per_leaf: work_per_leaf / WORK_UNITS_PER_SECOND,
+        work_per_leaf: total.foreground.work as f64 / (ROUNDS * slide_leaves) as f64,
     }
 }
 
@@ -138,16 +121,13 @@ pub fn point_key(kind: TreeKind, window: u64, slide_pct: u64) -> String {
     format!("{kind}.w{window}.p{slide_pct}")
 }
 
-/// Builds the `BENCH_shootout.json` report: three metrics per grid point
-/// (`<key>.merges_per_leaf`, `<key>.work_per_leaf`, `<key>.seconds_per_leaf`)
-/// in deterministic grid order.
+/// Builds the `BENCH_shootout.json` report: one metric per grid point,
+/// `<key>.work_per_leaf`, in deterministic grid order.
 pub fn shootout_report(points: &[ShootoutPoint]) -> BenchJson {
     let mut report = BenchJson::new("shootout");
     for p in points {
         let key = point_key(p.kind, p.window, p.slide_pct);
-        report.metric(format!("{key}.merges_per_leaf"), p.merges_per_leaf);
         report.metric(format!("{key}.work_per_leaf"), p.work_per_leaf);
-        report.metric(format!("{key}.seconds_per_leaf"), p.seconds_per_leaf);
     }
     report
 }
@@ -155,24 +135,14 @@ pub fn shootout_report(points: &[ShootoutPoint]) -> BenchJson {
 /// Renders the per-structure cost table the bench target and the
 /// `shootout_viewer` example print.
 pub fn shootout_table(points: &[ShootoutPoint]) -> Table {
-    let mut table = Table::new(&[
-        "structure",
-        "window",
-        "slide%",
-        "leaves/slide",
-        "merges/leaf",
-        "work/leaf",
-        "sim s/leaf",
-    ]);
+    let mut table = Table::new(&["structure", "window", "slide%", "leaves/slide", "work/leaf"]);
     for p in points {
         table.row(vec![
             p.kind.to_string(),
             p.window.to_string(),
             p.slide_pct.to_string(),
             p.slide_leaves.to_string(),
-            fmt_f64(p.merges_per_leaf),
             fmt_f64(p.work_per_leaf),
-            format!("{:.3e}", p.seconds_per_leaf),
         ]);
     }
     table
@@ -198,7 +168,7 @@ mod tests {
         // The headline claim: DABA's per-leaf cost is flat across a 64x
         // window growth while the folding tree's grows, and at the largest
         // window the constant-time structures undercut every O(log n) tree.
-        let at = |kind, window| measure(kind, window, 0).merges_per_leaf;
+        let at = |kind, window| measure(kind, window, 0).work_per_leaf;
         let daba_small = at(TreeKind::Daba, WINDOWS[0]);
         let daba_large = at(TreeKind::Daba, WINDOWS[3]);
         assert!(

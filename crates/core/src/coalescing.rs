@@ -10,7 +10,6 @@
 //! run (Figure 5(b)).
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::TreeError;
 use crate::stats::Phase;
@@ -19,11 +18,12 @@ use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
 /// Append-only coalescing contraction tree. See the module docs.
+#[derive(Clone)]
 pub struct CoalescingTree<V> {
     /// Aggregate of every leaf coalesced so far.
-    root: Option<Arc<V>>,
+    root: Option<V>,
     /// Delta awaiting background coalescing (split mode only).
-    pending: Option<Arc<V>>,
+    pending: Option<V>,
     /// Modeled bytes of `root`; with `pending_bytes`, the footprint.
     root_bytes: u64,
     /// Modeled bytes of `pending`.
@@ -63,12 +63,9 @@ impl<V> CoalescingTree<V> {
     }
 
     /// Folds `delta` into the root (merging in `phase` when a root exists).
-    fn coalesce<K>(&mut self, cx: &mut TreeCx<'_, K, V>, phase: Phase, delta: Arc<V>) {
+    fn coalesce<K>(&mut self, cx: &mut TreeCx<'_, K, V>, phase: Phase, delta: V) {
         let (root, bytes) = match &self.root {
-            Some(root) => {
-                let (merged, bytes) = cx.merge(phase, root, &delta);
-                (Arc::new(merged), bytes)
-            }
+            Some(root) => cx.merge(phase, root, &delta),
             None => {
                 let bytes = cx.value_bytes(&delta);
                 (delta, bytes)
@@ -103,60 +100,48 @@ impl<V> fmt::Debug for CoalescingTree<V> {
     }
 }
 
-impl<V> Clone for CoalescingTree<V> {
-    fn clone(&self) -> Self {
-        CoalescingTree {
-            root: self.root.clone(),
-            pending: self.pending.clone(),
-            root_bytes: self.root_bytes,
-            pending_bytes: self.pending_bytes,
-            split: self.split,
-            len: self.len,
-        }
-    }
-}
-
 impl<K, V> WindowAggregator<K, V> for CoalescingTree<V>
 where
     K: Send + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + 'static,
 {
     fn boxed_clone(&self) -> Box<dyn WindowAggregator<K, V>> {
         Box::new(self.clone())
     }
 
-    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
-        let live: Vec<Arc<V>> = leaves.into_iter().flatten().collect();
-        self.len = live.len();
+    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<V>>) {
+        self.len = leaves.iter().flatten().count();
         cx.note_added(self.len as u64);
         self.pending = None;
         self.pending_bytes = 0;
-        self.root = cx.fold(Phase::Foreground, live);
-        self.root_bytes = self.root.as_deref().map_or(0, |v| cx.value_bytes(v));
+        self.root = cx.fold(Phase::Foreground, leaves.into_iter().flatten());
+        self.root_bytes = self.root.as_ref().map_or(0, |v| cx.value_bytes(v));
     }
 
     fn advance(
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         remove: usize,
-        added: Vec<Option<Arc<V>>>,
+        added: Vec<Option<V>>,
     ) -> Result<(), TreeError> {
         if remove != 0 {
             return Err(TreeError::RemoveFromAppendOnly);
         }
-        let live: Vec<Arc<V>> = added.into_iter().flatten().collect();
-        if live.is_empty() {
+        let count = added.iter().flatten().count();
+        if count == 0 {
             return Ok(());
         }
-        self.len += live.len();
-        cx.note_added(live.len() as u64);
+        self.len += count;
+        cx.note_added(count as u64);
 
         // If the previous delta was never coalesced in the background,
         // coalesce it now on the critical path.
         self.flush_pending(cx, Phase::Foreground);
 
         // Combine the newly appended leaves into a single delta (C'2).
-        let delta = cx.fold(Phase::Foreground, live).expect("live is non-empty");
+        let delta = cx
+            .fold(Phase::Foreground, added.into_iter().flatten())
+            .expect("a present leaf was added");
 
         if let (true, Some(root)) = (self.split, &self.root) {
             // Foreground stops here; reduce_parts() exposes {root, delta}.
@@ -176,15 +161,11 @@ where
     fn root(&self) -> Option<&V> {
         // Under split processing the materialized root lags the window by
         // the still-pending delta; reduce_parts() exposes the full window.
-        self.root.as_deref()
+        self.root.as_ref()
     }
 
     fn reduce_parts(&self) -> Vec<&V> {
-        self.root
-            .iter()
-            .chain(&self.pending)
-            .map(|v| &**v)
-            .collect()
+        self.root.iter().chain(&self.pending).collect()
     }
 
     fn len(&self) -> usize {
@@ -208,7 +189,7 @@ where
 impl<K, V> ContractionTree<K, V> for CoalescingTree<V>
 where
     K: Send + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + 'static,
 {
     fn height(&self) -> usize {
         match (self.len, self.pending.is_some()) {
@@ -229,8 +210,8 @@ mod tests {
         FnCombiner::new(|_: &u8, a: &u64, b: &u64| a + b)
     }
 
-    fn leaves(values: &[u64]) -> Vec<Option<Arc<u64>>> {
-        values.iter().map(|v| Some(Arc::new(*v))).collect()
+    fn leaves(values: &[u64]) -> Vec<Option<u64>> {
+        values.iter().copied().map(Some).collect()
     }
 
     fn parts_sum(tree: &CoalescingTree<u64>) -> u64 {

@@ -21,7 +21,6 @@
 //! the slab's total is the memoization footprint.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::TreeError;
 use crate::slab::{Handle, Slab};
@@ -104,12 +103,9 @@ impl<V> FoldingTree<V> {
     }
 
     /// Moves leaf `value` into the slab and stores it in leaf slot `i`.
-    fn write_leaf<K>(&mut self, cx: &TreeCx<'_, K, V>, i: usize, value: Arc<V>)
-    where
-        V: Clone,
-    {
+    fn write_leaf<K>(&mut self, cx: &TreeCx<'_, K, V>, i: usize, value: V) {
         let bytes = cx.value_bytes(&value);
-        let handle = self.slab.insert(Arc::unwrap_or_clone(value), bytes);
+        let handle = self.slab.insert(value, bytes);
         self.write(0, i, Some(handle));
     }
 
@@ -291,13 +287,13 @@ where
         Box::new(self.clone())
     }
 
-    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
+    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<V>>) {
         self.slab.clear();
         self.dirty.clear();
         let mut live = Vec::with_capacity(leaves.len());
         for value in leaves.into_iter().flatten() {
             let bytes = cx.value_bytes(&value);
-            live.push(Some(self.slab.insert(Arc::unwrap_or_clone(value), bytes)));
+            live.push(Some(self.slab.insert(value, bytes)));
         }
         cx.note_added(live.len() as u64);
         self.build(cx, live);
@@ -307,7 +303,7 @@ where
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         remove: usize,
-        added: Vec<Option<Arc<V>>>,
+        added: Vec<Option<V>>,
     ) -> Result<(), TreeError> {
         if remove > self.len {
             return Err(TreeError::RemoveExceedsWindow {
@@ -352,7 +348,7 @@ where
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         at: usize,
-        values: Vec<Arc<V>>,
+        values: Vec<V>,
     ) -> Result<(), TreeError> {
         if at > self.len {
             return Err(TreeError::SpliceOutOfRange {
@@ -504,8 +500,8 @@ mod tests {
         FnCombiner::new(|_: &u8, a: &u64, b: &u64| a + b)
     }
 
-    fn leaves(values: &[u64]) -> Vec<Option<Arc<u64>>> {
-        values.iter().map(|v| Some(Arc::new(*v))).collect()
+    fn leaves(values: &[u64]) -> Vec<Option<u64>> {
+        values.iter().copied().map(Some).collect()
     }
 
     fn root_of(tree: &FoldingTree<u64>) -> u64 {
@@ -764,8 +760,7 @@ mod tests {
             // Slide off-origin first so both shift directions get exercised.
             tree.advance(&mut cx, 2, leaves(&[5, 6])).unwrap();
             // Window is now [3, 4, 5, 6].
-            tree.insert_at(&mut cx, at, vec![Arc::new(100), Arc::new(200)])
-                .unwrap();
+            tree.insert_at(&mut cx, at, vec![100, 200]).unwrap();
             let mut reference: std::collections::VecDeque<u64> = [3, 4, 5, 6].into();
             reference.insert(at, 200);
             reference.insert(at, 100);
@@ -813,7 +808,7 @@ mod tests {
         let mut tree = FoldingTree::new();
         tree.rebuild(&mut cx, leaves(&[1, 2, 3]));
         assert_eq!(
-            tree.insert_at(&mut cx, 4, vec![Arc::new(9)]),
+            tree.insert_at(&mut cx, 4, vec![9]),
             Err(TreeError::SpliceOutOfRange {
                 at: 4,
                 count: 1,
@@ -852,7 +847,7 @@ mod tests {
         // touched root paths.
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-        tree.insert_at(&mut cx, 3, vec![Arc::new(5000)]).unwrap();
+        tree.insert_at(&mut cx, 3, vec![5000]).unwrap();
         assert_eq!(root_of(&tree), (512..1536).sum::<u64>() + 5000);
         assert!(
             stats.foreground.merges <= 60,
@@ -932,7 +927,6 @@ mod tests {
                             for (j, v) in values.iter().enumerate() {
                                 reference.insert(at + j, *v);
                             }
-                            let values = values.into_iter().map(Arc::new).collect();
                             tree.insert_at(&mut cx, at, values).unwrap();
                         }
                         Op::EvictRange { at, count } => {

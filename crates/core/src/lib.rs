@@ -39,14 +39,18 @@
 //! |------|-------------------|-------|
 //! | [`TwoStackTree`] | amortized O(1) | whole-back flip when front runs dry |
 //! | [`DabaTree`] | worst-case O(1)\* | incrementally repaired flip |
-//! | [`DabaLiteTree`] | worst-case O(1)\* | memory-lean: partial sums only |
 //!
 //! \* worst-case for balanced in-order slides; amortized under adversarial
 //! insert floods (see the `daba` module docs).
 //!
+//! Both keep the memory-lean layout (DABA Lite's): a repaired entry is only
+//! its suffix aggregate, and every value is held once.
+//!
 //! All structures implement the object-safe [`WindowAggregator`] contract
 //! so a host engine (see the `slider-mapreduce` crate) can drive them
-//! uniformly; tree-shaped structures additionally implement the
+//! uniformly. Leaves cross it by value and each structure owns what it
+//! holds; only the rotating tree shares values between its nodes, behind
+//! `Arc`. Tree-shaped structures additionally implement the
 //! [`ContractionTree`] extension. The [`TreeKind`] enum plus [`build_tree`]
 //! provide a factory, and `TreeKind` parses from its `Display` form for
 //! env/config selection.
@@ -55,7 +59,6 @@
 //!
 //! ```
 //! use slider_core::{build_tree, FnCombiner, TreeCx, TreeKind, UpdateStats};
-//! use std::sync::Arc;
 //!
 //! // Word-count style combiner: partial aggregates are u64 counts.
 //! let combiner = FnCombiner::new(|_k: &String, a: &u64, b: &u64| a + b);
@@ -65,12 +68,11 @@
 //! let mut cx = TreeCx::new(&combiner, &key, &mut stats);
 //!
 //! // Initial run: the window holds four splits, each contributing a count.
-//! tree.rebuild(&mut cx, vec![Some(Arc::new(1)), Some(Arc::new(2)),
-//!                            Some(Arc::new(3)), Some(Arc::new(4))]);
+//! tree.rebuild(&mut cx, vec![Some(1), Some(2), Some(3), Some(4)]);
 //! assert_eq!(*tree.root().unwrap(), 10);
 //!
 //! // The window slides: drop the oldest split, append one with count 5.
-//! tree.advance(&mut cx, 1, vec![Some(Arc::new(5))])?;
+//! tree.advance(&mut cx, 1, vec![Some(5)])?;
 //! assert_eq!(*tree.root().unwrap(), 14);
 //! # Ok::<(), slider_core::TreeError>(())
 //! ```
@@ -98,7 +100,7 @@ mod tree;
 
 pub use coalescing::CoalescingTree;
 pub use combiner::{Combiner, FnCombiner, Merged, Reducer};
-pub use daba::{DabaLiteTree, DabaTree, TwoStackTree};
+pub use daba::{DabaTree, TwoStackTree};
 pub use dgim::SlidingWindowCounter;
 pub use error::TreeError;
 pub use folding::FoldingTree;

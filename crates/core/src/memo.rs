@@ -35,7 +35,6 @@
 use std::collections::{hash_map, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 use crate::error::TreeError;
 use crate::hash::hash_one;
@@ -339,13 +338,13 @@ impl<V: Clone, G: Grouping> MemoTree<V, G> {
     fn add_leaves<K>(
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
-        leaves: impl IntoIterator<Item = (u64, Arc<V>)>,
+        leaves: impl IntoIterator<Item = (u64, V)>,
     ) -> usize {
         let added = &mut self.scratch.change.nodes;
         let before = added.len();
         for (id, value) in leaves {
             let bytes = cx.value_bytes(&value);
-            let value = self.slab.insert(Arc::unwrap_or_clone(value), bytes);
+            let value = self.slab.insert(value, bytes);
             added.push(Node::new(self.grouping, 0, id, value, 0));
         }
         added.len() - before
@@ -355,7 +354,7 @@ impl<V: Clone, G: Grouping> MemoTree<V, G> {
     fn fresh_leaves<K>(
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
-        values: impl IntoIterator<Item = Arc<V>>,
+        values: impl IntoIterator<Item = V>,
     ) -> usize {
         let salt = self.grouping.leaf_salt();
         let numbered = values.into_iter().zip(self.next_id..);
@@ -366,7 +365,7 @@ impl<V: Clone, G: Grouping> MemoTree<V, G> {
     }
 
     /// Discards all state and builds over the present `leaves`.
-    pub(crate) fn rebuild<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
+    pub(crate) fn rebuild<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<V>>) {
         self.levels.clear();
         self.levels.push(Level::new());
         self.cache.clear();
@@ -380,7 +379,7 @@ impl<V: Clone, G: Grouping> MemoTree<V, G> {
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         remove: usize,
-        added: Vec<Option<Arc<V>>>,
+        added: Vec<Option<V>>,
     ) -> Result<(), TreeError> {
         let len = self.len();
         if remove > len {
@@ -402,7 +401,7 @@ impl<V: Clone, G: Grouping> MemoTree<V, G> {
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         at: usize,
-        values: Vec<Arc<V>>,
+        values: Vec<V>,
     ) -> Result<(), TreeError> {
         if at > self.len() {
             return Err(TreeError::SpliceOutOfRange {
@@ -442,7 +441,7 @@ impl<V: Clone, G: Grouping> MemoTree<V, G> {
     }
 
     /// Replaces the leaf sequence with caller-identified leaves.
-    pub(crate) fn set_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<(u64, Arc<V>)>) {
+    pub(crate) fn set_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<(u64, V)>) {
         let before = self.len();
         let after = leaves.len();
         if after > before {
@@ -753,11 +752,7 @@ macro_rules! memo_tree {
                 Box::new(self.clone())
             }
 
-            fn rebuild(
-                &mut self,
-                cx: &mut $crate::tree::TreeCx<'_, K, V>,
-                leaves: Vec<Option<std::sync::Arc<V>>>,
-            ) {
+            fn rebuild(&mut self, cx: &mut $crate::tree::TreeCx<'_, K, V>, leaves: Vec<Option<V>>) {
                 self.core.rebuild(cx, leaves);
             }
 
@@ -765,7 +760,7 @@ macro_rules! memo_tree {
                 &mut self,
                 cx: &mut $crate::tree::TreeCx<'_, K, V>,
                 remove: usize,
-                added: Vec<Option<std::sync::Arc<V>>>,
+                added: Vec<Option<V>>,
             ) -> Result<(), $crate::error::TreeError> {
                 self.core.advance(cx, remove, added)
             }
@@ -774,7 +769,7 @@ macro_rules! memo_tree {
                 &mut self,
                 cx: &mut $crate::tree::TreeCx<'_, K, V>,
                 at: usize,
-                values: Vec<std::sync::Arc<V>>,
+                values: Vec<V>,
             ) -> Result<(), $crate::error::TreeError> {
                 self.core.insert_at(cx, at, values)
             }

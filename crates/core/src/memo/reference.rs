@@ -121,16 +121,16 @@ impl<V> RecontractingTree<V> {
         self.cache.len()
     }
 
-    fn fresh_leaf<K>(&mut self, cx: &mut TreeCx<'_, K, V>, value: Arc<V>) -> (u64, Arc<V>) {
+    fn fresh_leaf<K>(&mut self, cx: &mut TreeCx<'_, K, V>, value: V) -> (u64, Arc<V>) {
         let id = hash_one(self.next_id ^ self.rule.leaf_salt());
         self.next_id += 1;
         self.leaf_bytes += cx.value_bytes(&value);
         cx.note_added(1);
-        (id, value)
+        (id, Arc::new(value))
     }
 
     /// Discards all state and builds over the present `leaves`.
-    pub fn rebuild<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
+    pub fn rebuild<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<V>>) {
         self.leaves.clear();
         self.cache.clear();
         self.leaf_bytes = 0;
@@ -150,7 +150,7 @@ impl<V> RecontractingTree<V> {
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         remove: usize,
-        added: Vec<Option<Arc<V>>>,
+        added: Vec<Option<V>>,
     ) -> Result<(), TreeError> {
         if remove > self.leaves.len() {
             return Err(TreeError::RemoveExceedsWindow {
@@ -179,7 +179,7 @@ impl<V> RecontractingTree<V> {
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         at: usize,
-        values: Vec<Arc<V>>,
+        values: Vec<V>,
     ) -> Result<(), TreeError> {
         if at > self.leaves.len() {
             return Err(TreeError::SpliceOutOfRange {
@@ -232,7 +232,7 @@ impl<V> RecontractingTree<V> {
     }
 
     /// Replaces the leaf sequence with caller-identified leaves.
-    pub fn set_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<(u64, Arc<V>)>) {
+    pub fn set_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<(u64, V)>) {
         let before = self.leaves.len();
         let after = leaves.len();
         if after > before {
@@ -241,7 +241,10 @@ impl<V> RecontractingTree<V> {
             cx.note_removed((before - after) as u64);
         }
         self.leaf_bytes = leaves.iter().map(|(_, v)| cx.value_bytes(v)).sum();
-        self.leaves = leaves.into();
+        self.leaves = leaves
+            .into_iter()
+            .map(|(id, v)| (id, Arc::new(v)))
+            .collect();
         self.recombine(cx);
     }
 

@@ -74,7 +74,6 @@ impl<V> RandomizedFoldingTree<V> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
 
     use super::*;
     use crate::combiner::FnCombiner;
@@ -85,8 +84,8 @@ mod tests {
         FnCombiner::new(|_: &u8, a: &u64, b: &u64| a + b)
     }
 
-    fn leaves(values: &[u64]) -> Vec<Option<Arc<u64>>> {
-        values.iter().map(|v| Some(Arc::new(*v))).collect()
+    fn leaves(values: &[u64]) -> Vec<Option<u64>> {
+        values.iter().copied().map(Some).collect()
     }
 
     fn root_of(tree: &RandomizedFoldingTree<u64>) -> Option<u64> {

@@ -27,7 +27,31 @@ use crate::stats::Phase;
 use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
+/// The parent of two possibly absent children, with the bytes it adds to
+/// the footprint: a fresh merge (charged to `phase`) and its size when both
+/// are present, or the present child's value, shared, and 0 — a
+/// pass-through shares what its child already counts.
+fn join<K, V>(
+    cx: &mut TreeCx<'_, K, V>,
+    phase: Phase,
+    left: Option<&Arc<V>>,
+    right: Option<&Arc<V>>,
+) -> (Option<Arc<V>>, u64) {
+    match (left, right) {
+        (Some(l), Some(r)) => {
+            let (merged, bytes) = cx.merge(phase, l, r);
+            (Some(Arc::new(merged)), bytes)
+        }
+        (Some(child), None) | (None, Some(child)) => (Some(Arc::clone(child)), 0),
+        (None, None) => (None, 0),
+    }
+}
+
 /// Fixed-width rotating contraction tree. See the module docs.
+///
+/// Its values sit behind `Arc`, the only aggregator's that do: a
+/// pass-through node shares its only present child's value, and a prepared
+/// off-path aggregate over one present sibling shares that sibling's.
 pub struct RotatingTree<V> {
     /// Number of bucket slots in the window.
     capacity: usize,
@@ -163,7 +187,8 @@ impl<V> RotatingTree<V> {
             // Merge in left-right order for determinism; correctness relies
             // on commutativity, checked at rotation time.
             let left = 2 * parent;
-            let (value, bytes) = cx.join(
+            let (value, bytes) = join(
+                cx,
                 phase,
                 self.nodes[left].as_ref(),
                 self.nodes[left + 1].as_ref(),
@@ -213,13 +238,13 @@ impl<V> RotatingTree<V> {
     }
 
     /// Performs one rotation (or fill) with `value` in normal mode.
-    fn insert<K>(&mut self, cx: &mut TreeCx<'_, K, V>, value: Option<Arc<V>>)
+    fn insert<K>(&mut self, cx: &mut TreeCx<'_, K, V>, value: Option<V>)
     where
         V: Send + Sync,
     {
         let slot = self.next_slot();
         let was_full = self.is_full();
-        self.set_leaf(cx, Phase::Foreground, slot, value);
+        self.set_leaf(cx, Phase::Foreground, slot, value.map(Arc::new));
         if was_full {
             self.next_victim = (self.next_victim + 1) % self.capacity;
         } else {
@@ -268,7 +293,7 @@ where
         Box::new(self.clone())
     }
 
-    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>) {
+    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<V>>) {
         let capacity = self.capacity.max(leaves.len());
         *self = RotatingTree::new(capacity);
         cx.note_added(leaves.iter().filter(|l| l.is_some()).count() as u64);
@@ -278,11 +303,12 @@ where
         self.filled = leaves.len();
         self.present = leaves.iter().filter(|l| l.is_some()).count();
         for (slot, value) in leaves.into_iter().enumerate() {
-            let bytes = value.as_deref().map_or(0, |v| cx.value_bytes(v));
-            self.write(self.width + slot, value, bytes);
+            let bytes = value.as_ref().map_or(0, |v| cx.value_bytes(v));
+            self.write(self.width + slot, value.map(Arc::new), bytes);
         }
         for node in (1..self.width).rev() {
-            let (value, bytes) = cx.join(
+            let (value, bytes) = join(
+                cx,
                 Phase::Foreground,
                 self.nodes[2 * node].as_ref(),
                 self.nodes[2 * node + 1].as_ref(),
@@ -295,7 +321,7 @@ where
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         remove: usize,
-        added: Vec<Option<Arc<V>>>,
+        added: Vec<Option<V>>,
     ) -> Result<(), TreeError> {
         if !self.is_full() {
             // Fill phase: nothing may be removed yet.
@@ -336,7 +362,10 @@ where
         // deferred to the next background step.
         if remove == 1 && self.pending.is_none() {
             if let Some((off_path, _)) = self.precombined.take() {
-                let value = added.next().expect("remove == added.len() == 1");
+                let value = added
+                    .next()
+                    .expect("remove == added.len() == 1")
+                    .map(Arc::new);
                 let root = match (&value, &off_path) {
                     (Some(v), Some(i)) => Some(Arc::new(cx.merge(Phase::Foreground, v, i).0)),
                     (Some(v), None) => Some(Arc::clone(v)),
@@ -456,8 +485,8 @@ mod tests {
         FnCombiner::new(|_: &u8, a: &u64, b: &u64| a + b)
     }
 
-    fn leaves(values: &[u64]) -> Vec<Option<Arc<u64>>> {
-        values.iter().map(|v| Some(Arc::new(*v))).collect()
+    fn leaves(values: &[u64]) -> Vec<Option<u64>> {
+        values.iter().copied().map(Some).collect()
     }
 
     fn root_of(tree: &RotatingTree<u64>) -> Option<u64> {
@@ -571,10 +600,7 @@ mod tests {
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         let mut tree = RotatingTree::new(4);
-        tree.rebuild(
-            &mut cx,
-            vec![Some(Arc::new(1)), None, Some(Arc::new(3)), None],
-        );
+        tree.rebuild(&mut cx, vec![Some(1), None, Some(3), None]);
         assert_eq!(root_of(&tree), Some(4));
         assert_eq!(WindowAggregator::<u8, u64>::len(&tree), 2);
 
@@ -649,7 +675,7 @@ mod tests {
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         let mut tree = RotatingTree::new(3);
         // Key present only in bucket 1 of 3.
-        tree.rebuild(&mut cx, vec![None, Some(Arc::new(7)), None]);
+        tree.rebuild(&mut cx, vec![None, Some(7), None]);
         assert_eq!(root_of(&tree), Some(7));
 
         // Window slides past slot 0 (absent for this key): zero merges.
@@ -677,15 +703,7 @@ mod tests {
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         let mut tree = RotatingTree::new(4);
         // Slot 0 — the first rotation victim — is absent for this key.
-        tree.rebuild(
-            &mut cx,
-            vec![
-                None,
-                Some(Arc::new(2)),
-                Some(Arc::new(3)),
-                Some(Arc::new(4)),
-            ],
-        );
+        tree.rebuild(&mut cx, vec![None, Some(2), Some(3), Some(4)]);
         tree.preprocess(&mut cx);
         // The split-mode slide defers a removal (`None`) against the absent
         // slot; the deferred adjustment must not drive `len` below zero (a
@@ -723,7 +741,7 @@ mod tests {
         let initial = [None, Some(1), None, Some(3)];
         let mut reference: std::collections::VecDeque<Option<u64>> =
             initial.iter().copied().collect();
-        tree.rebuild(&mut cx, initial.iter().map(|v| v.map(Arc::new)).collect());
+        tree.rebuild(&mut cx, initial.to_vec());
 
         // A fixed pattern that pairs every (old, new) presence combination,
         // in particular (absent, absent): a pending removal against an
@@ -743,7 +761,7 @@ mod tests {
             let mut cx = TreeCx::new(&combiner, &key, &mut stats);
             // Prepare the off-path aggregate so the next advance defers.
             tree.preprocess(&mut cx);
-            tree.advance(&mut cx, 1, vec![value.map(Arc::new)]).unwrap();
+            tree.advance(&mut cx, 1, vec![value]).unwrap();
             reference.pop_front();
             reference.push_back(value);
             let expected = reference.iter().flatten().count();

@@ -17,8 +17,6 @@
 //! The re-pairing and memoization live in the shared `MemoTree` (see the
 //! `memo` module); this module only supplies the pairing rule.
 
-use std::sync::Arc;
-
 use crate::hash::hash_pair;
 use crate::memo::{memo_tree, Grouping, MemoTree};
 use crate::tree::{TreeCx, TreeKind};
@@ -74,7 +72,7 @@ impl<V: Clone> StrawmanTree<V> {
     /// derives each leaf's identity from its content lineage (e.g. a bucket
     /// index plus a version counter) and the memo cache confines fresh
     /// combiner work to the paths whose identities changed.
-    pub fn set_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<(u64, Arc<V>)>) {
+    pub fn set_leaves<K>(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<(u64, V)>) {
         self.core.set_leaves(cx, leaves);
     }
 }
@@ -91,8 +89,8 @@ mod tests {
         FnCombiner::new(|_: &u8, a: &u64, b: &u64| a + b)
     }
 
-    fn leaves(values: &[u64]) -> Vec<Option<Arc<u64>>> {
-        values.iter().map(|v| Some(Arc::new(*v))).collect()
+    fn leaves(values: &[u64]) -> Vec<Option<u64>> {
+        values.iter().copied().map(Some).collect()
     }
 
     #[test]
@@ -200,10 +198,7 @@ mod tests {
         let mut tree = StrawmanTree::new();
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-        tree.rebuild(
-            &mut cx,
-            vec![Some(Arc::new(1)), None, Some(Arc::new(2)), None],
-        );
+        tree.rebuild(&mut cx, vec![Some(1), None, Some(2), None]);
         assert_eq!(WindowAggregator::<u8, u64>::len(&tree), 2);
         assert_eq!(*WindowAggregator::<u8, u64>::root(&tree).unwrap(), 3);
     }

@@ -5,11 +5,12 @@
 
 use std::fmt;
 use std::str::FromStr;
+#[cfg(feature = "oracle")]
 use std::sync::Arc;
 
 use crate::coalescing::CoalescingTree;
 use crate::combiner::Combiner;
-use crate::daba::{DabaLiteTree, DabaTree, TwoStackTree};
+use crate::daba::{DabaTree, TwoStackTree};
 use crate::error::TreeError;
 use crate::folding::FoldingTree;
 use crate::randomized::RandomizedFoldingTree;
@@ -38,17 +39,15 @@ pub enum TreeKind {
     TwoStack,
     /// De-amortized twin-stack (DABA, arXiv 2009.13768): the flip is repaired
     /// incrementally, a bounded number of merges per operation, for
-    /// worst-case O(1) in-order sliding-window aggregation.
+    /// worst-case O(1) in-order sliding-window aggregation. Its repaired
+    /// entries keep only their partial sums (the DABA Lite layout).
     Daba,
-    /// Memory-lean DABA: the front keeps only the partial sums (no raw
-    /// leaves), halving the memoization footprint.
-    DabaLite,
 }
 
 impl TreeKind {
     /// All kinds, in paper order; the constant-time aggregators follow the
     /// contraction tree family.
-    pub const ALL: [TreeKind; 8] = [
+    pub const ALL: [TreeKind; 7] = [
         TreeKind::Strawman,
         TreeKind::Folding,
         TreeKind::RandomizedFolding,
@@ -56,7 +55,6 @@ impl TreeKind {
         TreeKind::Coalescing,
         TreeKind::TwoStack,
         TreeKind::Daba,
-        TreeKind::DabaLite,
     ];
 
     /// Short lowercase name used in harness output.
@@ -69,7 +67,6 @@ impl TreeKind {
             TreeKind::Coalescing => "coalescing",
             TreeKind::TwoStack => "twostack",
             TreeKind::Daba => "daba",
-            TreeKind::DabaLite => "daba-lite",
         }
     }
 
@@ -86,12 +83,10 @@ impl TreeKind {
     }
 
     /// Whether this kind performs O(1) merges per in-order window update
-    /// (amortized for [`TreeKind::TwoStack`], worst-case for the DABA pair).
+    /// (amortized for [`TreeKind::TwoStack`], worst-case for
+    /// [`TreeKind::Daba`]).
     pub fn is_constant_time(self) -> bool {
-        matches!(
-            self,
-            TreeKind::TwoStack | TreeKind::Daba | TreeKind::DabaLite
-        )
+        matches!(self, TreeKind::TwoStack | TreeKind::Daba)
     }
 
     /// Whether this kind implements the interior bulk-splice operations
@@ -137,8 +132,8 @@ impl FromStr for TreeKind {
 
     /// Parses the `Display`/`name()` form of every kind, plus the spellings
     /// that show up in env vars and config files: case-insensitive, `_`
-    /// treated as `-`, and the long aliases `randomized-folding`,
-    /// `two-stack` and `dabalite`.
+    /// treated as `-`, and the long aliases `randomized-folding` and
+    /// `two-stack`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let norm = s.trim().to_ascii_lowercase().replace('_', "-");
         match norm.as_str() {
@@ -149,7 +144,6 @@ impl FromStr for TreeKind {
             "coalescing" => Ok(TreeKind::Coalescing),
             "twostack" | "two-stack" => Ok(TreeKind::TwoStack),
             "daba" => Ok(TreeKind::Daba),
-            "daba-lite" | "dabalite" => Ok(TreeKind::DabaLite),
             _ => Err(ParseTreeKindError {
                 input: s.to_string(),
             }),
@@ -198,40 +192,12 @@ impl<'a, K, V> TreeCx<'a, K, V> {
         (merged.value, merged.bytes)
     }
 
-    /// The parent of two possibly absent children, with the bytes it adds
-    /// to a footprint: a fresh merge (charged to `phase`) and its size when
-    /// both are present, or the present child's own allocation and 0 — a
-    /// pass-through shares what its child already counts.
-    pub fn join(
-        &mut self,
-        phase: Phase,
-        left: Option<&Arc<V>>,
-        right: Option<&Arc<V>>,
-    ) -> (Option<Arc<V>>, u64) {
-        match (left, right) {
-            (Some(l), Some(r)) => {
-                let (merged, bytes) = self.merge(phase, l, r);
-                (Some(Arc::new(merged)), bytes)
-            }
-            (Some(child), None) | (None, Some(child)) => (Some(Arc::clone(child)), 0),
-            (None, None) => (None, 0),
-        }
-    }
-
     /// Left-folds a sequence of aggregates into one, charging to `phase`.
     /// Returns `None` for an empty sequence.
-    pub fn fold(
-        &mut self,
-        phase: Phase,
-        parts: impl IntoIterator<Item = Arc<V>>,
-    ) -> Option<Arc<V>> {
+    pub fn fold(&mut self, phase: Phase, parts: impl IntoIterator<Item = V>) -> Option<V> {
         let mut iter = parts.into_iter();
         let first = iter.next()?;
-        let mut acc = first;
-        for part in iter {
-            acc = Arc::new(self.merge(phase, &acc, &part).0);
-        }
-        Some(acc)
+        Some(iter.fold(first, |acc, part| self.merge(phase, &acc, &part).0))
     }
 
     /// Records reuse of one memoized aggregate, including the bytes the
@@ -287,17 +253,20 @@ impl<K, V> fmt::Debug for TreeCx<'_, K, V> {
 /// memoization, O(1) per update). Tree-shaped structure is exposed by the
 /// [`ContractionTree`] extension trait.
 ///
-/// Leaves are `Option<Arc<V>>`: a `None` leaf is a window slot in which this
-/// key did not appear (relevant for the slot-addressed rotating tree; the
-/// other structures simply skip absent leaves). `Arc` marks only this
-/// boundary: the folding and memo trees move each leaf into their own slab
-/// (see [`FoldingTree`](crate::FoldingTree)), and every aggregate leaves a
-/// structure as a borrow ([`WindowAggregator::root`],
+/// Leaves cross this boundary by value, as `Option<V>`: a `None` leaf is a
+/// window slot in which this key did not appear (relevant for the
+/// slot-addressed rotating tree; the other structures simply skip absent
+/// leaves). Each structure owns what it is handed: the folding and memo
+/// trees move each leaf into their own slab (see
+/// [`FoldingTree`](crate::FoldingTree)), the twin stacks and the coalescing
+/// tree hold plain values, and only the rotating tree puts its values
+/// behind `Arc`, for its pass-through nodes to share. Every aggregate
+/// leaves a structure as a borrow ([`WindowAggregator::root`],
 /// [`WindowAggregator::reduce_parts`]).
 pub trait WindowAggregator<K, V>: fmt::Debug + Send {
     /// Discards all state and rebuilds from `leaves` (the paper's *initial
     /// run*). All construction work is charged to the foreground phase.
-    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<Arc<V>>>);
+    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<V>>);
 
     /// Slides the window: drops `remove` leaves from the front and appends
     /// `added` at the back, then propagates the change to the root.
@@ -314,7 +283,7 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
         &mut self,
         cx: &mut TreeCx<'_, K, V>,
         remove: usize,
-        added: Vec<Option<Arc<V>>>,
+        added: Vec<Option<V>>,
     ) -> Result<(), TreeError>;
 
     /// Notifies the tree that the window slid by one slot *without touching
@@ -353,7 +322,7 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
         &mut self,
         _cx: &mut TreeCx<'_, K, V>,
         _at: usize,
-        _values: Vec<Arc<V>>,
+        _values: Vec<V>,
     ) -> Result<(), TreeError> {
         Err(TreeError::SpliceUnsupported {
             kind: self.kind().name(),
@@ -431,8 +400,8 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
     ///
     /// The copy duplicates all state — slot layout, slab, memo caches,
     /// pending repairs — so that the clone and the original **meter
-    /// identical work on identical future slides**. The slab-backed trees
-    /// copy their values; the others share their `Arc`ed ones.
+    /// identical work on identical future slides**. Every structure copies
+    /// its values, except the rotating tree, which shares its `Arc`ed ones.
     ///
     /// This is the checkpoint primitive: rebuilding from window contents
     /// via `rebuild` is answer-equivalent but not stats-canonical (the
@@ -447,9 +416,10 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
 #[cfg(feature = "oracle")]
 #[derive(Debug)]
 pub enum MemoLayout<'a, V> {
-    /// Allocations each counted once per listing (strawman, randomized
-    /// folding tree: window leaves and memo-cache entries; coalescing
-    /// tree: the root and the pending delta).
+    /// Values each counted once per listing (strawman, randomized folding
+    /// tree: window leaves and memo-cache entries; coalescing tree: the
+    /// root and the pending delta; twin stacks: leaves, suffix aggregates
+    /// and running totals).
     Each(Vec<&'a V>),
     /// Binary levels, leaves first: node `i` of level `h` has the children
     /// `2i` and `2i + 1` of level `h - 1`, and names its slab slot beside
@@ -467,9 +437,6 @@ pub enum MemoLayout<'a, V> {
         /// Split-mode off-path aggregate, if prepared.
         prepared: Option<Arc<V>>,
     },
-    /// Every place that holds an allocation, shared ones listed once per
-    /// holder; each distinct allocation is counted once (twin stacks).
-    Shared(Vec<Arc<V>>),
 }
 
 /// Extension contract for aggregators that really are self-adjusting
@@ -479,8 +446,8 @@ pub enum MemoLayout<'a, V> {
 /// Everything the host engine needs lives in [`WindowAggregator`]; this
 /// trait carries what only a tree can answer — its current height — and is
 /// the hook for future per-level introspection. The constant-time twin-stack
-/// aggregators ([`TreeKind::TwoStack`], [`TreeKind::Daba`],
-/// [`TreeKind::DabaLite`]) deliberately do **not** implement it.
+/// aggregators ([`TreeKind::TwoStack`], [`TreeKind::Daba`]) deliberately do
+/// **not** implement it.
 pub trait ContractionTree<K, V>: WindowAggregator<K, V> {
     /// Current tree height in levels (a single leaf has height 1; an empty
     /// tree has height 0).
@@ -504,7 +471,6 @@ where
         TreeKind::Coalescing => Box::new(CoalescingTree::new()),
         TreeKind::TwoStack => Box::new(TwoStackTree::new()),
         TreeKind::Daba => Box::new(DabaTree::new()),
-        TreeKind::DabaLite => Box::new(DabaLiteTree::new()),
     }
 }
 
@@ -530,7 +496,7 @@ where
         TreeKind::RandomizedFolding => Box::new(RandomizedFoldingTree::new()),
         TreeKind::Rotating => Box::new(RotatingTree::new(capacity.max(1))),
         TreeKind::Coalescing => Box::new(CoalescingTree::new()),
-        TreeKind::TwoStack | TreeKind::Daba | TreeKind::DabaLite => {
+        TreeKind::TwoStack | TreeKind::Daba => {
             panic!("{kind} is not a contraction tree; use build_tree")
         }
     }
@@ -556,7 +522,6 @@ mod tests {
         assert!(!TreeKind::Strawman.supports_split_processing());
         assert!(!TreeKind::TwoStack.supports_split_processing());
         assert!(!TreeKind::Daba.supports_split_processing());
-        assert!(!TreeKind::DabaLite.supports_split_processing());
     }
 
     #[test]
@@ -592,10 +557,10 @@ mod tests {
             Ok(TreeKind::RandomizedFolding)
         );
         assert_eq!("two-stack".parse::<TreeKind>(), Ok(TreeKind::TwoStack));
-        assert_eq!("dabalite".parse::<TreeKind>(), Ok(TreeKind::DabaLite));
+        assert!("daba-lite".parse::<TreeKind>().is_err());
         let err = "splay".parse::<TreeKind>().unwrap_err();
         assert!(err.to_string().contains("splay"));
-        assert!(err.to_string().contains("daba-lite"));
+        assert!(err.to_string().contains("daba"));
     }
 
     #[test]
@@ -617,8 +582,8 @@ mod tests {
         let key = 0u8;
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         assert!(cx.fold(Phase::Foreground, Vec::new()).is_none());
-        let one = cx.fold(Phase::Foreground, vec![Arc::new(9)]).unwrap();
-        assert_eq!(*one, 9);
+        let one = cx.fold(Phase::Foreground, vec![9]).unwrap();
+        assert_eq!(one, 9);
         assert_eq!(stats.foreground.merges, 0, "single element folds for free");
     }
 
@@ -630,7 +595,7 @@ mod tests {
             let mut stats = UpdateStats::default();
             let key = 0u8;
             let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-            let insert = tree.insert_at(&mut cx, 0, vec![Arc::new(1)]);
+            let insert = tree.insert_at(&mut cx, 0, vec![1]);
             let evict = tree.evict_range(&mut cx, 0, 0);
             if kind.supports_splice() {
                 assert!(insert.is_ok(), "{kind} insert_at");

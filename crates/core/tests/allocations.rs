@@ -1,8 +1,9 @@
-//! Allocation guard for the slab-backed trees: once warm, a single-leaf
-//! slide of the folding, strawman and randomized trees makes a bounded
-//! number of heap allocations, whatever the window and however many
-//! merges the slide takes. A merge stores its result in the tree's slab,
-//! so it allocates nothing.
+//! Allocation guard for the structures that own their values: once warm, a
+//! single-leaf slide of the folding, strawman and randomized trees and of
+//! the two twin stacks makes a bounded number of heap allocations, whatever
+//! the window and however many merges the slide takes. A merge stores its
+//! result in the tree's slab or in a twin stack's buffers, so it allocates
+//! nothing.
 //!
 //! This file is a test binary of its own so that its counting global
 //! allocator sees no other test. Each thread counts its own allocations,
@@ -10,12 +11,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
 use slider_core::{build_tree, FnCombiner, TreeCx, TreeKind, UpdateStats};
 
 /// Heap allocations one warm single-leaf slide may make: occasional
-/// growth of a level, of the memo cache's table or of the slab.
+/// growth of a level, of the memo cache's table, of the slab or of a twin
+/// stack's buffer.
 const BOUND: u64 = 4;
 
 thread_local! {
@@ -67,10 +68,10 @@ fn worst_slide(kind: TreeKind, window: u64, warm_up: u64, measured: u64) -> (u64
     let mut tree = build_tree::<u8, u64>(kind, 0);
     let mut stats = UpdateStats::default();
     let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-    tree.rebuild(&mut cx, (0..window).map(|v| Some(Arc::new(v))).collect());
+    tree.rebuild(&mut cx, (0..window).map(Some).collect());
     let (mut most, mut merges) = (0, 0);
     for i in 0..warm_up + measured {
-        let added = vec![Some(Arc::new(window + i))];
+        let added = vec![Some(window + i)];
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         let before = allocations();
@@ -93,14 +94,16 @@ fn warm_single_leaf_slides_allocate_a_bounded_amount() {
         TreeKind::Folding,
         TreeKind::Strawman,
         TreeKind::RandomizedFolding,
+        TreeKind::TwoStack,
+        TreeKind::Daba,
     ] {
         for window in [64, 1024, 4096] {
-            // The folding tree unfolds and folds once per `window` slides;
-            // two cycles grow every level to its steady capacity.
-            let warm_up = if kind == TreeKind::Folding {
-                2 * window
-            } else {
-                32
+            // The folding tree unfolds and folds once per `window` slides,
+            // and a twin stack flips once per `window` slides; two cycles
+            // grow every level or buffer to its steady capacity.
+            let warm_up = match kind {
+                TreeKind::Folding | TreeKind::TwoStack | TreeKind::Daba => 2 * window,
+                _ => 32,
             };
             let (most, merges) = worst_slide(kind, window, warm_up, 64);
             assert!(

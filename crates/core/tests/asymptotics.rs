@@ -6,12 +6,11 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use slider_core::{build_tree, Combiner, FnCombiner, TreeCx, TreeKind, UpdateStats};
 
-fn leaves(range: std::ops::Range<u64>) -> Vec<Option<Arc<u64>>> {
-    range.map(|v| Some(Arc::new(v))).collect()
+fn leaves(range: std::ops::Range<u64>) -> Vec<Option<u64>> {
+    range.map(Some).collect()
 }
 
 /// Average merges per single-leaf slide at window size `n`.
@@ -128,7 +127,7 @@ fn constant_time_aggregators_stay_flat_while_trees_grow() {
     // The O(1)-vs-O(log n) crossover the companion analysis predicts: the
     // twin-stack aggregators must show *flat* per-slide work across a 16x
     // window growth while the folding tree pays for its deeper root path.
-    for kind in [TreeKind::Daba, TreeKind::DabaLite, TreeKind::TwoStack] {
+    for kind in [TreeKind::Daba, TreeKind::TwoStack] {
         let small = merges_per_slide(kind, 256);
         let large = merges_per_slide(kind, 4096);
         assert!(

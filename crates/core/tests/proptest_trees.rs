@@ -39,8 +39,8 @@ fn sum_combiner() -> impl Combiner<u8, u64> {
     FnCombiner::new(|_: &u8, a: &u64, b: &u64| a.wrapping_add(*b))
 }
 
-fn leaves(values: &[u64]) -> Vec<Option<Arc<u64>>> {
-    values.iter().map(|v| Some(Arc::new(*v))).collect()
+fn leaves(values: &[u64]) -> Vec<Option<u64>> {
+    values.iter().copied().map(Some).collect()
 }
 
 /// Applies a slide history to `kind` and checks the aggregate against a
@@ -128,16 +128,8 @@ proptest! {
         check_variable_width(TreeKind::Daba, initial, slides);
     }
 
-    #[test]
-    fn daba_lite_matches_reference(
-        initial in proptest::collection::vec(1u64..1_000, 0..24),
-        slides in proptest::collection::vec(slide_strategy(30, 8), 0..24),
-    ) {
-        check_variable_width(TreeKind::DabaLite, initial, slides);
-    }
-
-    /// The DABA pair and the two-stack aggregator must agree with the
-    /// folding tree's window result on arbitrary in-order workloads — the
+    /// DABA and the two-stack aggregator must agree with the folding
+    /// tree's window result on arbitrary in-order workloads — the
     /// constant-time layer is a drop-in replacement, not an approximation.
     #[test]
     fn constant_time_aggregators_equal_folding_tree(
@@ -149,7 +141,6 @@ proptest! {
         let kinds = [
             TreeKind::Folding,
             TreeKind::Daba,
-            TreeKind::DabaLite,
             TreeKind::TwoStack,
         ];
         let mut trees: Vec<_> = kinds
@@ -221,8 +212,7 @@ proptest! {
                         for (j, v) in values.iter().enumerate() {
                             reference.insert(at + j, *v);
                         }
-                        let values = values.iter().copied().map(Arc::new).collect();
-                        tree.insert_at(&mut cx, at, values).unwrap();
+                        tree.insert_at(&mut cx, at, values.clone()).unwrap();
                     }
                     _ => {
                         let at = (*pos).min(reference.len());
@@ -266,7 +256,7 @@ proptest! {
         let fills: Vec<Option<u64>> = fills.into_iter().take(capacity).collect();
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-        tree.rebuild(&mut cx, fills.iter().map(|v| v.map(Arc::new)).collect());
+        tree.rebuild(&mut cx, fills.clone());
         slots.extend(fills.iter().copied());
 
         for (value, preprocess) in rotations {
@@ -277,9 +267,9 @@ proptest! {
             }
             if slots.len() == capacity {
                 slots.pop_front();
-                tree.advance(&mut cx, 1, vec![value.map(Arc::new)]).unwrap();
+                tree.advance(&mut cx, 1, vec![value]).unwrap();
             } else {
-                tree.advance(&mut cx, 0, vec![value.map(Arc::new)]).unwrap();
+                tree.advance(&mut cx, 0, vec![value]).unwrap();
             }
             slots.push_back(value);
 
@@ -374,13 +364,10 @@ fn all_trees_agree_with_each_other() {
         let mut tree = build_tree::<u8, Vec<u64>>(kind, 0);
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-        tree.rebuild(
-            &mut cx,
-            window.iter().map(|v| Some(Arc::new(v.clone()))).collect(),
-        );
+        tree.rebuild(&mut cx, window.iter().cloned().map(Some).collect());
         let mut stats = UpdateStats::default();
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
-        tree.advance(&mut cx, 5, vec![Some(Arc::new(vec![1000, 1001]))])
+        tree.advance(&mut cx, 5, vec![Some(vec![1000, 1001])])
             .unwrap();
         roots.push((kind, tree.root().cloned()));
     }
@@ -395,7 +382,7 @@ fn all_trees_agree_with_each_other() {
 // ---------------------------------------------------------------------------
 
 /// A posting-list-like value: its modeled size grows with its length, so
-/// counting the wrong one of two shared allocations changes the total.
+/// counting the wrong one of two held values changes the total.
 type List = Vec<u64>;
 
 /// Sorted merge of two lists (associative and commutative, so the rotating
@@ -428,8 +415,8 @@ fn passes_through(node: &Arc<List>, children: [Option<&Option<Arc<List>>>; 2]) -
         .any(|child| Arc::ptr_eq(child, node))
 }
 
-/// Recounts a footprint from every memoized allocation: each distinct
-/// allocation once, per the layout's sharing rules.
+/// Recounts a footprint from every memoized value, per the layout's
+/// sharing rules.
 fn recount(layout: MemoLayout<List>) -> u64 {
     match layout {
         MemoLayout::Each(held) => held.iter().map(|v| list_bytes(v)).sum(),
@@ -465,13 +452,6 @@ fn recount(layout: MemoLayout<List>) -> u64 {
                 }
             }
             bytes + prepared.as_deref().map_or(0, list_bytes)
-        }
-        MemoLayout::Shared(held) => {
-            let mut seen = std::collections::HashSet::new();
-            held.iter()
-                .filter(|v| seen.insert(Arc::as_ptr(v)))
-                .map(|v| list_bytes(v))
-                .sum()
         }
     }
 }
@@ -538,7 +518,7 @@ fn check_footprint_history(
     let mut next = 0u64;
     let mut leaf = |len: usize| {
         next += 1;
-        Arc::new(vec![next; len])
+        vec![next; len]
     };
     // Rotating only: slots filled since the last rebuild.
     let mut filled = 0usize;
@@ -547,7 +527,7 @@ fn check_footprint_history(
         let mut cx = TreeCx::new(&combiner, &key, &mut stats);
         match step {
             Step::Advance { remove, add } => {
-                let mut added: Vec<Option<Arc<List>>> =
+                let mut added: Vec<Option<List>> =
                     add.iter().map(|len| len.map(&mut leaf)).collect();
                 let remove = match kind {
                     TreeKind::Rotating if filled < capacity => {
@@ -593,7 +573,7 @@ fn check_footprint_history(
                 }
             }
             Step::Rebuild { leaves } => {
-                let leaves: Vec<Option<Arc<List>>> =
+                let leaves: Vec<Option<List>> =
                     leaves.iter().map(|len| len.map(&mut leaf)).collect();
                 capacity = capacity.max(leaves.len());
                 filled = leaves.len();
@@ -662,7 +642,7 @@ proptest! {
         let mut next = 0u64;
         let mut leaf = |len: usize| {
             next += 1;
-            Arc::new(vec![next; len])
+            vec![next; len]
         };
         let mut tree = slider_core::StrawmanTree::new();
         let mut stats = UpdateStats::default();
@@ -685,15 +665,16 @@ proptest! {
     }
 }
 
-/// The twin stacks share allocations in four places: a segment's newest
-/// entry is its own suffix aggregate, a one-leaf back's running total is
-/// that leaf, freezing hands `back_agg` over as `mid_agg`, and a flip drops
-/// the frozen total. Balanced slides over small windows pass through all of
-/// them (one-leaf windows freeze one-leaf backs on every slide), and
-/// insert floods followed by bulk evictions force whole flips.
+/// The twin stacks hold every value once, and their footprint moves in four
+/// places where a value changes role: a segment's newest leaf becomes its
+/// own suffix aggregate, a one-leaf back gains a running total on its
+/// second leaf, freezing hands the back's total over as the mid's, and a
+/// flip drops the frozen total. Balanced slides over small windows pass
+/// through all of them (one-leaf windows freeze one-leaf backs on every
+/// slide), and insert floods followed by bulk evictions force whole flips.
 #[test]
-fn twin_stack_footprints_count_shared_allocations_once() {
-    for kind in [TreeKind::TwoStack, TreeKind::Daba, TreeKind::DabaLite] {
+fn twin_stack_footprints_count_each_held_value_once() {
+    for kind in [TreeKind::TwoStack, TreeKind::Daba] {
         for width in 1..=5usize {
             let mut steps = vec![Step::Rebuild {
                 leaves: (0..width).map(|i| Some(i % 4 + 1)).collect(),
@@ -872,7 +853,7 @@ fn check_against_recontraction(
             }
             MemoOp::InsertAt { at, add } => {
                 let at = (*at).min(len);
-                let added: Vec<Arc<u64>> = values(*add).into_iter().map(Arc::new).collect();
+                let added = values(*add);
                 (
                     tree.tree().insert_at(&mut cx, at, added.clone()),
                     oracle.insert_at(&mut ox, at, added),
@@ -901,7 +882,7 @@ fn check_against_recontraction(
                     continue;
                 };
                 renames += 1;
-                let leaves: Vec<(u64, Arc<u64>)> = values(*len)
+                let leaves: Vec<(u64, u64)> = values(*len)
                     .into_iter()
                     .enumerate()
                     .map(|(j, v)| {
@@ -910,7 +891,7 @@ fn check_against_recontraction(
                         } else {
                             j as u64 + offset
                         };
-                        (id, Arc::new(v))
+                        (id, v)
                     })
                     .collect();
                 straw.set_leaves(&mut cx, leaves.clone());

@@ -270,13 +270,14 @@ impl<A: StageApp<Input = R>, R: Clone + Eq + Hash + Send + Sync> InnerStage<A, R
         key: &A::Key,
         tree: &mut StrawmanTree<A::Value>,
     ) -> KeyOutcome<A> {
-        let leaves: Vec<(u64, Arc<A::Value>)> = buckets_state
+        let leaves: Vec<(u64, A::Value)> = buckets_state
             .iter()
             .enumerate()
             .filter_map(|(b, state)| {
-                state.values.get(key).map(|(value, version)| {
-                    (hash_pair(b as u64, *version), Arc::new(value.clone()))
-                })
+                state
+                    .values
+                    .get(key)
+                    .map(|(value, version)| (hash_pair(b as u64, *version), value.clone()))
             })
             .collect();
         if leaves.is_empty() {

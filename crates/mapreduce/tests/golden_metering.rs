@@ -86,7 +86,6 @@ fn script(threads: usize, mut each: impl FnMut(ExecMode, &str, &RunStats, usize)
         ExecMode::slider_coalescing(true),
         ExecMode::slider_two_stack(),
         ExecMode::slider_daba(),
-        ExecMode::slider_daba_lite(),
     ];
     for mode in modes {
         let fixed_width = mode.tree_kind() == Some(TreeKind::Rotating);
@@ -162,20 +161,15 @@ slider-coalescing+split slide: fg 0/0 bg 6/19 reused 6 keys 6/3 read 140 footpri
 slider-coalescing+split insert: fg 19/49 bg 0/0 reused 0 keys 4/6 read 0 footprint 268
 slider-coalescing+split slide: fg 1/3 bg 5/14 reused 5 keys 5/5 read 148 footprint 292
 slider-twostack initial: fg 23/64 bg 0/0 reused 0 keys 9/0 read 0 footprint 592
-slider-twostack slide: fg 21/60 bg 0/0 reused 5 keys 7/2 read 120 footprint 716
-slider-twostack insert: fg 15/41 bg 0/0 reused 0 keys 4/6 read 0 footprint 964
-slider-twostack evict: fg 15/40 bg 0/0 reused 0 keys 6/2 read 0 footprint 700
-slider-twostack slide: fg 10/27 bg 0/0 reused 5 keys 7/1 read 108 footprint 636
+slider-twostack slide: fg 21/60 bg 0/0 reused 5 keys 7/2 read 120 footprint 592
+slider-twostack insert: fg 15/41 bg 0/0 reused 0 keys 4/6 read 0 footprint 768
+slider-twostack evict: fg 15/40 bg 0/0 reused 0 keys 6/2 read 0 footprint 516
+slider-twostack slide: fg 10/27 bg 0/0 reused 5 keys 7/1 read 108 footprint 460
 slider-daba initial: fg 23/62 bg 0/0 reused 0 keys 9/0 read 0 footprint 544
-slider-daba slide: fg 12/34 bg 0/0 reused 1 keys 7/2 read 24 footprint 604
-slider-daba insert: fg 15/41 bg 0/0 reused 0 keys 4/6 read 0 footprint 896
-slider-daba evict: fg 15/40 bg 0/0 reused 0 keys 6/2 read 0 footprint 676
-slider-daba slide: fg 6/16 bg 0/0 reused 3 keys 7/1 read 72 footprint 616
-slider-daba-lite initial: fg 23/62 bg 0/0 reused 0 keys 9/0 read 0 footprint 544
-slider-daba-lite slide: fg 12/34 bg 0/0 reused 1 keys 7/2 read 24 footprint 568
-slider-daba-lite insert: fg 15/41 bg 0/0 reused 0 keys 4/6 read 0 footprint 728
-slider-daba-lite evict: fg 15/40 bg 0/0 reused 0 keys 6/2 read 0 footprint 492
-slider-daba-lite slide: fg 6/16 bg 0/0 reused 3 keys 7/1 read 72 footprint 468
+slider-daba slide: fg 12/34 bg 0/0 reused 1 keys 7/2 read 24 footprint 568
+slider-daba insert: fg 15/41 bg 0/0 reused 0 keys 4/6 read 0 footprint 728
+slider-daba evict: fg 15/40 bg 0/0 reused 0 keys 6/2 read 0 footprint 492
+slider-daba slide: fg 6/16 bg 0/0 reused 3 keys 7/1 read 72 footprint 468
 ";
 
 #[test]

@@ -342,7 +342,6 @@ mod tests {
         // The constant-time aggregators are drop-in replacements for the
         // query pipeline's first stage too.
         assert_eq!(run(ExecMode::Recompute), run(ExecMode::slider_daba()));
-        assert_eq!(run(ExecMode::Recompute), run(ExecMode::slider_daba_lite()));
         assert_eq!(run(ExecMode::Recompute), run(ExecMode::slider_two_stack()));
     }
 

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use slider_bench::{check_regression, fmt_f64, load_summary, Table};
 
-/// Splits `daba-lite.w4096.p10.work_per_leaf` into its grid coordinates.
+/// Splits `daba.w4096.p10.work_per_leaf` into its grid coordinates.
 /// Returns `(kind, window, pct, metric)`.
 fn parse_key(key: &str) -> Option<(String, u64, u64, String)> {
     let mut parts = key.split('.');
@@ -44,25 +44,15 @@ fn print_table(summary: &BTreeMap<String, f64>) {
                 .insert(metric, *value);
         }
     }
-    let mut table = Table::new(&[
-        "structure",
-        "window",
-        "slide%",
-        "merges/leaf",
-        "work/leaf",
-        "sim s/leaf",
-    ]);
-    let cell = |m: &BTreeMap<String, f64>, k: &str| m.get(k).map_or("-".into(), |v| fmt_f64(*v));
+    let mut table = Table::new(&["structure", "window", "slide%", "work/leaf"]);
     for ((kind, window, pct), metrics) in &rows {
         table.row(vec![
             kind.clone(),
             window.to_string(),
             pct.to_string(),
-            cell(metrics, "merges_per_leaf"),
-            cell(metrics, "work_per_leaf"),
             metrics
-                .get("seconds_per_leaf")
-                .map_or("-".into(), |v| format!("{v:.3e}")),
+                .get("work_per_leaf")
+                .map_or("-".into(), |v| fmt_f64(*v)),
         ]);
     }
     print!("{}", table.render());

@@ -51,7 +51,6 @@ fn variable_width_modes() -> Vec<(ExecMode, Option<usize>)> {
         (ExecMode::slider_randomized(), Some(3)),
         (ExecMode::slider_two_stack(), Some(3)),
         (ExecMode::slider_daba(), Some(3)),
-        (ExecMode::slider_daba_lite(), Some(3)),
         (ExecMode::slider_coalescing(false), None),
         (ExecMode::slider_coalescing(true), None),
     ]

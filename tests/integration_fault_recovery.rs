@@ -229,11 +229,7 @@ fn constant_time_aggregators_recover_from_seeded_plans() {
     // from the surviving window.
     let records = varied_records(90);
     let splits = make_splits(0, records, 3); // 30 splits
-    for mode in [
-        ExecMode::slider_two_stack(),
-        ExecMode::slider_daba(),
-        ExecMode::slider_daba_lite(),
-    ] {
+    for mode in [ExecMode::slider_two_stack(), ExecMode::slider_daba()] {
         let plan = JobFaultPlan::seeded(13, 6, 24, 4);
         let base = || {
             JobConfig::new(mode)

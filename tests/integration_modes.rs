@@ -83,7 +83,6 @@ fn sliding_modes() -> Vec<ExecMode> {
         ExecMode::slider_rotating(true),
         ExecMode::slider_two_stack(),
         ExecMode::slider_daba(),
-        ExecMode::slider_daba_lite(),
     ]
 }
 

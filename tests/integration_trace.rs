@@ -48,7 +48,6 @@ fn all_modes() -> Vec<ExecMode> {
         ExecMode::slider_rotating(true),
         ExecMode::slider_coalescing(true),
         ExecMode::slider_daba(),
-        ExecMode::slider_daba_lite(),
     ]
 }
 

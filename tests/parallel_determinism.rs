@@ -39,7 +39,6 @@ fn mode_matrix() -> Vec<(ExecMode, SlideKind)> {
         (ExecMode::slider_rotating(true), SlideKind::Fixed),
         (ExecMode::slider_two_stack(), SlideKind::Variable),
         (ExecMode::slider_daba(), SlideKind::Variable),
-        (ExecMode::slider_daba_lite(), SlideKind::Variable),
     ]
 }
 
