@@ -5,7 +5,9 @@
 
 use slider_apps::FollowPostJoin;
 use slider_join::{JoinConfig, JoinMode, JoinStats, JoinedJob};
-use slider_mapreduce::{EngineShared, EventTimeConfig, JobFaultPlan, SpanKind, Stamped, TraceSink};
+use slider_mapreduce::{
+    stable_hash, EngineShared, EventTimeConfig, JobFaultPlan, SpanKind, Stamped, TraceSink,
+};
 use slider_workloads::twitter::{follow_stream, generate, FollowEvent, Tweet, TwitterConfig};
 
 use rand::rngs::SmallRng;
@@ -137,6 +139,105 @@ fn join_is_bit_identical_across_thread_counts() {
     }
     assert_eq!(fingerprints[0], fingerprints[1], "1 vs 2 threads");
     assert_eq!(fingerprints[1], fingerprints[2], "2 vs 4 threads");
+}
+
+/// Delays every 10th follow edge until the stream has reached two epochs
+/// past its time plus the lateness bound: too late for the reorder buffer,
+/// still inside the window, so the feeder splices it into the interior.
+fn splice_every_tenth(stream: &[Stamped<FollowEvent>]) -> Vec<Stamped<FollowEvent>> {
+    let delay = LATENESS + 2 * event_config().epoch_len;
+    let mut arrivals: Vec<(u64, Stamped<FollowEvent>)> = stream
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let late = if i % 10 == 9 { delay } else { 0 };
+            (s.time + late, s.clone())
+        })
+        .collect();
+    arrivals.sort_by_key(|(arrival, _)| *arrival);
+    arrivals.into_iter().map(|(_, s)| s).collect()
+}
+
+/// Drives a traced job at `threads` threads, then retracts left epoch
+/// `retract` if given, and returns the `stable_hash` of the delta
+/// fingerprint, the final view, the stats and the Chrome trace, each
+/// rendered with `Debug` where it is not a string.
+///
+/// The tests below compare these with constants recorded from an earlier
+/// version of the operator, so they pin the order of `JoinRun::deltas`,
+/// the view, `JoinStats` and the join-track spans against history, not
+/// only across thread counts. A change to how probes run or how the view
+/// folds must leave them unchanged.
+fn pinned_hashes(
+    left: &[Stamped<FollowEvent>],
+    right: &[Stamped<Tweet>],
+    threads: usize,
+    retract: Option<u64>,
+) -> [u64; 4] {
+    let trace = TraceSink::enabled();
+    let shared = EngineShared::builder()
+        .threads(threads)
+        .trace(trace.clone())
+        .build();
+    let mut job = build(&shared, JoinConfig::new(event_config()));
+    let (mut deltas, mut view, mut stats) = drive(&mut job, left, right);
+    if let Some(epoch) = retract {
+        let run = job.retract_left(epoch).expect("retract");
+        assert!(run.stats.pairs_removed > 0, "the retraction removes pairs");
+        deltas.extend(run.deltas.iter().map(|d| format!("{d:?}")));
+        assert_eq!(job.view(), &job.reference_view());
+        view = format!("{:?}", job.view());
+        stats = job.stats();
+    }
+    let chrome = trace.snapshot().expect("trace enabled").chrome_trace();
+    [
+        stable_hash(&format!("{deltas:?}")),
+        stable_hash(&view),
+        stable_hash(&format!("{stats:?}")),
+        stable_hash(&chrome),
+    ]
+}
+
+#[test]
+fn sorted_pair_delta_stream_matches_its_pinned_hashes() {
+    let (left, right) = streams(300);
+    for threads in [1usize, 4] {
+        assert_eq!(
+            pinned_hashes(&left, &right, threads, None),
+            [
+                0x90dd_0369_8ceb_cbbf,
+                0xfc3b_e1d4_b58d_7f8c,
+                0x9080_f58f_f77f_ed88,
+                0x996e_7ce0_6a2e_4ed2,
+            ],
+            "deltas, view, stats, trace at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn spliced_and_retracted_pair_delta_stream_matches_its_pinned_hashes() {
+    let (left, right) = streams(300);
+    let late = splice_every_tenth(&left);
+    let shared = EngineShared::builder().build();
+    let mut probe = build(&shared, JoinConfig::new(event_config()));
+    drive(&mut probe, &late, &right);
+    assert!(
+        probe.left_event_stats().splice_runs > 0,
+        "late follow edges splice"
+    );
+    for threads in [1usize, 4] {
+        assert_eq!(
+            pinned_hashes(&late, &right, threads, Some(16)),
+            [
+                0xf222_a69c_eea0_9392,
+                0x4fb9_ed3f_8c9a_4e27,
+                0x0521_9c3d_6873_8387,
+                0xdca8_e974_b349_2a30,
+            ],
+            "deltas, view, stats, trace at {threads} threads"
+        );
+    }
 }
 
 #[test]
