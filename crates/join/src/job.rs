@@ -31,10 +31,17 @@
 //! # Determinism
 //!
 //! Probes are sharded by `partition_of(key)` preserving delta order within
-//! each shard, executed via [`Runtime::map`] (results in input order), and
-//! folded in shard order on the control thread. The emitted
-//! [`PairDelta`] list, the view, and every [`JoinStats`] field are
-//! bit-identical at any thread count.
+//! each shard and executed via [`Runtime::map`] (results in input order).
+//! A shard copies no pair: for each delta whose key the opposite index
+//! holds, it returns the delta's position and a borrowed handle to that
+//! key's [`IndexSeq`]. The control thread folds the shards in shard order.
+//! It walks each handle in window order, writing one [`PairDelta`] per
+//! pair and summing the pairs' weights and checksums, then updates the
+//! delta's view cell once. A pair's [`pair_hash`](crate::pair_hash)
+//! extends a hash state kept per delta (the key and, for a left delta, its
+//! own stamp) instead of starting over. The emitted [`PairDelta`] list,
+//! the view, and every [`JoinStats`] field are bit-identical at any thread
+//! count.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -50,7 +57,7 @@ use slider_trace::{SpanKind, TraceSink};
 use crate::app::{IndexApp, IndexRecord, JoinApp};
 use crate::reference::reference_view;
 use crate::seq::IndexSeq;
-use crate::stats::{pair_hash, JoinCell, JoinStats, PairDelta};
+use crate::stats::{DeltaHash, JoinCell, JoinStats, PairDelta};
 
 /// How the operator maintains its view on each joint advance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,12 +199,18 @@ pub type JoinRunOf<J> = JoinRun<<J as JoinApp>::Key, <J as JoinApp>::Left, <J as
 /// entered (`true`) or left (`false`) its window.
 type Delta<K, V> = (K, IndexRecord<V>, bool);
 
-/// A probe match: key, the delta record, the opposite-side record it
-/// paired with, and the delta's direction.
-type Match<K, VD, VO> = (K, IndexRecord<VD>, IndexRecord<VO>, bool);
+/// One probe shard's output: `(handles, modeled work)`. A handle is a delta
+/// that found a non-empty opposite sequence under its key, as the delta's
+/// position in the delta list and that sequence; handles keep delta order.
+type ShardProbe<'a, V> = (Vec<(usize, &'a IndexSeq<V>)>, u64);
 
-/// Per-shard probe output, in shard order: `(matches, modeled work)`.
-type ShardMatches<K, VD, VO> = Vec<(Vec<Match<K, VD, VO>>, u64)>;
+/// One side's probe, folded: per-shard work in shard order, and the pairs
+/// it added and removed.
+struct ProbeFold {
+    shard_works: Vec<u64>,
+    added: u64,
+    removed: u64,
+}
 
 /// A two-input incremental windowed equi-join over the shared engine.
 ///
@@ -425,18 +438,27 @@ impl<J: JoinApp> JoinedJob<J> {
         if deltas.is_empty() || self.config.mode == JoinMode::Recompute {
             return;
         }
-        let shard_results = probe_deltas(
+        let probes = probe_deltas(
             &self.runtime,
             self.config.partitions,
             &deltas,
             self.right.output(),
         );
-        self.apply_matches(shard_results, "left", run, |m| PairDelta {
-            key: m.0,
-            left: m.1,
-            right: m.2,
-            added: m.3,
-        });
+        let fold = fold_probes(
+            &*self.app,
+            &mut self.view,
+            &deltas,
+            probes,
+            DeltaHash::left,
+            |key, left, right, added| PairDelta {
+                key,
+                left,
+                right,
+                added,
+            },
+            &mut run.deltas,
+        );
+        self.record_probe("left", &fold, run);
         run.stats.probes += deltas.len() as u64;
     }
 
@@ -453,80 +475,49 @@ impl<J: JoinApp> JoinedJob<J> {
         if deltas.is_empty() || self.config.mode == JoinMode::Recompute {
             return;
         }
-        let shard_results = probe_deltas(
+        let probes = probe_deltas(
             &self.runtime,
             self.config.partitions,
             &deltas,
             self.left.output(),
         );
-        self.apply_matches(shard_results, "right", run, |m| PairDelta {
-            key: m.0,
-            left: m.2,
-            right: m.1,
-            added: m.3,
-        });
+        let fold = fold_probes(
+            &*self.app,
+            &mut self.view,
+            &deltas,
+            probes,
+            DeltaHash::right,
+            |key, right, left, added| PairDelta {
+                key,
+                left,
+                right,
+                added,
+            },
+            &mut run.deltas,
+        );
+        self.record_probe("right", &fold, run);
         run.stats.probes += deltas.len() as u64;
     }
 
-    /// Folds shard probe results into the view in shard order, emitting
-    /// pair deltas and trace spans. `orient` maps a match back to
-    /// (left, right) orientation.
-    fn apply_matches<VD, VO>(
-        &mut self,
-        shard_results: ShardMatches<J::Key, VD, VO>,
-        side: &str,
-        run: &mut JoinRunOf<J>,
-        orient: impl Fn(Match<J::Key, VD, VO>) -> PairDelta<J::Key, J::Left, J::Right>,
-    ) {
-        let mut shard_works = Vec::with_capacity(shard_results.len());
-        let mut batch_work = 0u64;
-        let (mut added_n, mut removed_n) = (0u64, 0u64);
-        for (matches, work) in shard_results {
-            shard_works.push(work);
-            batch_work += work;
-            for m in matches {
-                let delta = orient(m);
-                let weight =
-                    self.app
-                        .pair_weight(&delta.key, &delta.left.value, &delta.right.value);
-                let hash = pair_hash(
-                    &delta.key,
-                    (delta.left.time, delta.left.seq),
-                    (delta.right.time, delta.right.seq),
-                );
-                let mut emptied = false;
-                {
-                    let cell = self.view.entry(delta.key.clone()).or_default();
-                    if delta.added {
-                        cell.add(weight, hash);
-                        added_n += 1;
-                    } else {
-                        cell.remove(weight, hash);
-                        removed_n += 1;
-                        emptied = cell.pairs == 0;
-                    }
-                }
-                if emptied {
-                    self.view.remove(&delta.key);
-                }
-                run.deltas.push(delta);
-            }
-        }
-        run.stats.probe_work += batch_work;
-        run.stats.pairs_added += added_n;
-        run.stats.pairs_removed += removed_n;
+    /// Adds one side's folded probe to the run's stats and emits its trace
+    /// span, with one work leaf per shard that did work.
+    fn record_probe(&self, side: &str, fold: &ProbeFold, run: &mut JoinRunOf<J>) {
+        let work: u64 = fold.shard_works.iter().sum();
+        run.stats.probe_work += work;
+        run.stats.pairs_added += fold.added;
+        run.stats.pairs_removed += fold.removed;
         let advance = self.advance_seq;
         self.trace.with(|t| {
             let tr = t.track("join");
             let span = t.begin(tr, SpanKind::Join, format!("probe {side} #{advance}"));
-            for (p, w) in shard_works.iter().enumerate() {
+            for (p, w) in fold.shard_works.iter().enumerate() {
                 if *w > 0 {
                     t.leaf(tr, SpanKind::Join, format!("probe shard {p}"), *w);
                 }
             }
-            t.arg(span, "work", batch_work);
-            t.arg(span, "pairs_added", added_n);
-            t.arg(span, "pairs_removed", removed_n);
+            t.arg(span, "work", work);
+            t.arg(span, "pairs_added", fold.added);
+            t.arg(span, "pairs_removed", fold.removed);
             t.end(span);
         });
     }
@@ -555,11 +546,12 @@ impl<J: JoinApp> JoinedJob<J> {
                     };
                     let mut cell = JoinCell::default();
                     for l in lrecs.iter() {
+                        let kept = DeltaHash::left(key, (l.time, l.seq));
                         for r in rrecs.iter() {
                             work += 1;
                             cell.add(
                                 app.pair_weight(key, &l.value, &r.value),
-                                pair_hash(key, (l.time, l.seq), (r.time, r.seq)),
+                                kept.pair((r.time, r.seq)),
                             );
                         }
                     }
@@ -663,42 +655,102 @@ fn collect_deltas<K, V>(
 
 /// Probes `deltas` against the opposite side's index, sharded by
 /// `partition_of(key)`. Each probe costs one index lookup plus one unit
-/// per pair touched. Returns per-shard `(matches, work)` in shard order;
-/// matches preserve delta order within a shard, and one delta's matches
-/// follow the opposite index's window order.
-fn probe_deltas<K, VD, VO>(
+/// per pair it finds. Returns each shard's handles and work, in shard
+/// order; copying the pairs out is left to [`fold_probes`].
+fn probe_deltas<'a, K, VD, VO>(
     runtime: &Runtime,
     partitions: usize,
     deltas: &[Delta<K, VD>],
-    opposite: &BTreeMap<K, IndexSeq<VO>>,
-) -> ShardMatches<K, VD, VO>
+    opposite: &'a BTreeMap<K, IndexSeq<VO>>,
+) -> Vec<ShardProbe<'a, VO>>
 where
-    K: Clone + Ord + Hash + Send + Sync,
-    VD: Clone + Send + Sync,
-    VO: Clone + Send + Sync,
+    K: Ord + Hash + Sync,
+    VD: Sync,
+    VO: Send + Sync,
 {
-    let mut shards: Vec<Vec<&Delta<K, VD>>> = (0..partitions).map(|_| Vec::new()).collect();
-    for delta in deltas {
-        shards[partition_of(&delta.0, partitions)].push(delta);
+    let mut shards: Vec<Vec<usize>> = (0..partitions).map(|_| Vec::new()).collect();
+    for (i, delta) in deltas.iter().enumerate() {
+        shards[partition_of(&delta.0, partitions)].push(i);
     }
     runtime.map(&shards, |_, shard| {
-        let mut matches = Vec::new();
+        let mut handles = Vec::with_capacity(shard.len());
         let mut work = 0u64;
-        for delta in shard {
-            let (key, rec, added) = (&delta.0, &delta.1, delta.2);
+        for &i in shard {
             work += 1;
-            let Some(entry) = opposite.get(key) else {
+            let Some(seq) = opposite.get(&deltas[i].0) else {
                 continue;
             };
-            work += entry.len() as u64;
-            for run in entry.runs() {
+            work += seq.len() as u64;
+            if !seq.is_empty() {
+                handles.push((i, seq));
+            }
+        }
+        (handles, work)
+    })
+}
+
+/// Folds one side's probe into the view, walking the shards in order.
+///
+/// Each handle's pairs are written to `out` in the opposite sequence's
+/// window order, oriented by `orient(key, delta record, opposite record,
+/// added)`; their weights and [`pair_hash`](crate::pair_hash)es, from the
+/// delta's `kept` hash state, sum in a local [`JoinCell`] that updates the
+/// delta's view cell once. A removal that empties the cell deletes it.
+fn fold_probes<J: JoinApp, VD: Clone, VO: Clone>(
+    app: &J,
+    view: &mut BTreeMap<J::Key, JoinCell>,
+    deltas: &[Delta<J::Key, VD>],
+    probes: Vec<ShardProbe<'_, VO>>,
+    kept: impl Fn(&J::Key, (u64, u64)) -> DeltaHash,
+    orient: impl Fn(
+        J::Key,
+        IndexRecord<VD>,
+        IndexRecord<VO>,
+        bool,
+    ) -> PairDelta<J::Key, J::Left, J::Right>,
+    out: &mut Vec<PairDelta<J::Key, J::Left, J::Right>>,
+) -> ProbeFold {
+    let pairs = probes
+        .iter()
+        .flat_map(|(handles, _)| handles)
+        .map(|(_, seq)| seq.len())
+        .sum();
+    out.reserve(pairs);
+    let mut fold = ProbeFold {
+        shard_works: Vec::with_capacity(probes.len()),
+        added: 0,
+        removed: 0,
+    };
+    for (handles, work) in probes {
+        fold.shard_works.push(work);
+        for (i, seq) in handles {
+            let (key, rec, added) = &deltas[i];
+            let hash = kept(key, (rec.time, rec.seq));
+            let mut sum = JoinCell::default();
+            for run in seq.runs() {
                 for other in run {
-                    matches.push((key.clone(), rec.clone(), other.clone(), added));
+                    let pair = orient(key.clone(), rec.clone(), other.clone(), *added);
+                    sum.add(
+                        app.pair_weight(&pair.key, &pair.left.value, &pair.right.value),
+                        hash.pair((other.time, other.seq)),
+                    );
+                    out.push(pair);
+                }
+            }
+            let cell = view.entry(key.clone()).or_default();
+            if *added {
+                cell.add_all(&sum);
+                fold.added += sum.pairs;
+            } else {
+                cell.remove_all(&sum);
+                fold.removed += sum.pairs;
+                if cell.pairs == 0 {
+                    view.remove(key);
                 }
             }
         }
-        (matches, work)
-    })
+    }
+    fold
 }
 
 #[cfg(test)]

@@ -19,12 +19,17 @@
 //! windows back instead of producing join results against data the other
 //! side may still deliver or reorder.
 //!
-//! Everything is deterministic: probe results are sharded by key hash,
-//! computed via `Runtime::map` (input-order results), and folded in shard
-//! order, so the view, the emitted [`PairDelta`] stream, and all
-//! [`JoinStats`] are bit-identical at any thread count. The brute-force
-//! [`reference_view`] ground truth and per-cell pair checksums make that
-//! claim checkable on every slide.
+//! A probe costs what it writes. Probes are sharded by key hash and run
+//! via `Runtime::map` (input-order results); each returns a handle to the
+//! opposite key's [`IndexSeq`], not a copy of its pairs. The control
+//! thread folds the handles in shard order: one [`PairDelta`] per pair,
+//! and one view-cell update per delta record, with each pair's checksum
+//! extending a hash state kept for its delta.
+//!
+//! Everything is deterministic, so the view, the emitted [`PairDelta`]
+//! stream, and all [`JoinStats`] are bit-identical at any thread count.
+//! The brute-force [`reference_view`] ground truth and per-cell pair
+//! checksums make that claim checkable on every slide.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

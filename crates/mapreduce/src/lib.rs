@@ -87,7 +87,7 @@ pub use pipeline::{InnerStageStats, Pipeline, PipelineRunResult, StageApp, Stage
 pub use retry::RetryPolicy;
 pub use runtime::{Runtime, THREADS_ENV};
 pub use shared::{EngineShared, EngineSharedBuilder};
-pub use shuffle::{partition_of, stable_hash};
+pub use shuffle::{partition_of, stable_hash, StableStdHasher};
 pub use split::{make_splits, Split, SplitId};
 pub use stats::{RecoveryStats, RunStats, WorkBreakdown};
 pub use windowed::{ExecMode, JobCheckpoint, JobConfig, SimulationConfig, WindowedJob};
