@@ -3,11 +3,11 @@
 //! Drives the §8.1 companion join — follow edges ⋈ URL posts
 //! ([`FollowPostJoin`]) — through the *same* synthetic Twitter streams in
 //! both [`JoinMode::Incremental`] and [`JoinMode::Recompute`], over a
-//! grid of window sizes × slide fractions, and reports modeled work and
-//! simulated seconds per grid point. The incremental operator probes only
-//! the records that entered or left a window each slide; the recompute
-//! strawman re-crosses both indexes. The sweep shows the slider claim in
-//! join form: the smaller the slide fraction, the wider the gap.
+//! grid of window sizes × slide fractions, and reports modeled work per
+//! grid point. The incremental operator probes only the records that
+//! entered or left a window each slide; the recompute strawman re-crosses
+//! both indexes. The sweep shows the slider claim in join form: the
+//! smaller the slide fraction, the wider the gap.
 //!
 //! All numbers are integer work accounting folded deterministically, so
 //! `BENCH_join.json` is byte-identical across reruns and thread counts
@@ -20,10 +20,6 @@ use slider_mapreduce::{EngineShared, EventTimeConfig, Stamped};
 use slider_workloads::twitter::{follow_stream, generate, TwitterConfig};
 
 use crate::report::{BenchJson, Table};
-
-/// Modeled work units per simulated second, for the seconds the report
-/// prints beside the work.
-const WORK_UNITS_PER_SECOND: f64 = 1e6;
 
 /// Window sizes swept, in records per side (1 record ≈ 1 time unit).
 pub const JOIN_WINDOWS: [u64; 3] = [256, 1024, 4096];
@@ -50,20 +46,6 @@ pub struct JoinPoint {
     pub pairs_added: u64,
     /// Join pairs retracted across the measured slides.
     pub pairs_removed: u64,
-}
-
-impl JoinPoint {
-    /// Simulated seconds for the incremental mode.
-    #[must_use]
-    pub fn inc_seconds(&self) -> f64 {
-        to_f64(self.inc_work) / WORK_UNITS_PER_SECOND
-    }
-
-    /// Simulated seconds for the recompute mode.
-    #[must_use]
-    pub fn rec_seconds(&self) -> f64 {
-        to_f64(self.rec_work) / WORK_UNITS_PER_SECOND
-    }
 }
 
 /// Measures one (window, slide%) grid point. Both modes consume identical
@@ -171,14 +153,6 @@ pub fn join_report(points: &[JoinPoint]) -> BenchJson {
         report.metric(
             join_point_key(p.window, p.slide_pct, "rec_work"),
             to_f64(p.rec_work),
-        );
-        report.metric(
-            join_point_key(p.window, p.slide_pct, "inc_seconds"),
-            p.inc_seconds(),
-        );
-        report.metric(
-            join_point_key(p.window, p.slide_pct, "rec_seconds"),
-            p.rec_seconds(),
         );
         report.metric(
             join_point_key(p.window, p.slide_pct, "pairs_touched"),
