@@ -80,6 +80,11 @@ cargo test -q -p slider-bench --test integration_join
 echo "==> join: property tests vs the brute-force reference"
 cargo test -q -p slider-join --test proptest_join
 
+# The benchmarks run release builds, where overflow wraps and the view
+# fold compiles differently: run the join's oracles there too.
+echo "==> join: unit and property tests in a release build"
+cargo test -q --release -p slider-join
+
 echo "==> join: join_feed output is byte-identical across runs and thread counts"
 join_tmp="$(mktemp -d)"
 cargo run -q --release -p slider-bench --example join_feed > "$join_tmp/a.txt"
