@@ -107,6 +107,17 @@ for f in chrome_trace.json flame.folded metrics.json; do
   cmp "$trace_tmp/a/$f" "$trace_tmp/b/$f"
   cmp "$trace_tmp/a/$f" "$trace_tmp/c/$f"
 done
+# The time fields of the metrics and the flame graph are pinned too.
+cmp examples/expected/trace_viewer_metrics.json "$trace_tmp/a/metrics.json"
+cmp examples/expected/trace_viewer_flame.folded "$trace_tmp/a/flame.folded"
+
+# Simulated-time tables: a change that moves any of them must check in
+# the new output.
+echo "==> simulated time: Table 1 and Figures 10 and 11 match their pinned output"
+for bench in tab1_scheduler fig10_query fig11_split_processing; do
+  cargo bench -q -p slider-bench --bench "$bench" > "$trace_tmp/$bench.txt"
+  cmp "examples/expected/$bench.txt" "$trace_tmp/$bench.txt"
+done
 
 echo "==> shootout: regenerate and gate against the checked-in baseline"
 BENCH_JSON_DIR="$shootout_tmp" cargo bench -q -p slider-bench --bench shootout > /dev/null
