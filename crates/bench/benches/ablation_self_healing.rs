@@ -25,6 +25,7 @@ use slider_bench::datasets::{MicrobenchSpec, FIXED_BUCKETS, WINDOW_SPLITS};
 use slider_bench::{banner, fmt_f64, hct_spec, substr_spec, Table};
 use slider_dcache::CacheConfig;
 use slider_mapreduce::{ExecMode, JobConfig, JobFaultPlan, MapReduceApp, RunStats, WindowedJob};
+use slider_trace::ticks_to_seconds;
 
 /// Cache-cluster size. Matching the partition count gives every partition's
 /// object a distinct home, so the plan below can take out both persistent
@@ -90,10 +91,7 @@ fn row(table: &mut Table, app: &str, config: &str, stats: &[RunStats], matches: 
     let enqueued = sum(|s| s.repair.enqueued);
     let corrupt = sum(|s| s.repair.corruptions_detected);
     let scrubbed = sum(|s| s.repair.scrubbed_copies);
-    let bg_seconds: f64 = stats
-        .iter()
-        .map(|s| s.repair.repair_seconds + s.repair.scrub_seconds)
-        .sum();
+    let bg_ns = sum(|s| s.repair.repair_ns + s.repair.scrub_ns);
     table.row(vec![
         app.to_string(),
         config.to_string(),
@@ -103,7 +101,7 @@ fn row(table: &mut Table, app: &str, config: &str, stats: &[RunStats], matches: 
         enqueued.to_string(),
         corrupt.to_string(),
         scrubbed.to_string(),
-        fmt_f64(bg_seconds * 1e3),
+        fmt_f64(ticks_to_seconds(bg_ns) * 1e3),
         if matches { "yes" } else { "NO" }.to_string(),
     ]);
 }

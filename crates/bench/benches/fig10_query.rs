@@ -12,10 +12,11 @@ const WINDOW_SPLITS: usize = 200;
 const ROWS_PER_SPLIT: usize = 30;
 const INNER_BUCKETS: usize = 16;
 
-/// End-to-end simulated pipeline time: every job (first and inner) is
-/// scheduled on the simulated cluster; jobs run back-to-back.
-fn pipeline_time(result: &QueryRunStats) -> f64 {
-    result.total_time().expect("simulation configured")
+/// End-to-end simulated pipeline time in nanoseconds: every job (first
+/// and inner) is scheduled on the simulated cluster; jobs run
+/// back-to-back.
+fn pipeline_ns(result: &QueryRunStats) -> u64 {
+    result.total_ns().expect("simulation configured")
 }
 
 fn run_query(pq: &PigMixQuery, mode: ExecMode, kind: WindowKind, views: &[Row]) -> QueryRunStats {
@@ -67,7 +68,7 @@ fn main() {
             let jobs = pq.query.job_count();
 
             let work_x = vanilla.total_work() as f64 / slider.total_work().max(1) as f64;
-            let time_x = pipeline_time(&vanilla) / pipeline_time(&slider).max(1e-9);
+            let time_x = pipeline_ns(&vanilla) as f64 / pipeline_ns(&slider).max(1) as f64;
             work_speedups.push(work_x);
             time_speedups.push(time_x);
             table.row(vec![

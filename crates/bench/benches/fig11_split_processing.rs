@@ -50,8 +50,9 @@ fn main() {
             let split = run(kind.slider_mode(true), kind, 5);
 
             // Normalize times to the unsplit update (total update time = 1).
-            let fg = split.time / plain.time.max(1e-9);
-            let bg = split.background_time / plain.time.max(1e-9);
+            let plain_ns = plain.time_ns.max(1) as f64;
+            let fg = split.time_ns as f64 / plain_ns;
+            let bg = split.background_ns as f64 / plain_ns;
             let saving = 100.0 * (1.0 - fg);
             // Contraction work offloaded off the critical path.
             let fg_contraction = split.stats.work.contraction_fg.work;

@@ -22,7 +22,7 @@ fn main() {
                 let vanilla = run(ExecMode::Recompute, kind, pct);
                 let slider = run(kind.slider_mode(false), kind, pct);
                 work_row.push(vanilla.work as f64 / slider.work.max(1) as f64);
-                time_row.push(vanilla.time / slider.time.max(1e-9));
+                time_row.push(vanilla.time_ns as f64 / slider.time_ns.max(1) as f64);
             }
             work.push((kind, name, work_row));
             time.push((kind, name, time_row));

@@ -20,7 +20,7 @@ fn main() {
                 let strawman = run(ExecMode::Strawman, kind, pct);
                 let slider = run(kind.slider_mode(false), kind, pct);
                 work_row.push(strawman.work as f64 / slider.work.max(1) as f64);
-                time_row.push(strawman.time / slider.time.max(1e-9));
+                time_row.push(strawman.time_ns as f64 / slider.time_ns.max(1) as f64);
             }
             work.push((kind, name, work_row));
             time.push((kind, name, time_row));

@@ -40,11 +40,11 @@ fn ratio<A: MapReduceApp + Clone>(spec: &MicrobenchSpec<A>) -> f64 {
                 policy,
             })
         })
-        .time
+        .time_ns
     };
     let hadoop = run(SchedulerPolicy::Vanilla);
     let slider = run(SchedulerPolicy::hybrid_default());
-    slider / hadoop.max(1e-9)
+    slider as f64 / hadoop.max(1) as f64
 }
 
 fn main() {

@@ -9,24 +9,20 @@ use slider_bench::{
 use slider_dcache::CacheConfig;
 use slider_mapreduce::MapReduceApp;
 
-fn read_seconds<A: MapReduceApp + Clone>(spec: &MicrobenchSpec<A>, memory: bool) -> f64 {
+fn read_ns<A: MapReduceApp + Clone>(spec: &MicrobenchSpec<A>, memory: bool) -> u64 {
     let kind = WindowKind::Fixed;
     let measurement = run_slide_with(spec, kind.slider_mode(false), kind, 5, |config| {
         let mut cache = CacheConfig::paper_defaults(24);
         cache.memory_enabled = memory;
         config.with_cache(cache)
     });
-    measurement
-        .stats
-        .cache
-        .expect("cache configured")
-        .read_seconds
+    measurement.stats.cache.expect("cache configured").read_ns
 }
 
 fn reduction<A: MapReduceApp + Clone>(spec: &MicrobenchSpec<A>) -> f64 {
-    let with_memory = read_seconds(spec, true);
-    let disk_only = read_seconds(spec, false);
-    100.0 * (1.0 - with_memory / disk_only.max(1e-12))
+    let with_memory = read_ns(spec, true);
+    let disk_only = read_ns(spec, false);
+    100.0 * (1.0 - with_memory as f64 / disk_only.max(1) as f64)
 }
 
 fn main() {

@@ -51,10 +51,10 @@ pub struct ChangeMeasurement {
     pub work: u64,
     /// Background (pre-processing) work, if any.
     pub background_work: u64,
-    /// Simulated end-to-end time of the update, seconds.
-    pub time: f64,
-    /// Simulated background-processing time, seconds.
-    pub background_time: f64,
+    /// Simulated end-to-end time of the update, nanoseconds.
+    pub time_ns: u64,
+    /// Simulated background-processing time, nanoseconds.
+    pub background_ns: u64,
     /// Full run statistics.
     pub stats: RunStats,
     /// Statistics of the initial run that preceded the update.
@@ -133,8 +133,8 @@ pub fn run_slide_with<A: MapReduceApp + Clone>(
     ChangeMeasurement {
         work: stats.work.foreground_total(),
         background_work: stats.work.contraction_bg.work,
-        time: stats.time_seconds().unwrap_or(0.0),
-        background_time: stats.background_seconds(),
+        time_ns: stats.sim.as_ref().map_or(0, |s| s.makespan_ns),
+        background_ns: stats.background_ns(),
         stats,
         initial,
         window_splits,
@@ -213,7 +213,7 @@ mod tests {
             slider.work,
             vanilla.work
         );
-        assert!(slider.time < vanilla.time);
+        assert!(slider.time_ns < vanilla.time_ns);
     }
 
     #[test]

@@ -8,19 +8,19 @@
 //! stay identical across host thread counts.
 //!
 //! [`SimClock`] is that accumulator; [`SharedClock`] is the cloneable
-//! handle engines hold. Virtual seconds only ever advance by explicit
-//! [`SharedClock::advance`] calls (there is no wall-clock coupling), so a
-//! run schedule replayed with the same inputs advances the clock through
-//! the same sequence of instants — bit-identical, because the f64 sums
-//! happen in the same order.
+//! handle engines hold. Virtual time is counted in integer nanoseconds and
+//! only ever advances by explicit [`SharedClock::advance`] calls (there is
+//! no wall-clock coupling), so a run schedule replayed with the same
+//! inputs lands the clock on the same instant, whatever order the
+//! advances came in.
 
 use std::sync::{Arc, Mutex};
 
 /// Accumulated virtual time of a simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimClock {
-    /// Virtual seconds elapsed since the cluster came up.
-    pub seconds: f64,
+    /// Virtual nanoseconds elapsed since the cluster came up.
+    pub ns: u64,
     /// Number of advances applied (one per completed run).
     pub advances: u64,
 }
@@ -32,13 +32,9 @@ impl SimClock {
         SimClock::default()
     }
 
-    /// Advances the clock by `seconds` of virtual time (negative or
-    /// non-finite advances are ignored — a run cannot take the cluster
-    /// back in time).
-    pub fn advance(&mut self, seconds: f64) {
-        if seconds.is_finite() && seconds > 0.0 {
-            self.seconds += seconds;
-        }
+    /// Advances the clock by `ns` nanoseconds of virtual time.
+    pub fn advance(&mut self, ns: u64) {
+        self.ns += ns;
         self.advances += 1;
     }
 }
@@ -57,15 +53,15 @@ impl SharedClock {
         SharedClock::default()
     }
 
-    /// Advances the shared clock by `seconds` of virtual time.
-    pub fn advance(&self, seconds: f64) {
-        self.lock().advance(seconds);
+    /// Advances the shared clock by `ns` nanoseconds of virtual time.
+    pub fn advance(&self, ns: u64) {
+        self.lock().advance(ns);
     }
 
-    /// Current virtual time in seconds.
+    /// Current virtual time in nanoseconds.
     #[must_use]
-    pub fn seconds(&self) -> f64 {
-        self.lock().seconds
+    pub fn ns(&self) -> u64 {
+        self.lock().ns
     }
 
     /// Number of advances applied so far.
@@ -102,9 +98,9 @@ mod tests {
     #[test]
     fn advances_accumulate() {
         let clock = SharedClock::new();
-        clock.advance(1.5);
-        clock.advance(2.5);
-        assert_eq!(clock.seconds(), 4.0);
+        clock.advance(1_500);
+        clock.advance(2_500);
+        assert_eq!(clock.ns(), 4_000);
         assert_eq!(clock.advances(), 2);
     }
 
@@ -112,40 +108,25 @@ mod tests {
     fn clones_share_state() {
         let a = SharedClock::new();
         let b = a.clone();
-        a.advance(3.0);
-        assert_eq!(b.seconds(), 3.0);
-        b.advance(1.0);
-        assert_eq!(
-            a.snapshot(),
-            SimClock {
-                seconds: 4.0,
-                advances: 2
-            }
-        );
+        a.advance(3);
+        assert_eq!(b.ns(), 3);
+        b.advance(1);
+        assert_eq!(a.snapshot(), SimClock { ns: 4, advances: 2 });
     }
 
     #[test]
     fn restore_reimposes_a_snapshot() {
         let crashed = SharedClock::new();
-        crashed.advance(2.5);
-        crashed.advance(0.5);
+        crashed.advance(2_500);
+        crashed.advance(500);
         let image = crashed.snapshot();
 
         let fresh = SharedClock::new();
         fresh.restore(image);
         assert_eq!(fresh.snapshot(), image);
         // Replaying the same advance lands both clocks on the same state.
-        crashed.advance(1.25);
-        fresh.advance(1.25);
+        crashed.advance(1_250);
+        fresh.advance(1_250);
         assert_eq!(fresh.snapshot(), crashed.snapshot());
-    }
-
-    #[test]
-    fn bogus_advances_count_but_do_not_move_time() {
-        let clock = SharedClock::new();
-        clock.advance(-5.0);
-        clock.advance(f64::NAN);
-        assert_eq!(clock.seconds(), 0.0);
-        assert_eq!(clock.advances(), 2);
     }
 }

@@ -78,28 +78,29 @@ proptest! {
         let min_any_task = stage1
             .iter()
             .chain(&stage2)
-            .map(|t| spec.cost.task_seconds(t.work, t.input_bytes, 1.0, true))
-            .fold(0.0f64, f64::max);
+            .map(|t| spec.cost.task_ns(t.work, t.input_bytes, 1.0, true))
+            .max()
+            .unwrap_or(0);
         // Serial worst case: every task remote, one after another.
-        let serial: f64 = stage1
+        let serial: u64 = stage1
             .iter()
             .chain(&stage2)
-            .map(|t| spec.cost.task_seconds(t.work, t.input_bytes, 1.0, false))
+            .map(|t| spec.cost.task_ns(t.work, t.input_bytes, 1.0, false))
             .sum();
 
         for policy in policies() {
             let report = simulate(&spec, policy, &[stage1.clone(), stage2.clone()]);
             prop_assert_eq!(report.tasks_run, total);
             prop_assert_eq!(report.stages.len(), 2);
-            prop_assert!(report.makespan >= min_any_task - 1e-9,
+            prop_assert!(report.makespan_ns >= min_any_task,
                 "{policy:?}: makespan below longest task");
-            prop_assert!(report.makespan <= serial + 1e-9,
-                "{policy:?}: makespan {} exceeds serial bound {}", report.makespan, serial);
-            prop_assert!(report.busy_seconds <= report.makespan * (machines * 4) as f64 + 1e-9,
+            prop_assert!(report.makespan_ns <= serial,
+                "{policy:?}: makespan {} exceeds serial bound {}", report.makespan_ns, serial);
+            prop_assert!(report.busy_ns <= report.makespan_ns * (machines as u64 * 4),
                 "{policy:?}: busy time exceeds slot capacity");
-            let stage_sum: f64 = report.stages.iter().map(|s| s.duration).sum();
-            prop_assert!((stage_sum - report.makespan).abs() < 1e-6,
-                "{policy:?}: stages {} != makespan {}", stage_sum, report.makespan);
+            let stage_sum: u64 = report.stages.iter().map(|s| s.duration_ns).sum();
+            prop_assert_eq!(stage_sum, report.makespan_ns,
+                "{policy:?}: stage durations sum to the makespan");
         }
     }
 

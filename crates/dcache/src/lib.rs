@@ -18,7 +18,7 @@
 //! let mut cache = DistributedCache::new(CacheConfig::paper_defaults(4));
 //! cache.put(ObjectId(1), 4096, NodeId(0), 0);
 //! let read = cache.read(ObjectId(1), NodeId(0)).unwrap();
-//! assert!(read.seconds > 0.0);
+//! assert!(read.read_ns > 0);
 //! # assert_eq!(read.source, slider_dcache::ReadSource::Memory);
 //! ```
 

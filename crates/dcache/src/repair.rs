@@ -15,7 +15,7 @@ use slider_trace::Tracer;
 ///
 /// Counters are cumulative since cache creation; use
 /// [`RepairStats::delta_since`] for per-run deltas.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Objects enqueued into the repair queue (under-replication detected
     /// after a node failure, a lost/corrupt copy, or a degraded put).
@@ -26,16 +26,17 @@ pub struct RepairStats {
     pub copies_restored: u64,
     /// Bytes moved (source disk → network → target disk) by re-replication.
     pub repair_bytes: u64,
-    /// Simulated seconds of re-replication I/O (off the critical path).
-    pub repair_seconds: f64,
+    /// Simulated nanoseconds of re-replication and master-rebuild I/O (off
+    /// the critical path).
+    pub repair_ns: u64,
     /// Completed scrub passes.
     pub scrub_passes: u64,
     /// Persistent copies whose checksum a scrub pass verified.
     pub scrubbed_copies: u64,
     /// Bytes read back by scrub verification.
     pub scrub_bytes: u64,
-    /// Simulated seconds of scrub I/O (off the critical path).
-    pub scrub_seconds: f64,
+    /// Simulated nanoseconds of scrub I/O (off the critical path).
+    pub scrub_ns: u64,
     /// Corrupt copies detected (by read-path verification, a scrub pass,
     /// or a master rebuild) and discarded before they could be served.
     pub corruptions_detected: u64,
@@ -67,11 +68,11 @@ impl RepairStats {
             repaired_objects: self.repaired_objects - before.repaired_objects,
             copies_restored: self.copies_restored - before.copies_restored,
             repair_bytes: self.repair_bytes - before.repair_bytes,
-            repair_seconds: self.repair_seconds - before.repair_seconds,
+            repair_ns: self.repair_ns - before.repair_ns,
             scrub_passes: self.scrub_passes - before.scrub_passes,
             scrubbed_copies: self.scrubbed_copies - before.scrubbed_copies,
             scrub_bytes: self.scrub_bytes - before.scrub_bytes,
-            scrub_seconds: self.scrub_seconds - before.scrub_seconds,
+            scrub_ns: self.scrub_ns - before.scrub_ns,
             corruptions_detected: self.corruptions_detected - before.corruptions_detected,
             stale_copies_purged: self.stale_copies_purged - before.stale_copies_purged,
             master_rebuilds: self.master_rebuilds - before.master_rebuilds,
@@ -108,13 +109,13 @@ mod tests {
         let mut a = RepairStats::default();
         assert!(a.is_zero());
         a.copies_restored = 3;
-        a.repair_seconds = 1.5;
+        a.repair_ns = 1_500;
         let mut b = a;
         b.copies_restored = 5;
-        b.repair_seconds = 2.0;
+        b.repair_ns = 2_000;
         let d = b.delta_since(&a);
         assert_eq!(d.copies_restored, 2);
-        assert!((d.repair_seconds - 0.5).abs() < 1e-12);
+        assert_eq!(d.repair_ns, 500);
         assert!(!d.is_zero());
     }
 }

@@ -9,7 +9,7 @@ use slider_trace::Tracer;
 
 /// Aggregate statistics of the memoization layer (foreground reads and
 /// puts only; background self-healing is metered in [`crate::RepairStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Reads served by the local or remote memory tier.
     pub memory_hits: u64,
@@ -22,8 +22,8 @@ pub struct CacheStats {
     /// nodes; the object comes back once a replica's node recovers (or
     /// repair re-replicates it), so retrying can succeed.
     pub unavailable_reads: u64,
-    /// Total simulated read seconds.
-    pub read_seconds: f64,
+    /// Total simulated read time, nanoseconds.
+    pub read_ns: u64,
     /// Total bytes read.
     pub bytes_read: u64,
     /// Objects collected by the garbage collector.
@@ -50,7 +50,7 @@ impl CacheStats {
             disk_reads: self.disk_reads - before.disk_reads,
             not_found_reads: self.not_found_reads - before.not_found_reads,
             unavailable_reads: self.unavailable_reads - before.unavailable_reads,
-            read_seconds: self.read_seconds - before.read_seconds,
+            read_ns: self.read_ns - before.read_ns,
             bytes_read: self.bytes_read - before.bytes_read,
             collected: self.collected - before.collected,
             evictions: self.evictions - before.evictions,

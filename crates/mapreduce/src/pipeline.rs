@@ -85,13 +85,14 @@ impl PipelineRunResult {
                 .sum::<u64>()
     }
 
-    /// End-to-end simulated runtime: the first job's makespan plus every
-    /// inner job's simulated makespan (jobs are pipelined sequentially).
-    /// `None` when the pipeline runs without simulation.
-    pub fn total_time(&self) -> Option<f64> {
-        let mut t = self.first.time_seconds()?;
+    /// End-to-end simulated runtime in nanoseconds: the first job's
+    /// makespan plus every inner job's simulated makespan (jobs are
+    /// pipelined sequentially). `None` when the pipeline runs without
+    /// simulation.
+    pub fn total_ns(&self) -> Option<u64> {
+        let mut t = self.first.sim.as_ref()?.makespan_ns;
         for stage in &self.inner {
-            t += stage.sim.as_ref()?.makespan;
+            t += stage.sim.as_ref()?.makespan_ns;
         }
         Some(t)
     }

@@ -5,14 +5,13 @@
 //! re-replication catches up ([`WindowedJob`](crate::WindowedJob), metered
 //! in [`RecoveryStats`](crate::RecoveryStats)), and `slider-serve` retries
 //! a tenant's failed request dispatch before charging its circuit breaker.
-//! Both use [`RetryPolicy`], so the backoff arithmetic — and therefore
-//! every downstream f64 accumulator — is bit-identical wherever it runs.
-//! Engine reads always use the default policy; `slider-serve` tunes its
-//! own per tenant.
+//! Both use [`RetryPolicy`]. Engine reads always use the default policy;
+//! `slider-serve` tunes its own per tenant.
 //!
 //! Backoff is *simulated* time: attempt `n` costs
-//! `base × backoff_factor^n` virtual seconds, charged to the recovery
-//! stats and (when present) the shared [`SimClock`]. Nothing ever sleeps.
+//! `base × backoff_factor^n` virtual seconds, rounded once to whole
+//! nanoseconds and charged to the recovery stats and (when present) the
+//! shared [`SimClock`]. Nothing ever sleeps.
 //!
 //! [`SimClock`]: slider_cluster::SimClock
 

@@ -222,8 +222,8 @@ mod tests {
             .clock()
             .build();
         let clone = shared.clone();
-        shared.clock().unwrap().advance(2.0);
-        assert_eq!(clone.clock().unwrap().seconds(), 2.0);
+        shared.clock().unwrap().advance(2_000_000_000);
+        assert_eq!(clone.clock().unwrap().ns(), 2_000_000_000);
         shared.cache().unwrap().with(|c| {
             c.put(
                 slider_dcache::ObjectId::namespaced(1, 0),

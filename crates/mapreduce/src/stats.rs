@@ -3,11 +3,11 @@
 use slider_cluster::SimReport;
 use slider_core::PhaseWork;
 use slider_dcache::{CacheStats, RepairStats};
-use slider_trace::Tracer;
+use slider_trace::{ticks_to_seconds, Tracer};
 
 /// Work performed by one run, split by phase (the paper's Figure 9
 /// breakdown).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkBreakdown {
     /// Map-phase compute work (including map-side combining).
     pub map: u64,
@@ -40,7 +40,7 @@ impl WorkBreakdown {
 /// fault overheads are visible (the paper's fault-tolerance evaluation):
 /// lost memoized state degrades to extra foreground computation, never a
 /// wrong answer.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Reduce partitions whose memoized trees were lost and rebuilt.
     pub lost_partitions: usize,
@@ -62,8 +62,8 @@ pub struct RecoveryStats {
     pub cache_unavailable: u64,
     /// `Unavailable` cache reads retried after draining pending repairs.
     pub read_retries: u64,
-    /// Simulated seconds spent backing off between read retries.
-    pub backoff_seconds: f64,
+    /// Simulated nanoseconds spent backing off between read retries.
+    pub backoff_ns: u64,
 }
 
 impl RecoveryStats {
@@ -74,7 +74,7 @@ impl RecoveryStats {
 }
 
 /// Everything measured about one run of a windowed job.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Monotonic run index (0 = initial run).
     pub run: u64,
@@ -117,36 +117,25 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// End-to-end simulated runtime of the foreground run, if simulated.
+    /// End-to-end simulated runtime of the foreground run in seconds, if
+    /// simulated. For display; the time itself is
+    /// [`SimReport::makespan_ns`].
     pub fn time_seconds(&self) -> Option<f64> {
-        self.sim.as_ref().map(|s| s.makespan)
+        self.sim.as_ref().map(|s| ticks_to_seconds(s.makespan_ns))
     }
 
-    /// Simulated map-stage duration, if simulated.
-    pub fn map_seconds(&self) -> Option<f64> {
+    /// Simulated map-stage duration in nanoseconds, if simulated.
+    pub fn map_ns(&self) -> Option<u64> {
         self.sim
             .as_ref()
             .and_then(|s| s.stages.first())
-            .map(|s| s.duration)
+            .map(|s| s.duration_ns)
     }
 
-    /// Simulated contraction+reduce stage duration, if simulated.
-    pub fn reduce_seconds(&self) -> Option<f64> {
-        self.sim
-            .as_ref()
-            .and_then(|s| s.stages.get(1))
-            .map(|s| s.duration)
-    }
-
-    /// Simulated background pre-processing duration (0 when none ran).
-    pub fn background_seconds(&self) -> f64 {
-        self.sim_background.as_ref().map_or(0.0, |s| s.makespan)
-    }
-
-    /// Simulated seconds the cluster spent on recovery (partial attempts
-    /// killed by crashes plus losing speculative duplicates), if simulated.
-    pub fn recovery_seconds(&self) -> Option<f64> {
-        self.sim.as_ref().map(|s| s.recovery_seconds)
+    /// Simulated background pre-processing duration in nanoseconds (0 when
+    /// none ran).
+    pub fn background_ns(&self) -> u64 {
+        self.sim_background.as_ref().map_or(0, |s| s.makespan_ns)
     }
 
     /// Adds this run to the `engine.*`, `recovery.*` and `dcache.*`
@@ -202,6 +191,6 @@ mod tests {
     fn time_accessors_handle_missing_sim() {
         let stats = RunStats::default();
         assert!(stats.time_seconds().is_none());
-        assert_eq!(stats.background_seconds(), 0.0);
+        assert_eq!(stats.background_ns(), 0);
     }
 }

@@ -40,6 +40,7 @@ use std::fmt::Write as _;
 use slider_cluster::SimClock;
 use slider_dcache::DistributedCache;
 use slider_mapreduce::{FeederCheckpoint, MapReduceApp};
+use slider_trace::ticks_to_seconds;
 
 use crate::breaker::CircuitBreaker;
 use crate::service::{ServiceState, TenantState};
@@ -111,7 +112,8 @@ impl<A: MapReduceApp> ServiceSnapshot<A> {
                 let _ = writeln!(
                     out,
                     "clock seconds={:.6} advances={}",
-                    clock.seconds, clock.advances
+                    ticks_to_seconds(clock.ns),
+                    clock.advances
                 );
             }
             None => {

@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 
 use crate::json::{escape_string, format_f64};
-use crate::span::{Span, SpanKind, Tracer};
+use crate::span::{ticks_to_seconds, Span, SpanKind, Tracer};
 
 /// A frozen, self-contained copy of a [`Tracer`]'s state. All exporters and
 /// reconciliation queries run against this.
@@ -65,13 +65,11 @@ impl TraceSnapshot {
             .fold(0u64, |acc, s| acc.saturating_add(s.work))
     }
 
-    /// Sum of the simulated seconds charged directly to spans of `kind` on
-    /// `track` (optionally one run), folded in emission order — the same
-    /// order the engine accumulated them, so the result is bit-identical
-    /// to the engine's own running sum.
-    pub fn seconds_total(&self, track: &str, kind: SpanKind, run: Option<u64>) -> f64 {
+    /// Sum of the simulated nanoseconds charged directly to spans of
+    /// `kind` on `track` (optionally one run). Exact: u64 addition.
+    pub fn ns_total(&self, track: &str, kind: SpanKind, run: Option<u64>) -> u64 {
         self.select(track, kind, run)
-            .fold(0.0, |acc, s| acc + s.seconds)
+            .fold(0u64, |acc, s| acc.saturating_add(s.ns()))
     }
 
     /// Sum of the `key` argument over spans of `kind` on `track`.
@@ -170,8 +168,12 @@ impl TraceSnapshot {
             if s.work > 0 {
                 let _ = write!(args, ",\"work\":{}", s.work);
             }
-            if s.seconds != 0.0 {
-                let _ = write!(args, ",\"seconds\":{}", format_f64(s.seconds));
+            if s.ns() > 0 {
+                let _ = write!(
+                    args,
+                    ",\"seconds\":{}",
+                    format_f64(ticks_to_seconds(s.ns()))
+                );
             }
             for (k, v) in &s.args {
                 let _ = write!(args, ",\"{}\":{v}", escape_string(k));
@@ -226,7 +228,8 @@ impl TraceSnapshot {
     /// }
     /// ```
     ///
-    /// Only kinds with at least one span on a track appear. This is the
+    /// `seconds` is [`TraceSnapshot::ns_total`] printed in seconds. Only
+    /// kinds with at least one span on a track appear. This is the
     /// blob `crates/bench` embeds as the `breakdown` section of
     /// `BENCH_*.json`.
     pub fn metrics_json(&self) -> String {
@@ -266,7 +269,7 @@ impl TraceSnapshot {
                     continue;
                 }
                 let work = self.work_total(track, kind, None);
-                let seconds = self.seconds_total(track, kind, None);
+                let ns = self.ns_total(track, kind, None);
                 let ticks = self
                     .select(track, kind, None)
                     .filter(|s| s.parent.is_none() || self.spans[s.parent.unwrap().0].kind != kind)
@@ -279,7 +282,7 @@ impl TraceSnapshot {
                     body,
                     "\n      \"{}\": {{\"spans\": {count}, \"work\": {work}, \"seconds\": {}, \"ticks\": {ticks}}}",
                     kind.label(),
-                    format_f64(seconds)
+                    format_f64(ticks_to_seconds(ns))
                 );
             }
             if body.is_empty() {
@@ -322,7 +325,7 @@ mod tests {
         t.leaf(tr, SpanKind::Reduce, "reduce", 6);
         t.end(run);
         let d = t.track("dcache");
-        t.leaf_seconds(d, SpanKind::CacheRead, "read 1", 0.25);
+        t.leaf_ns(d, SpanKind::CacheRead, "read 1", 250_000_000);
         t.add("engine.map_tasks", 2);
         t.gauge("footprint", 1.5);
         TraceSnapshot::capture(&t)
@@ -334,8 +337,8 @@ mod tests {
         assert_eq!(snap.work_total("engine", SpanKind::Map, Some(0)), 14);
         assert_eq!(snap.work_total("engine", SpanKind::Reduce, None), 6);
         assert_eq!(
-            snap.seconds_total("dcache", SpanKind::CacheRead, None),
-            0.25
+            snap.ns_total("dcache", SpanKind::CacheRead, None),
+            250_000_000
         );
         assert_eq!(snap.counter("engine.map_tasks"), 2);
         assert_eq!(snap.counter("missing"), 0);

@@ -10,12 +10,13 @@
 //! Three properties make it a correctness tool rather than logging:
 //!
 //! 1. **Virtual clock.** Spans are timestamped in modeled work units and
-//!    simulated seconds — never wall-clock — so a trace is bit-identical
-//!    across thread counts and reruns.
+//!    simulated nanoseconds — never wall-clock — so a trace is
+//!    bit-identical across thread counts and reruns.
 //! 2. **Exact reconciliation.** Every span is emitted at the same site
 //!    that accumulates the engine's own statistics, carrying identical
-//!    operands, so span totals reconcile *exactly* with `WorkBreakdown`,
-//!    `RecoveryStats` and `RepairStats`. Counters are not bumped where
+//!    integer operands, so span totals reconcile *exactly* with
+//!    `WorkBreakdown`, `SimReport`, `CacheStats`, `RecoveryStats` and
+//!    `RepairStats`. Counters are not bumped where
 //!    the work happens: each stats type (`RunStats`, `CacheStats`,
 //!    `RepairStats`, `JoinStats`) has one `trace_counters` emitter, called
 //!    once per completed run, so a counter is the sum of its stats field
@@ -54,7 +55,9 @@ use std::sync::{Arc, Mutex};
 
 pub use export::TraceSnapshot;
 pub use json::{parse as parse_json, validate_chrome_trace, JsonValue};
-pub use span::{seconds_to_ticks, Span, SpanId, SpanKind, Tracer, TrackId, TICKS_PER_SECOND};
+pub use span::{
+    seconds_to_ticks, ticks_to_seconds, Span, SpanId, SpanKind, Tracer, TrackId, TICKS_PER_SECOND,
+};
 
 /// Environment variable that force-enables tracing (mirrors
 /// `SLIDER_THREADS`): set to anything except `0`, `false`, `off` or the

@@ -2,7 +2,7 @@
 //! and the counters/gauges registry.
 //!
 //! Everything here is driven by *modeled* quantities — work units and
-//! simulated seconds — never wall-clock time, so a trace recorded at any
+//! simulated nanoseconds — never wall-clock time, so a trace recorded at any
 //! thread count is bit-identical to one recorded at any other.
 
 use std::collections::BTreeMap;
@@ -106,9 +106,9 @@ impl SpanKind {
 
 /// One recorded span. `start`/`end` are virtual-clock ticks on the span's
 /// track; `work` is the modeled work units charged directly to this span
-/// (zero for pure container spans) and `seconds` the simulated seconds
-/// charged directly to it.
-#[derive(Debug, Clone, PartialEq)]
+/// (zero for pure container spans). A timed leaf charges simulated time
+/// instead: its width is that many nanoseconds.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Track the span lives on.
     pub track: TrackId,
@@ -126,8 +126,9 @@ pub struct Span {
     pub end: u64,
     /// Modeled work units charged directly to this span.
     pub work: u64,
-    /// Simulated seconds charged directly to this span.
-    pub seconds: f64,
+    /// True for a timed leaf ([`Tracer::leaf_ns`]): the span's width is
+    /// the simulated nanoseconds charged directly to it.
+    pub timed: bool,
     /// Small, ordered key/value payload (byte counts, task counts, …).
     pub args: Vec<(&'static str, u64)>,
 }
@@ -136,6 +137,16 @@ impl Span {
     /// Width of the span on the virtual clock.
     pub fn ticks(&self) -> u64 {
         self.end.saturating_sub(self.start)
+    }
+
+    /// Simulated nanoseconds charged directly to this span: a timed
+    /// leaf's width, 0 for any other span.
+    pub fn ns(&self) -> u64 {
+        if self.timed {
+            self.ticks()
+        } else {
+            0
+        }
     }
 }
 
@@ -146,8 +157,12 @@ struct TrackState {
     stack: Vec<SpanId>,
 }
 
-/// Converts simulated seconds to virtual-clock ticks (1 ns per tick),
-/// clamped to the representable range so pathological inputs cannot wrap.
+/// Converts seconds to virtual-clock ticks (1 ns per tick), rounding to
+/// the nearest tick. This is the one place simulated time is rounded: a
+/// seconds-valued setting, or a duration made from work, bytes and rates,
+/// passes through it once. Clamped to the representable range so
+/// pathological inputs cannot wrap (NaN and negatives give 0; callers
+/// validate settings before they get here).
 pub fn seconds_to_ticks(seconds: f64) -> u64 {
     let ns = (seconds * TICKS_PER_SECOND).round();
     if !ns.is_finite() || ns <= 0.0 {
@@ -162,6 +177,12 @@ pub fn seconds_to_ticks(seconds: f64) -> u64 {
             ns as u64
         }
     }
+}
+
+/// Seconds of `ticks` virtual-clock ticks, for display only: simulated
+/// time is kept and summed in ticks.
+pub fn ticks_to_seconds(ticks: u64) -> f64 {
+    ticks as f64 / TICKS_PER_SECOND
 }
 
 /// The deterministic trace collector. All emission happens on the control
@@ -220,7 +241,7 @@ impl Tracer {
             start: cursor,
             end: cursor,
             work: 0,
-            seconds: 0.0,
+            timed: false,
             args: Vec::new(),
         });
         self.tracks[track.0].stack.push(id);
@@ -254,17 +275,18 @@ impl Tracer {
         id
     }
 
-    /// Records a leaf span charged with `seconds` simulated seconds; the
-    /// track's virtual clock advances by the equivalent tick count.
-    pub fn leaf_seconds(
+    /// Records a timed leaf span charged with `ns` simulated nanoseconds;
+    /// the track's virtual clock advances by the same amount (1 tick per
+    /// ns).
+    pub fn leaf_ns(
         &mut self,
         track: TrackId,
         kind: SpanKind,
         name: impl Into<String>,
-        seconds: f64,
+        ns: u64,
     ) -> SpanId {
-        let id = self.leaf_ticks(track, kind, name, seconds_to_ticks(seconds));
-        self.spans[id.0].seconds = seconds;
+        let id = self.leaf_ticks(track, kind, name, ns);
+        self.spans[id.0].timed = true;
         id
     }
 
@@ -289,7 +311,7 @@ impl Tracer {
             start,
             end,
             work: 0,
-            seconds: 0.0,
+            timed: false,
             args: Vec::new(),
         });
         id

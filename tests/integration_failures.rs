@@ -109,10 +109,10 @@ fn hybrid_scheduler_beats_strict_placement_under_stragglers() {
         &[reduces],
     );
     assert!(
-        hybrid.makespan < strict.makespan / 2.0,
+        hybrid.makespan_ns < strict.makespan_ns / 2,
         "hybrid {} should be far below strict {}",
-        hybrid.makespan,
-        strict.makespan
+        hybrid.makespan_ns,
+        strict.makespan_ns
     );
     assert!(hybrid.migrations > 0);
 }
@@ -135,7 +135,7 @@ fn vanilla_reduce_placement_pays_remote_reads() {
         std::slice::from_ref(&reduces),
     );
     let aware = simulate(&spec, SchedulerPolicy::MemoizationAware, &[reduces]);
-    assert!(aware.makespan < vanilla.makespan);
+    assert!(aware.makespan_ns < vanilla.makespan_ns);
     assert_eq!(aware.stages[0].remote_placements, 0);
     assert!(vanilla.stages[0].remote_placements > 0);
 }

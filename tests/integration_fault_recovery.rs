@@ -11,6 +11,7 @@ use slider_dcache::CacheConfig;
 use slider_mapreduce::{
     make_splits, ExecMode, JobConfig, JobFaultPlan, SimulationConfig, Split, WindowedJob,
 };
+use slider_trace::ticks_to_seconds;
 use slider_workloads::text::{generate_documents, TextConfig};
 
 /// Records with *uniform* per-split work so every simulated map task has
@@ -50,7 +51,7 @@ fn machine_crash_mid_stage_recovers_with_identical_outputs() {
     // stage" is.
     let mut twin = job(base());
     let twin_s0 = twin.initial_run(splits.clone()).unwrap();
-    let crash_at = twin_s0.map_seconds().expect("simulation configured") * 0.5;
+    let crash_at = ticks_to_seconds(twin_s0.map_ns().expect("simulation configured")) * 0.5;
     assert!(crash_at > 0.0, "map stage must take simulated time");
 
     // Machine 1 runs one of the 20 equal-duration maps from t=0; killing
@@ -68,14 +69,14 @@ fn machine_crash_mid_stage_recovers_with_identical_outputs() {
     let twin_sim = twin_s0.sim.as_ref().unwrap();
     assert!(sim.retried_tasks >= 1, "the killed attempt must be retried");
     assert!(
-        s0.recovery_seconds().unwrap() > 0.0,
+        sim.recovery_ns > 0,
         "the interrupted attempt's partial run is recovery time"
     );
     assert!(
-        sim.makespan >= twin_sim.makespan,
+        sim.makespan_ns >= twin_sim.makespan_ns,
         "recovery cannot make the run faster ({} vs {})",
-        sim.makespan,
-        twin_sim.makespan
+        sim.makespan_ns,
+        twin_sim.makespan_ns
     );
 
     // The next run is fault-free again and must match the twin exactly —
@@ -187,7 +188,7 @@ fn straggler_speculation_is_metered_and_harmless() {
     let sim = s0.sim.as_ref().unwrap();
     assert!(sim.speculative_tasks >= 1, "a duplicate must have launched");
     assert!(
-        s0.recovery_seconds().unwrap() > 0.0,
+        sim.recovery_ns > 0,
         "the losing attempt's run is recovery time"
     );
 }

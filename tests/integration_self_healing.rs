@@ -203,7 +203,7 @@ fn corrupting_every_replica_recomputes_as_last_resort() {
     assert_eq!(run2.recovery.cache_misses_recovered, 1);
     assert_eq!(run2.recovery.cache_unavailable, 1);
     assert!(
-        run2.recovery.read_retries > 0 && run2.recovery.backoff_seconds > 0.0,
+        run2.recovery.read_retries > 0 && run2.recovery.backoff_ns > 0,
         "unavailable reads retry with backoff before giving up"
     );
     // The re-put after recomputation heals the object for later runs.

@@ -116,24 +116,6 @@ struct ServiceOutcome {
     serve_stats: ServeStats,
 }
 
-/// Strips every `cache: ...` field from a RunStats Debug rendering. The
-/// distributed cache meters read latency in one global float accumulator,
-/// so a run's `read_seconds` delta can differ in the last ulps depending
-/// on what other tenants did before it — the only field where sharing the
-/// engine is observable at all.
-fn strip_cache(log: &str) -> String {
-    let mut out = String::new();
-    let mut rest = log;
-    while let Some(start) = rest.find(", cache: ") {
-        out.push_str(&rest[..start]);
-        let tail = &rest[start..];
-        let end = tail.find(", recovery:").expect("recovery follows cache");
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
 /// Drives the full traffic mix through a fresh service. When
 /// `deregister_mid` names a tenant, that tenant is deregistered after
 /// half its requests and the rest of its traffic is dropped on the
@@ -275,8 +257,7 @@ fn tenants_match_their_standalone_twins() {
         ));
 
         assert_eq!(
-            strip_cache(&log),
-            strip_cache(&multi.run_logs[&tenant]),
+            log, multi.run_logs[&tenant],
             "tenant {tenant}: served run history must equal the standalone twin's"
         );
         let twin_final = format!("{:?}", feeder.output());
