@@ -721,13 +721,16 @@ fn fold_probes<J: JoinApp, VD: Clone, VO: Clone>(
         added: 0,
         removed: 0,
     };
+    // One walk stack serves every probed sequence.
+    let mut stack = Vec::new();
     for (handles, work) in probes {
         fold.shard_works.push(work);
         for (i, seq) in handles {
             let (key, rec, added) = &deltas[i];
             let hash = kept(key, (rec.time, rec.seq));
             let mut sum = JoinCell::default();
-            for run in seq.runs() {
+            let mut runs = seq.runs_with(stack);
+            for run in &mut runs {
                 for other in run {
                     let pair = orient(key.clone(), rec.clone(), other.clone(), *added);
                     sum.add(
@@ -737,6 +740,7 @@ fn fold_probes<J: JoinApp, VD: Clone, VO: Clone>(
                     out.push(pair);
                 }
             }
+            stack = runs.into_stack();
             let cell = view.entry(key.clone()).or_default();
             if *added {
                 cell.add_all(&sum);

@@ -81,9 +81,18 @@ impl<V> IndexSeq<V> {
 
     /// The sequence's runs, in order, as slices.
     pub fn runs(&self) -> impl Iterator<Item = &[IndexRecord<V>]> + '_ {
+        self.runs_with(Vec::new())
+    }
+
+    /// [`runs`](Self::runs), walking with `stack`'s allocation. A caller
+    /// that walks many sequences hands the buffer from one walk to the
+    /// next ([`Runs::into_stack`]), so only a walk deeper than every walk
+    /// before it allocates.
+    pub(crate) fn runs_with<'a>(&'a self, stack: Vec<&'a Self>) -> Runs<'a, V> {
+        debug_assert!(stack.is_empty(), "a walk starts with an empty stack");
         Runs {
             next: Some(self),
-            stack: Vec::new(),
+            stack,
         }
     }
 
@@ -186,11 +195,19 @@ impl<V> Drop for Cat<V> {
 }
 
 /// Iterator over an [`IndexSeq`]'s runs, in order.
-struct Runs<'a, V> {
+pub(crate) struct Runs<'a, V> {
     /// The subsequence to visit next.
     next: Option<&'a IndexSeq<V>>,
     /// The subsequences after it, the nearest on top.
     stack: Vec<&'a IndexSeq<V>>,
+}
+
+impl<'a, V> Runs<'a, V> {
+    /// The walk's stack, emptied, for the next walk to reuse.
+    pub(crate) fn into_stack(mut self) -> Vec<&'a IndexSeq<V>> {
+        self.stack.clear();
+        self.stack
+    }
 }
 
 impl<'a, V> Iterator for Runs<'a, V> {
@@ -292,6 +309,19 @@ mod tests {
         assert_ne!(by_chain, chain(0, 99));
         assert_ne!(by_chain, chain(1, 101));
         assert_eq!(IndexSeq::<u32>::default(), chain(0, 0));
+    }
+
+    #[test]
+    fn a_reused_walk_stack_sees_the_same_runs() {
+        let seqs = [chain(0, 100), balanced(0, 100), chain(0, 3), chain(0, 0)];
+        let mut stack = Vec::new();
+        for seq in &seqs {
+            let mut runs = seq.runs_with(stack);
+            assert!(runs.by_ref().eq(seq.runs()));
+            stack = runs.into_stack();
+            assert!(stack.is_empty());
+        }
+        assert!(stack.capacity() > 0, "the deep walks grew the buffer");
     }
 
     #[test]
