@@ -71,7 +71,15 @@ impl FaultPlan {
     }
 
     /// Adds a machine crash. Builder-style.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at_seconds` is not finite and non-negative.
     pub fn crash(mut self, machine: usize, at_seconds: f64) -> Self {
+        assert!(
+            at_seconds.is_finite() && at_seconds >= 0.0,
+            "crash time must be finite and non-negative"
+        );
         self.crashes.push(MachineCrash {
             machine,
             at_seconds,
@@ -201,5 +209,11 @@ mod tests {
     #[should_panic(expected = "at least one attempt")]
     fn zero_attempts_rejected() {
         let _ = FaultPlan::none().with_max_attempts(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn non_finite_crash_time_rejected() {
+        let _ = FaultPlan::none().crash(0, f64::NAN);
     }
 }
