@@ -37,8 +37,8 @@ pub struct BreakerConfig {
     /// failure is charged to the breaker.
     pub retry: RetryPolicy,
     /// Base backoff per retry, in simulated seconds; retry `n` charges
-    /// `retry_backoff_seconds × retry.backoff_multiplier(n)` to the
-    /// shared clock (when one is configured).
+    /// `retry_backoff_seconds × retry.backoff_multiplier(n)`, rounded once
+    /// to whole nanoseconds, to the shared clock (when one is configured).
     pub retry_backoff_seconds: f64,
 }
 
