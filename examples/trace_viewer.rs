@@ -12,8 +12,9 @@
 //! * `metrics.json`      — the `slider-trace-metrics-v1` counters blob.
 //!
 //! The trace clock is *virtual* (modeled work units and simulated
-//! seconds), so the exported bytes are identical on every rerun and for
-//! any `SLIDER_THREADS` value — CI diffs two runs byte-for-byte.
+//! nanoseconds), so the exported bytes are identical on every rerun and
+//! for any `SLIDER_THREADS` value — CI diffs two runs byte-for-byte and
+//! compares the metrics and flame graph with `examples/expected/`.
 
 use std::path::PathBuf;
 
