@@ -95,6 +95,12 @@ cmp "$join_tmp/a.txt" "$join_tmp/c.txt"
 cmp examples/expected/join_feed.txt "$join_tmp/a.txt"
 rm -rf "$join_tmp"
 
+echo "==> query: query_dashboard output matches its pinned output"
+query_tmp="$(mktemp -d)"
+cargo run -q --release -p slider-query --example query_dashboard > "$query_tmp/a.txt"
+cmp examples/expected/query_dashboard.txt "$query_tmp/a.txt"
+rm -rf "$query_tmp"
+
 echo "==> trace: same-seed exports are byte-identical"
 trace_tmp="$(mktemp -d)"
 shootout_tmp="$(mktemp -d)"
@@ -111,10 +117,10 @@ done
 cmp examples/expected/trace_viewer_metrics.json "$trace_tmp/a/metrics.json"
 cmp examples/expected/trace_viewer_flame.folded "$trace_tmp/a/flame.folded"
 
-# Simulated-time tables: a change that moves any of them must check in
-# the new output.
-echo "==> simulated time: Table 1 and Figures 10 and 11 match their pinned output"
-for bench in tab1_scheduler fig10_query fig11_split_processing; do
+# Simulated-time and self-healing tables: a change that moves any of them
+# must check in the new output.
+echo "==> tables: Table 1, Figures 10 and 11 and the self-healing ablation match their pinned output"
+for bench in tab1_scheduler fig10_query fig11_split_processing ablation_self_healing; do
   cargo bench -q -p slider-bench --bench "$bench" > "$trace_tmp/$bench.txt"
   cmp "examples/expected/$bench.txt" "$trace_tmp/$bench.txt"
 done
