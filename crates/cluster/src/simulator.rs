@@ -218,50 +218,6 @@ pub fn simulate(spec: &ClusterSpec, policy: SchedulerPolicy, stages: &[Vec<Task>
     simulate_with_faults(spec, policy, stages, &FaultPlan::default())
 }
 
-/// [`simulate_with_faults`] plus trace emission: one
-/// [`SpanKind::SimStage`](slider_trace::SpanKind) container span per call
-/// on the `cluster` track, with one timed leaf per stage whose nanoseconds
-/// are that stage's [`StageReport::duration_ns`]. `label` distinguishes
-/// concurrent schedules of one run (e.g. foreground vs. background). A
-/// disabled sink makes this identical to [`simulate_with_faults`].
-///
-/// # Panics
-///
-/// Exactly as [`simulate_with_faults`].
-pub fn simulate_traced(
-    spec: &ClusterSpec,
-    policy: SchedulerPolicy,
-    stages: &[Vec<Task>],
-    plan: &FaultPlan,
-    trace: &slider_trace::TraceSink,
-    label: &str,
-) -> SimReport {
-    let report = simulate_with_faults(spec, policy, stages, plan);
-    trace.with(|t| {
-        use slider_trace::SpanKind;
-        let tr = t.track("cluster");
-        let parent = t.begin(tr, SpanKind::SimStage, format!("{label} schedule"));
-        for (i, stage) in report.stages.iter().enumerate() {
-            let s = t.leaf_ns(
-                tr,
-                SpanKind::SimStage,
-                format!("{label} stage {i}"),
-                stage.duration_ns,
-            );
-            t.arg(s, "tasks", stage.tasks as u64);
-            t.arg(s, "retried", stage.retried_tasks);
-            t.arg(s, "speculative", stage.speculative_tasks);
-            t.arg(s, "remote_placements", stage.remote_placements);
-        }
-        t.end(parent);
-        t.add("cluster.tasks_run", report.tasks_run as u64);
-        t.add("cluster.retried_tasks", report.retried_tasks);
-        t.add("cluster.speculative_tasks", report.speculative_tasks);
-        t.add("cluster.migrations", report.migrations);
-    });
-    report
-}
-
 /// Simulates `stages` of tasks on `spec` under `policy` while injecting the
 /// crashes, slowdowns, and speculation of `plan`.
 ///

@@ -3,9 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use slider_mapreduce::{
-    JobConfig, JobError, Pipeline, PipelineRunResult, SpanKind, Split, TraceSink,
-};
+use slider_mapreduce::{JobConfig, JobError, Pipeline, PipelineRunResult, Split, TraceSink};
 
 use crate::plan::{Query, QueryOp, Row};
 use crate::stage::RowStage;
@@ -155,7 +153,7 @@ impl QueryExecutor {
     /// Propagates window-discipline violations from the first job.
     pub fn initial_run(&mut self, splits: Vec<Split<Row>>) -> Result<QueryRunStats, QueryError> {
         let stats = self.pipeline.initial_run(splits)?;
-        self.trace_run(&stats);
+        self.trace_run();
         Ok(stats)
     }
 
@@ -170,7 +168,7 @@ impl QueryExecutor {
         added: Vec<Split<Row>>,
     ) -> Result<QueryRunStats, QueryError> {
         let stats = self.pipeline.advance(remove_splits, added)?;
-        self.trace_run(&stats);
+        self.trace_run();
         Ok(stats)
     }
 
@@ -190,34 +188,11 @@ impl QueryExecutor {
         self.pipeline.trace()
     }
 
-    /// Emits one query-track Stage span per run: a leaf per MapReduce job
-    /// carrying the exact foreground work the pipeline stats recorded, so
-    /// the query track reconciles against [`PipelineRunResult`].
-    fn trace_run(&self, stats: &QueryRunStats) {
-        self.pipeline.trace().with(|t| {
-            let tr = t.track("query");
-            let span = t.begin(
-                tr,
-                SpanKind::Stage,
-                format!("query run #{}", stats.first.run),
-            );
-            t.leaf(
-                tr,
-                SpanKind::Stage,
-                "job 1",
-                stats.first.work.foreground_total(),
-            );
-            for (i, inner) in stats.inner.iter().enumerate() {
-                t.leaf(
-                    tr,
-                    SpanKind::Stage,
-                    format!("job {}", i + 2),
-                    inner.total_work(),
-                );
-            }
-            t.end(span);
-            t.add("query.runs", 1);
-        });
+    /// Counts one query run. Its work is traced once, by the jobs: the
+    /// first job's on the `engine` track, the inner jobs' on the
+    /// `pipeline` track.
+    fn trace_run(&self) {
+        self.pipeline.trace().with(|t| t.add("query.runs", 1));
     }
 }
 

@@ -2,11 +2,16 @@
 //! reconcile bit-exactly with the per-run [`RunStats`] the engine
 //! returns.
 //!
-//! Both structs fold the *deterministic* subset of [`RunStats`] — work,
-//! task and key counts, byte counters — with plain integer addition, so
-//! `sum(per-run) == folded` is an exact invariant, not an approximation.
+//! A request or a drain writes only its tenant's [`TenantStats`], folding
+//! the *deterministic* subset of [`RunStats`] — work, task and key counts,
+//! byte counters — with plain integer addition, so `sum(per-run) ==
+//! folded` is an exact invariant, not an approximation. The service then
+//! folds the tenant's change into [`ServeStats`] and
+//! `TenantStats::trace_counters` writes the `serve.*` trace counters from
+//! the same change: one writer per count.
 
 use slider_mapreduce::RunStats;
+use slider_trace::Tracer;
 
 use crate::admission::Decision;
 
@@ -111,6 +116,54 @@ impl TenantStats {
             }
         }
     }
+
+    /// Field-wise `self - before`: the tenant's change over one request or
+    /// drain. `memo_footprint_bytes` holds the last value, not a count, so
+    /// the change carries `self`'s.
+    pub(crate) fn delta_since(&self, before: &TenantStats) -> TenantStats {
+        TenantStats {
+            requests: self.requests - before.requests,
+            admitted: self.admitted - before.admitted,
+            rate_limited: self.rate_limited - before.rate_limited,
+            over_quota: self.over_quota - before.over_quota,
+            too_large: self.too_large - before.too_large,
+            breaker_open: self.breaker_open - before.breaker_open,
+            shed: self.shed - before.shed,
+            deadline_exceeded: self.deadline_exceeded - before.deadline_exceeded,
+            dispatch_failures: self.dispatch_failures - before.dispatch_failures,
+            dispatch_retries: self.dispatch_retries - before.dispatch_retries,
+            breaker_trips: self.breaker_trips - before.breaker_trips,
+            records_admitted: self.records_admitted - before.records_admitted,
+            records_rejected: self.records_rejected - before.records_rejected,
+            runs: self.runs - before.runs,
+            work_foreground: self.work_foreground - before.work_foreground,
+            work_grand: self.work_grand - before.work_grand,
+            map_tasks: self.map_tasks - before.map_tasks,
+            map_reused: self.map_reused - before.map_reused,
+            keys_reduced: self.keys_reduced - before.keys_reduced,
+            keys_reused: self.keys_reused - before.keys_reused,
+            shuffle_bytes: self.shuffle_bytes - before.shuffle_bytes,
+            memo_read_bytes: self.memo_read_bytes - before.memo_read_bytes,
+            memo_footprint_bytes: self.memo_footprint_bytes,
+        }
+    }
+
+    /// Adds these stats to the `serve.*` request counters of `t`. A failed
+    /// dispatch was admitted, so `serve.request` counts the admitted
+    /// requests that did not fail.
+    pub(crate) fn trace_counters(&self, t: &mut Tracer) {
+        t.add("serve.requests", self.requests);
+        t.add("serve.request", self.admitted - self.dispatch_failures);
+        t.add("serve.reject:too-large", self.too_large);
+        t.add("serve.reject:rate-limited", self.rate_limited);
+        t.add("serve.reject:over-quota", self.over_quota);
+        t.add("serve.reject:breaker-open", self.breaker_open);
+        t.add("serve.reject:deadline", self.deadline_exceeded);
+        t.add("serve.reject:shed", self.shed);
+        t.add("serve.dispatch-retry", self.dispatch_retries);
+        t.add("serve.dispatch-failed", self.dispatch_failures);
+        t.add("serve.breaker-trip", self.breaker_trips);
+    }
 }
 
 /// Service-wide roll-up: the exact sum of every tenant's folded stats,
@@ -156,46 +209,24 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Folds one run's metrics in (mirrors [`TenantStats::absorb`]).
-    pub fn absorb(&mut self, run: &RunStats) {
-        self.runs += 1;
-        self.work_foreground += run.work.foreground_total();
-        self.work_grand += run.work.grand_total();
-    }
-
-    /// Counts one front-door decision.
-    pub(crate) fn count(&mut self, decision: &Decision, records: usize) {
-        self.requests += 1;
-        match decision {
-            Decision::Admitted { .. } => {
-                self.admitted += 1;
-                self.records_admitted += records as u64;
-            }
-            Decision::RateLimited { .. } => {
-                self.rate_limited += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::OverQuota { .. } => {
-                self.over_quota += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::TooLarge { .. } => {
-                self.too_large += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::BreakerOpen { .. } => {
-                self.breaker_open += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::Shed { .. } => {
-                self.shed += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::DeadlineExceeded { .. } => {
-                self.deadline_exceeded += 1;
-                self.records_rejected += records as u64;
-            }
-        }
+    /// Folds one tenant's change (see `TenantStats::delta_since`) in.
+    pub(crate) fn fold(&mut self, change: &TenantStats) {
+        self.requests += change.requests;
+        self.admitted += change.admitted;
+        self.rate_limited += change.rate_limited;
+        self.over_quota += change.over_quota;
+        self.too_large += change.too_large;
+        self.breaker_open += change.breaker_open;
+        self.shed += change.shed;
+        self.deadline_exceeded += change.deadline_exceeded;
+        self.dispatch_failures += change.dispatch_failures;
+        self.dispatch_retries += change.dispatch_retries;
+        self.breaker_trips += change.breaker_trips;
+        self.records_admitted += change.records_admitted;
+        self.records_rejected += change.records_rejected;
+        self.runs += change.runs;
+        self.work_foreground += change.work_foreground;
+        self.work_grand += change.work_grand;
     }
 }
 
@@ -225,12 +256,19 @@ mod tests {
         assert_eq!(tenant.memo_footprint_bytes, 77, "footprint is last-value");
 
         let mut serve = ServeStats::default();
-        serve.absorb(&run);
-        serve.absorb(&run);
+        serve.fold(&tenant.delta_since(&TenantStats::default()));
         assert_eq!(
             (serve.runs, serve.work_foreground, serve.work_grand),
             (tenant.runs, tenant.work_foreground, tenant.work_grand),
             "the roll-up folds the identical sums"
+        );
+        let mut later = tenant;
+        later.absorb(&run);
+        let change = later.delta_since(&tenant);
+        assert_eq!((change.runs, change.map_tasks), (1, 3));
+        assert_eq!(
+            change.memo_footprint_bytes, 77,
+            "footprint is not differenced"
         );
     }
 
