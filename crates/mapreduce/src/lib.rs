@@ -83,7 +83,7 @@ pub use event::{
 pub use fault::{
     CacheCorruption, CacheNodeEvent, JobFaultPlan, JobMachineCrash, JobStraggler, MemoLoss,
 };
-pub use pipeline::{InnerStageStats, Pipeline, PipelineRunResult, StageApp, StageInput};
+pub use pipeline::{InnerStageStats, Pipeline, PipelineRunResult, StageApp};
 pub use retry::RetryPolicy;
 pub use runtime::{Runtime, THREADS_ENV};
 pub use shared::{EngineShared, EngineSharedBuilder};
@@ -94,4 +94,4 @@ pub use windowed::{ExecMode, JobCheckpoint, JobConfig, SimulationConfig, Windowe
 
 // Re-export the trace surface jobs are configured with, so engine users
 // need no direct `slider-trace` dependency for the common path.
-pub use slider_trace::{SpanKind, TraceSink, TraceSnapshot, TRACE_ENV};
+pub use slider_trace::{SpanKind, TraceSink, TraceSnapshot};

@@ -139,8 +139,7 @@ impl EngineSharedBuilder {
         self
     }
 
-    /// Trace sink every job emits into. Resolved against the
-    /// `SLIDER_TRACE` environment at build time.
+    /// Trace sink every job emits into.
     #[must_use]
     pub fn trace(mut self, trace: TraceSink) -> Self {
         self.trace = trace;
@@ -172,7 +171,7 @@ impl EngineSharedBuilder {
     /// Builds the shared bundle.
     #[must_use]
     pub fn build(self) -> EngineShared {
-        let trace = self.trace.resolve_env();
+        let trace = self.trace;
         let runtime = Runtime::auto(self.threads).with_trace(trace.clone());
         let cache = self.cache.map(|config| {
             let mut cache = DistributedCache::new(config);

@@ -8,9 +8,9 @@
 //! 2. **Rate limiting** — a DGIM sliding-window counter
 //!    ([`slider_core::SlidingWindowCounter`]) estimates how many requests
 //!    the tenant admitted inside the trailing rate window; at or above the
-//!    limit the request bounces. The estimate is approximate (within the
-//!    configured ε) but *deterministic*: the same request sequence is
-//!    accepted and rejected identically on every run.
+//!    limit the request bounces. The estimate is approximate (within
+//!    ε = 0.5) but *deterministic*: the same request sequence is accepted
+//!    and rejected identically on every run.
 //! 3. **Quota enforcement** — a lifetime record budget.
 //!
 //! Only admitted requests count toward the rate window and the quota, so
@@ -21,6 +21,11 @@ use std::fmt;
 use slider_core::SlidingWindowCounter;
 
 use crate::tenant::TenantSpec;
+
+/// The relative error bound of every DGIM counter the service keeps (rate
+/// limiters and the overload gauge): classic DGIM, at most a factor-1.5
+/// overcount.
+pub(crate) const DGIM_EPSILON: f64 = 0.5;
 
 /// The front door's verdict on one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,45 +125,27 @@ pub struct OverloadConfig {
     pub record_limit: u64,
     /// Width of the trailing window, in arrival ticks.
     pub window: u64,
-    /// DGIM accuracy knob (relative estimation error bound, in `(0, 1]`).
-    pub epsilon: f64,
 }
 
 impl Default for OverloadConfig {
     fn default() -> Self {
-        OverloadConfig {
-            record_limit: 1024,
-            window: 64,
-            epsilon: 0.5,
-        }
+        OverloadConfig::new(1024, 64)
     }
 }
 
 impl OverloadConfig {
-    /// A gauge of `record_limit` records per trailing `window` ticks at
-    /// the default ε = 0.5.
+    /// A gauge of `record_limit` records per trailing `window` ticks.
     #[must_use]
     pub fn new(record_limit: u64, window: u64) -> Self {
         OverloadConfig {
             record_limit,
             window,
-            epsilon: 0.5,
         }
-    }
-
-    /// Overrides the DGIM accuracy knob. Builder-style.
-    #[must_use]
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
     }
 
     pub(crate) fn validate(&self) -> Result<(), String> {
         if self.window == 0 {
             return Err("overload window must be positive".into());
-        }
-        if !(self.epsilon > 0.0 && self.epsilon <= 1.0) {
-            return Err("overload epsilon must be in (0, 1]".into());
         }
         Ok(())
     }
@@ -180,7 +167,7 @@ impl AdmissionGate {
         AdmissionGate {
             limiter: spec.rate_limit.as_ref().map(|limit| {
                 (
-                    SlidingWindowCounter::new(limit.window, limit.epsilon),
+                    SlidingWindowCounter::new(limit.window, DGIM_EPSILON),
                     limit.requests,
                 )
             }),

@@ -42,6 +42,7 @@ use slider_dcache::DistributedCache;
 use slider_mapreduce::{FeederCheckpoint, MapReduceApp};
 use slider_trace::ticks_to_seconds;
 
+use crate::admission::DGIM_EPSILON;
 use crate::breaker::CircuitBreaker;
 use crate::service::{ServiceState, TenantState};
 use crate::tenant::TenantId;
@@ -146,11 +147,7 @@ impl<A: MapReduceApp> ServiceSnapshot<A> {
                 let _ = writeln!(
                     out,
                     "overload limit={} window={} epsilon={} last_arrival={} gauge={:?}",
-                    o.config.record_limit,
-                    o.config.window,
-                    o.config.epsilon,
-                    o.last_arrival,
-                    o.gauge
+                    o.config.record_limit, o.config.window, DGIM_EPSILON, o.last_arrival, o.gauge
                 );
             }
             None => {

@@ -24,33 +24,20 @@ impl std::fmt::Display for TenantId {
 }
 
 /// DGIM-windowed request-rate limit: at most `requests` admitted requests
-/// inside any trailing `window` arrival ticks, estimated within `epsilon`.
+/// inside any trailing `window` arrival ticks, estimated within the
+/// service's DGIM ε of 0.5 (at most a factor-1.5 overcount).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateLimit {
     /// Maximum admitted requests per trailing window.
     pub requests: u64,
     /// Width of the trailing window, in arrival ticks.
     pub window: u64,
-    /// DGIM accuracy knob (relative estimation error bound, in `(0, 1]`).
-    pub epsilon: f64,
 }
 
 impl RateLimit {
-    /// A limit of `requests` per `window` ticks at the default ε = 0.5
-    /// (classic DGIM: at most a factor-1.5 overcount).
+    /// A limit of `requests` per `window` ticks.
     pub fn new(requests: u64, window: u64) -> Self {
-        RateLimit {
-            requests,
-            window,
-            epsilon: 0.5,
-        }
-    }
-
-    /// Overrides the DGIM accuracy knob. Builder-style.
-    #[must_use]
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
+        RateLimit { requests, window }
     }
 }
 
@@ -72,8 +59,6 @@ pub struct TenantSpec {
     /// Optional cluster simulation for this tenant's runs; when the shared
     /// engine carries a clock, simulated makespans accumulate into it.
     pub simulation: Option<SimulationConfig>,
-    /// Optional override of the job's data-movement work rate.
-    pub work_per_byte: Option<f64>,
     /// Optional DGIM-windowed request-rate limit.
     pub rate_limit: Option<RateLimit>,
     /// Optional lifetime record budget.
@@ -106,7 +91,6 @@ impl TenantSpec {
             partitions: 8,
             event,
             simulation: None,
-            work_per_byte: None,
             rate_limit: None,
             record_quota: None,
             max_request_records: None,
@@ -128,13 +112,6 @@ impl TenantSpec {
     #[must_use]
     pub fn with_simulation(mut self, sim: SimulationConfig) -> Self {
         self.simulation = Some(sim);
-        self
-    }
-
-    /// Overrides the data-movement work rate. Builder-style.
-    #[must_use]
-    pub fn with_work_per_byte(mut self, rate: f64) -> Self {
-        self.work_per_byte = Some(rate);
         self
     }
 
@@ -214,9 +191,6 @@ impl TenantSpec {
             }
             if limit.window == 0 {
                 return Err(ServeError::BadSpec("rate window must be positive".into()));
-            }
-            if !(limit.epsilon > 0.0 && limit.epsilon <= 1.0) {
-                return Err(ServeError::BadSpec("rate epsilon must be in (0, 1]".into()));
             }
         }
         if self.max_request_records == Some(0) {
