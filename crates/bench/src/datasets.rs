@@ -11,9 +11,6 @@ use slider_mapreduce::{make_splits, MapReduceApp, Split};
 use slider_workloads::points::{generate_points, initial_centroids};
 use slider_workloads::text::{generate_documents, TextConfig};
 
-/// Names of the five micro-benchmarks, in the paper's plotting order.
-pub const APP_NAMES: [&str; 5] = ["HCT", "subStr", "Matrix", "K-Means", "KNN"];
-
 /// One micro-benchmark: the application plus its initial window and spare
 /// splits for slides.
 pub struct MicrobenchSpec<A: MapReduceApp> {

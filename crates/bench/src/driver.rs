@@ -63,14 +63,6 @@ pub struct ChangeMeasurement {
     pub window_splits: (usize, usize),
 }
 
-/// Results for one app across the three window kinds.
-pub struct AppMeasurements {
-    /// App name.
-    pub name: &'static str,
-    /// `(kind, pct) -> measurement` in sweep order.
-    pub runs: Vec<(WindowKind, usize, ChangeMeasurement)>,
-}
-
 /// Runs one micro-benchmark: initial window, then a single `pct`% slide,
 /// returning the slide's measurement.
 ///

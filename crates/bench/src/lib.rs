@@ -16,12 +16,10 @@ pub mod joinbench;
 pub mod report;
 pub mod shootout;
 
-pub use datasets::{
-    hct_spec, kmeans_spec, knn_spec, matrix_spec, substr_spec, MicrobenchSpec, APP_NAMES,
-};
+pub use datasets::{hct_spec, kmeans_spec, knn_spec, matrix_spec, substr_spec, MicrobenchSpec};
 pub use driver::{
     for_each_app, for_each_app_with_cluster, policy_for, run_slide, run_slide_with,
-    AppMeasurements, ChangeMeasurement, WindowKind, PCTS,
+    ChangeMeasurement, WindowKind, PCTS,
 };
 pub use joinbench::{
     join_point_key, join_report, join_table, measure_join, run_join_bench, JoinPoint,

@@ -1,5 +1,5 @@
-//! The [`Combiner`] and [`Reducer`] traits: the only application code the
-//! contraction trees ever see.
+//! The [`Combiner`] trait: the only application code the contraction trees
+//! ever see.
 //!
 //! Slider's transparency guarantee (§1 of the paper) rests on the fact that
 //! MapReduce applications already provide an associative `Combiner` function;
@@ -63,23 +63,6 @@ pub struct Merged<V> {
     pub bytes: u64,
 }
 
-/// The final reduction from contraction-tree roots to the job output.
-///
-/// `parts` usually holds a single tree root; under split processing
-/// (§4.2) the coalescing tree hands the Reduce task the *union* of the
-/// previous root and the freshly combined delta, so implementations must
-/// accept one **or more** parts and treat them as an unordered multiset of
-/// partial aggregates.
-pub trait Reducer<K, V, O>: Send + Sync {
-    /// Produces the final output for `key` from partial aggregates.
-    fn reduce(&self, key: &K, parts: &[&V]) -> O;
-
-    /// Modeled cost of the reduction in abstract work units.
-    fn cost(&self, _key: &K, parts: &[&V]) -> u64 {
-        parts.len() as u64
-    }
-}
-
 /// Adapts a plain closure into a [`Combiner`] with unit costs.
 ///
 /// Convenient for tests, examples and micro-benchmarks:
@@ -126,15 +109,6 @@ where
     }
 }
 
-impl<K, V, O, F> Reducer<K, V, O> for F
-where
-    F: Fn(&K, &[&V]) -> O + Send + Sync,
-{
-    fn reduce(&self, key: &K, parts: &[&V]) -> O {
-        self(key, parts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,12 +140,5 @@ mod tests {
         let c = FnCombiner::non_commutative(|_: &(), a: &String, b: &String| format!("{a}{b}"));
         assert!(!c.is_commutative());
         assert_eq!(c.combine(&(), &"a".into(), &"b".into()), "ab");
-    }
-
-    #[test]
-    fn closures_are_reducers() {
-        let r = |_k: &u32, parts: &[&u64]| -> u64 { parts.iter().copied().sum() };
-        assert_eq!(Reducer::reduce(&r, &7, &[&1, &2, &3]), 6);
-        assert_eq!(Reducer::<u32, u64, u64>::cost(&r, &7, &[&1, &2]), 2);
     }
 }

@@ -8,7 +8,8 @@
 //! propagated in time proportional to the *delta*, not the window.
 //!
 //! The trees operate on *partial aggregates* produced by an associative
-//! [`Combiner`]. A final [`Reducer`] turns the tree root into the job output.
+//! [`Combiner`]. The application's reduce function (`MapReduceApp::reduce`
+//! in `slider-mapreduce`) turns a tree root into the job output.
 //!
 //! ## Tree family
 //!
@@ -99,7 +100,7 @@ mod strawman;
 mod tree;
 
 pub use coalescing::CoalescingTree;
-pub use combiner::{Combiner, FnCombiner, Merged, Reducer};
+pub use combiner::{Combiner, FnCombiner, Merged};
 pub use daba::{DabaTree, TwoStackTree};
 pub use dgim::SlidingWindowCounter;
 pub use error::TreeError;

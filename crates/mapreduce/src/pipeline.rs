@@ -35,9 +35,6 @@ pub trait StageApp: MapReduceApp {
     fn render(&self, key: &Self::Key, output: &Self::Output) -> Vec<Self::Row>;
 }
 
-/// Input rows handed to an inner pipeline stage.
-pub type StageInput<R> = Vec<R>;
-
 /// Work metered for one inner stage's run.
 #[derive(Debug, Clone, Default)]
 pub struct InnerStageStats {
@@ -536,11 +533,6 @@ where
             Some(stage) => stage.output_rows(),
             None => self.first_stage_rows(),
         }
-    }
-
-    /// The first stage's windowed job (for inspection).
-    pub fn first_stage(&self) -> &WindowedJob<F> {
-        &self.first
     }
 
     /// The shared execution runtime every stage of this pipeline runs on.
