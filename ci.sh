@@ -101,6 +101,16 @@ cargo run -q --release -p slider-query --example query_dashboard > "$query_tmp/a
 cmp examples/expected/query_dashboard.txt "$query_tmp/a.txt"
 rm -rf "$query_tmp"
 
+# The fixed-width (rotating-tree) and append-only (coalescing-tree) case
+# studies.
+echo "==> apps: glasnost_monitoring and twitter_propagation match their pinned output"
+apps_tmp="$(mktemp -d)"
+for example in glasnost_monitoring twitter_propagation; do
+  cargo run -q --release -p slider-apps --example "$example" > "$apps_tmp/$example.txt"
+  cmp "examples/expected/$example.txt" "$apps_tmp/$example.txt"
+done
+rm -rf "$apps_tmp"
+
 echo "==> trace: same-seed exports are byte-identical"
 trace_tmp="$(mktemp -d)"
 shootout_tmp="$(mktemp -d)"
@@ -119,8 +129,8 @@ cmp examples/expected/trace_viewer_flame.folded "$trace_tmp/a/flame.folded"
 
 # Simulated-time and self-healing tables: a change that moves any of them
 # must check in the new output.
-echo "==> tables: Table 1, Figures 10 and 11 and the self-healing ablation match their pinned output"
-for bench in tab1_scheduler fig10_query fig11_split_processing ablation_self_healing; do
+echo "==> tables: Tables 1, 3 and 4, Figures 10 and 11 and the self-healing ablation match their pinned output"
+for bench in tab1_scheduler tab3_glasnost tab4_twitter fig10_query fig11_split_processing ablation_self_healing; do
   cargo bench -q -p slider-bench --bench "$bench" > "$trace_tmp/$bench.txt"
   cmp "examples/expected/$bench.txt" "$trace_tmp/$bench.txt"
 done
