@@ -43,7 +43,7 @@ mod task;
 mod topology;
 
 pub use clock::{SharedClock, SimClock};
-pub use fault::{FaultPlan, MachineCrash, Slowdown};
+pub use fault::FaultPlan;
 pub use machine::{Machine, MachineId, MachineSpec};
 pub use scheduler::SchedulerPolicy;
 pub use simulator::{simulate, simulate_with_faults, SimReport, StageReport};

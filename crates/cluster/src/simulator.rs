@@ -228,10 +228,10 @@ pub fn simulate(spec: &ClusterSpec, policy: SchedulerPolicy, stages: &[Vec<Task>
 ///
 /// # Panics
 ///
-/// Panics on host-engine bugs (out-of-range machine indices in tasks or in
-/// the plan, an empty cluster with tasks) and on unrecoverable plans: a
-/// task crashing more than `max_attempts` times, or every machine dead
-/// while tasks remain.
+/// Panics on host-engine bugs (out-of-range machine indices in tasks, an
+/// empty cluster with tasks), on a plan [`FaultPlan::validate`] rejects,
+/// and on unrecoverable plans: a task crashing more than `max_attempts`
+/// times, or every machine dead while tasks remain.
 pub fn simulate_with_faults(
     spec: &ClusterSpec,
     policy: SchedulerPolicy,
@@ -252,20 +252,8 @@ pub fn simulate_with_faults(
             );
         }
     }
-    assert!(plan.max_attempts >= 1, "a task needs at least one attempt");
-    for crash in &plan.crashes {
-        assert!(
-            crash.machine < spec.len(),
-            "fault plan crashes unknown machine m{}",
-            crash.machine
-        );
-    }
-    for slow in &plan.slowdowns {
-        assert!(
-            slow.machine < spec.len(),
-            "fault plan slows unknown machine m{}",
-            slow.machine
-        );
+    if let Err(m) = plan.validate(spec.len()) {
+        panic!("fault plan: {m}");
     }
 
     let mut machines: Vec<Machine> = spec

@@ -162,6 +162,25 @@ impl CacheConfig {
         self.scrub_interval = interval;
         self
     }
+
+    /// Checks the configuration is usable: at least one node, at least one
+    /// persistent replica, and a latency model [`LatencyModel::validate`]
+    /// accepts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes == 0 {
+            return Err("cache needs at least one node".into());
+        }
+        if self.replicas == 0 {
+            return Err("cache needs at least one persistent replica".into());
+        }
+        self.latency
+            .validate()
+            .map_err(|m| format!("cache latency model: {m}"))
+    }
 }
 
 /// Where a read was ultimately served from.
@@ -301,16 +320,10 @@ impl DistributedCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero nodes or zero replicas, or a
-    /// latency model [`LatencyModel::validate`] rejects.
+    /// Panics if [`CacheConfig::validate`] rejects the configuration.
     pub fn new(mut config: CacheConfig) -> Self {
-        assert!(config.nodes > 0, "cache needs at least one node");
-        assert!(
-            config.replicas > 0,
-            "cache needs at least one persistent replica"
-        );
-        if let Err(m) = config.latency.validate() {
-            panic!("cache latency model: {m}");
+        if let Err(m) = config.validate() {
+            panic!("{m}");
         }
         config.replicas = config.replicas.min(config.nodes);
         let nodes = (0..config.nodes)

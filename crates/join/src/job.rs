@@ -124,29 +124,20 @@ impl JoinConfig {
         self.right_faults = Some(plan);
         self
     }
-
-    fn validate(&self) -> Result<(), JoinError> {
-        if self.partitions == 0 {
-            return Err(JoinError::BadConfig("partitions must be >= 1".into()));
-        }
-        Ok(())
-    }
 }
 
 /// Errors from building or driving a [`JoinedJob`].
 #[derive(Debug)]
 pub enum JoinError {
-    /// An underlying side-index job failed.
+    /// An underlying side-index job failed, or rejected the join's
+    /// configuration when it was built.
     Job(JobError),
-    /// The join configuration is invalid.
-    BadConfig(String),
 }
 
 impl fmt::Display for JoinError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JoinError::Job(e) => write!(f, "side-index job error: {e}"),
-            JoinError::BadConfig(msg) => write!(f, "bad join config: {msg}"),
         }
     }
 }
@@ -239,8 +230,13 @@ impl<J: JoinApp> JoinedJob<J> {
     /// Builds the operator on the shared engine. Each side gets its own
     /// [`WindowedJob`] (and therefore its own dcache namespace) wrapped in
     /// an [`EventFeeder`] with journaling enabled.
+    ///
+    /// # Errors
+    ///
+    /// [`JoinError::Job`] when a side's [`WindowedJob::with_shared`]
+    /// rejects its configuration: zero partitions, or a fault plan naming
+    /// a cache node or partition the side does not have.
     pub fn new(app: J, config: JoinConfig, shared: &EngineShared) -> Result<Self, JoinError> {
-        config.validate()?;
         let app = Arc::new(app);
         let left_app = {
             let a = Arc::clone(&app);
@@ -959,14 +955,14 @@ mod tests {
 
     #[test]
     fn join_counters_equal_join_stats_after_a_failed_right_run() {
-        // Cache node 99 does not exist, so the right side's run #3 fails
-        // after the same poll has already probed the left side's events.
+        // The plan fails the right side's run #3 after the same poll has
+        // already probed the left side's events.
         let trace = TraceSink::enabled();
         let shared = EngineShared::builder()
             .cache(slider_dcache::CacheConfig::paper_defaults(2))
             .trace(trace.clone())
             .build();
-        let plan = JobFaultPlan::none().fail_cache_node(3, 99);
+        let plan = JobFaultPlan::none().fail_run(3);
         let mut job = JoinedJob::new(ModJoin, config().with_right_faults(plan), &shared)
             .expect("join builds");
         let mut failed = false;
@@ -1009,12 +1005,18 @@ mod tests {
 
     #[test]
     fn zero_partitions_is_rejected() {
-        let shared = EngineShared::builder().build();
+        let shared = EngineShared::builder()
+            .cache(slider_dcache::CacheConfig::paper_defaults(2))
+            .build();
         let bad = config().with_partitions(0);
         let err = JoinedJob::new(ModJoin, bad, &shared)
             .err()
             .expect("rejected");
-        assert!(matches!(err, JoinError::BadConfig(_)));
+        assert!(matches!(err, JoinError::Job(JobError::BadConfig(_))));
         assert!(err.to_string().contains("partitions"));
+        // The rejected join used up no cache namespace.
+        let job = job(&shared);
+        assert_eq!(job.left_job().cache_namespace(), 1);
+        assert_eq!(job.right_job().cache_namespace(), 2);
     }
 }

@@ -1,100 +1,61 @@
 //! Deterministic run-level fault plans for windowed jobs.
 //!
 //! A [`JobFaultPlan`] scripts every fault the engine may encounter across a
-//! job's lifetime, keyed by run index: simulated-machine crashes and
-//! stragglers (forwarded to [`slider_cluster::simulate_with_faults`] for
-//! that run's schedule), memoization-cache node failures/recoveries, and
-//! forced memo-state loss per reduce partition. Because the plan is pure
-//! data and every consumer applies it at a fixed point of the run loop, a
-//! `(workload, plan)` pair always yields the same recovery behaviour — and
-//! the recovery invariant holds: outputs are bit-identical to the
-//! fault-free run, only work/time metrics may differ.
+//! job's lifetime, in one entry per run it touches: that run's simulated
+//! machine crashes and stragglers (a [`FaultPlan`] handed to
+//! [`slider_cluster::simulate_with_faults`] for the run's schedule),
+//! memoization-cache node failures and recoveries, corrupted copies, a lost
+//! master index, forced memo-state loss per reduce partition, and a failure
+//! of the whole run. Because the plan is pure data and every consumer
+//! applies it at a fixed point of the run loop, a `(workload, plan)` pair
+//! always yields the same recovery behaviour — and the recovery invariant
+//! holds: outputs are bit-identical to the fault-free run, only work/time
+//! metrics may differ.
+//!
+//! The builders record what they are given. The job checks every setting
+//! once, when it is built, against the simulated cluster, the cache and the
+//! partitions it runs with (see [`crate::WindowedJob::new`]); a fault aimed
+//! at a simulation or a cache the job does not have is inert.
+
+use std::collections::BTreeMap;
 
 use slider_cluster::FaultPlan;
 
-/// A simulated machine crash during one run's foreground schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobMachineCrash {
-    /// Run index (0 = initial run) whose schedule the crash hits.
-    pub run: u64,
-    /// Machine index within the simulated cluster.
-    pub machine: usize,
-    /// Simulated time of the crash within the run, in seconds.
-    pub at_seconds: f64,
+/// The faults scripted for one run. Each list keeps plan order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct RunFaults {
+    /// Machine crashes and stragglers in the run's foreground schedule.
+    pub(crate) cluster: FaultPlan,
+    /// Cache nodes brought back before the run.
+    pub(crate) cache_recoveries: Vec<usize>,
+    /// Cache nodes whose memory tier is lost before the run.
+    pub(crate) cache_failures: Vec<usize>,
+    /// `(partition, node)`: the partition's persistent copy on the node is
+    /// silently corrupted before the run. The cache's checksums must catch
+    /// it on the next read, scrub or rebuild that touches it.
+    pub(crate) corruptions: Vec<(usize, usize)>,
+    /// Reduce partitions whose trees (and cached objects) are lost before
+    /// the run, sorted and deduplicated.
+    pub(crate) lost_partitions: Vec<usize>,
+    /// The cache master index is dropped before the run and rebuilt from
+    /// the surviving node inventories.
+    pub(crate) loses_master: bool,
+    /// The run fails with [`crate::JobError::Injected`] before any of its
+    /// other faults apply.
+    pub(crate) fails: bool,
 }
 
-/// A straggling machine during one run's foreground schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobStraggler {
-    /// Run index whose schedule the slowdown hits.
-    pub run: u64,
-    /// Machine index within the simulated cluster.
-    pub machine: usize,
-    /// Speed multiplier in `(0, 1)`; e.g. `0.1` = 10× slower.
-    pub factor: f64,
-}
-
-/// A memoization-cache node event at the start of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheNodeEvent {
-    /// Run index before which the event takes effect.
-    pub run: u64,
-    /// Cache node index.
-    pub node: usize,
-}
-
-/// Silent corruption of one cached object's persistent copy before a run.
-///
-/// The copy is flipped on disk; the cache's checksum verification must
-/// detect it on the next read, scrub, or rebuild that touches it — a
-/// corrupt copy is never served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheCorruption {
-    /// Run index before which the corruption lands.
-    pub run: u64,
-    /// Reduce partition whose cached object is hit (the engine maps
-    /// partitions to object ids one-to-one).
-    pub partition: usize,
-    /// Cache node whose persistent copy is flipped.
-    pub node: usize,
-}
-
-/// Forced loss of memoized contraction state before one run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoLoss {
-    /// Run index before which the state disappears.
-    pub run: u64,
-    /// Reduce partitions whose trees (and cached objects) are lost.
-    pub partitions: Vec<usize>,
-}
-
-/// Scripted faults for a windowed job, keyed by run index.
+/// Scripted faults for a windowed job, one entry per run it touches.
 ///
 /// Build one with the fluent helpers and pass it via
 /// [`crate::JobConfig::with_faults`]; [`JobFaultPlan::seeded`] derives a
 /// reproducible random plan from a seed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobFaultPlan {
-    /// Machine crashes, forwarded to the cluster simulator.
-    pub crashes: Vec<JobMachineCrash>,
-    /// Machine slowdowns, forwarded to the cluster simulator.
-    pub stragglers: Vec<JobStraggler>,
-    /// Cache nodes whose memory tier is lost before a run.
-    pub cache_failures: Vec<CacheNodeEvent>,
-    /// Cache nodes brought back before a run.
-    pub cache_recoveries: Vec<CacheNodeEvent>,
-    /// Memoized partition state forcibly dropped before a run.
-    pub memo_losses: Vec<MemoLoss>,
-    /// Persistent cache copies silently corrupted before a run.
-    pub corruptions: Vec<CacheCorruption>,
-    /// Runs before which the cache master index is dropped (and rebuilt
-    /// from the surviving node inventories).
-    pub master_losses: Vec<u64>,
-    /// Attempts a simulated task may use before the run is declared lost
-    /// (`0` = the cluster default of 3).
-    pub max_attempts: u32,
-    /// Enable speculative re-execution of stragglers in the simulator.
-    pub speculation: bool,
+    /// Each scripted run's faults, by run index (0 = initial run).
+    pub(crate) runs: BTreeMap<u64, RunFaults>,
+    /// Speculative re-execution of stragglers in every run's simulation.
+    pub(crate) speculation: bool,
 }
 
 impl JobFaultPlan {
@@ -105,76 +66,70 @@ impl JobFaultPlan {
 
     /// True when the plan injects nothing.
     pub fn is_trivial(&self) -> bool {
-        self.crashes.is_empty()
-            && self.stragglers.is_empty()
-            && self.cache_failures.is_empty()
-            && self.cache_recoveries.is_empty()
-            && self.memo_losses.is_empty()
-            && self.corruptions.is_empty()
-            && self.master_losses.is_empty()
-            && !self.speculation
+        self.runs.is_empty() && !self.speculation
+    }
+
+    /// Run `run`'s entry, created empty on first use.
+    fn run_mut(&mut self, run: u64) -> &mut RunFaults {
+        self.runs.entry(run).or_default()
     }
 
     /// Adds a machine crash at `at_seconds` into run `run`. Builder-style.
     pub fn crash(mut self, run: u64, machine: usize, at_seconds: f64) -> Self {
-        self.crashes.push(JobMachineCrash {
-            run,
-            machine,
-            at_seconds,
-        });
+        let cluster = &mut self.run_mut(run).cluster;
+        *cluster = std::mem::take(cluster).crash(machine, at_seconds);
         self
     }
 
-    /// Marks `machine` as a straggler for run `run`. Builder-style.
+    /// Runs `machine` at `factor` (in `(0, 1]`) times its speed in run
+    /// `run`: `0.1` is ten times slower. Builder-style.
     pub fn slow(mut self, run: u64, machine: usize, factor: f64) -> Self {
-        self.stragglers.push(JobStraggler {
-            run,
-            machine,
-            factor,
-        });
+        let cluster = &mut self.run_mut(run).cluster;
+        *cluster = std::mem::take(cluster).slow(machine, factor);
         self
     }
 
     /// Fails cache node `node` before run `run`. Builder-style.
     pub fn fail_cache_node(mut self, run: u64, node: usize) -> Self {
-        self.cache_failures.push(CacheNodeEvent { run, node });
+        self.run_mut(run).cache_failures.push(node);
         self
     }
 
     /// Recovers cache node `node` before run `run`. Builder-style.
     pub fn recover_cache_node(mut self, run: u64, node: usize) -> Self {
-        self.cache_recoveries.push(CacheNodeEvent { run, node });
+        self.run_mut(run).cache_recoveries.push(node);
         self
     }
 
     /// Drops the memoized state of `partitions` before run `run`.
     /// Builder-style.
     pub fn lose_memo(mut self, run: u64, partitions: Vec<usize>) -> Self {
-        self.memo_losses.push(MemoLoss { run, partitions });
+        let lost = &mut self.run_mut(run).lost_partitions;
+        lost.extend(partitions);
+        lost.sort_unstable();
+        lost.dedup();
         self
     }
 
     /// Silently corrupts partition `partition`'s cached copy on cache node
     /// `node` before run `run`. Builder-style.
     pub fn corrupt_object(mut self, run: u64, partition: usize, node: usize) -> Self {
-        self.corruptions.push(CacheCorruption {
-            run,
-            partition,
-            node,
-        });
+        self.run_mut(run).corruptions.push((partition, node));
         self
     }
 
     /// Drops the cache master index before run `run`; the engine rebuilds
     /// it from the surviving node inventories. Builder-style.
     pub fn lose_master(mut self, run: u64) -> Self {
-        self.master_losses.push(run);
+        self.run_mut(run).loses_master = true;
         self
     }
 
-    /// Caps simulated task attempts. Builder-style.
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts;
+    /// Fails run `run` with [`crate::JobError::Injected`] before any of its
+    /// faults apply. A failed run leaves the job where it was, so every
+    /// later attempt of the run fails the same way. Builder-style.
+    pub fn fail_run(mut self, run: u64) -> Self {
+        self.run_mut(run).fails = true;
         self
     }
 
@@ -232,99 +187,9 @@ impl JobFaultPlan {
         }
         plan
     }
-
-    /// The cluster-level fault plan for run `run`: that run's crashes and
-    /// slowdowns under this plan's retry/speculation settings. Trivial (and
-    /// therefore bit-identical to fault-free simulation) for runs the plan
-    /// does not touch.
-    pub fn cluster_plan_for_run(&self, run: u64) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        for c in self.crashes.iter().filter(|c| c.run == run) {
-            plan = plan.crash(c.machine, c.at_seconds);
-        }
-        for s in self.stragglers.iter().filter(|s| s.run == run) {
-            plan = plan.slow(s.machine, s.factor);
-        }
-        if self.max_attempts > 0 {
-            plan = plan.with_max_attempts(self.max_attempts);
-        }
-        if self.speculation {
-            plan = plan.with_speculation();
-        }
-        plan
-    }
-
-    /// Partitions whose memoized state is lost before run `run`, sorted and
-    /// deduplicated.
-    pub fn lost_partitions(&self, run: u64) -> Vec<usize> {
-        let mut parts: Vec<usize> = self
-            .memo_losses
-            .iter()
-            .filter(|l| l.run == run)
-            .flat_map(|l| l.partitions.iter().copied())
-            .collect();
-        parts.sort_unstable();
-        parts.dedup();
-        parts
-    }
-
-    /// Cache nodes failing before run `run`, in plan order.
-    pub fn cache_failures_for_run(&self, run: u64) -> Vec<usize> {
-        self.cache_failures
-            .iter()
-            .filter(|e| e.run == run)
-            .map(|e| e.node)
-            .collect()
-    }
-
-    /// Cache nodes recovering before run `run`, in plan order.
-    pub fn cache_recoveries_for_run(&self, run: u64) -> Vec<usize> {
-        self.cache_recoveries
-            .iter()
-            .filter(|e| e.run == run)
-            .map(|e| e.node)
-            .collect()
-    }
-
-    /// Corruptions landing before run `run` as `(partition, node)` pairs,
-    /// in plan order.
-    pub fn corruptions_for_run(&self, run: u64) -> Vec<(usize, usize)> {
-        self.corruptions
-            .iter()
-            .filter(|c| c.run == run)
-            .map(|c| (c.partition, c.node))
-            .collect()
-    }
-
-    /// True when the master index is lost before run `run`.
-    pub fn loses_master_before(&self, run: u64) -> bool {
-        self.master_losses.contains(&run)
-    }
-
-    /// Checks plan-internal invariants (finite times, usable factors).
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        for c in &self.crashes {
-            if !c.at_seconds.is_finite() || c.at_seconds < 0.0 {
-                return Err(format!(
-                    "crash time {} for machine {} must be finite and >= 0",
-                    c.at_seconds, c.machine
-                ));
-            }
-        }
-        for s in &self.stragglers {
-            if !s.factor.is_finite() || s.factor <= 0.0 {
-                return Err(format!(
-                    "straggler factor {} for machine {} must be finite and positive",
-                    s.factor, s.machine
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
-/// xorshift64: small, deterministic, dependency-free (matches the cluster
-/// crate's seeded-plan generator).
+/// xorshift64: small, deterministic, dependency-free.
 fn next(state: &mut u64) -> u64 {
     let mut x = *state | 1;
     x ^= x << 13;
@@ -357,8 +222,13 @@ mod tests {
     fn seeded_plans_never_crash_machine_zero() {
         for seed in 0..64 {
             let plan = JobFaultPlan::seeded(seed, 6, 4, 3);
-            assert!(plan.crashes.iter().all(|c| c.machine != 0), "seed {seed}");
-            assert!(plan.memo_losses.iter().all(|l| l.run > 0), "seed {seed}");
+            for (&run, planned) in &plan.runs {
+                // Crashing machine 0 as well adds a machine: it was spared.
+                let crashed = planned.cluster.crashed_machines();
+                let with_zero = planned.cluster.clone().crash(0, 0.0);
+                assert_eq!(with_zero.crashed_machines(), crashed + 1, "seed {seed}");
+                assert!(run > 0 || planned.lost_partitions.is_empty(), "seed {seed}");
+            }
         }
     }
 
@@ -371,17 +241,19 @@ mod tests {
             .lose_memo(2, vec![1, 0, 1])
             .fail_cache_node(1, 0)
             .recover_cache_node(2, 0)
+            .fail_run(4)
             .with_speculation();
-        let run1 = plan.cluster_plan_for_run(1);
-        assert_eq!(run1.crashes.len(), 1);
-        assert_eq!(run1.slowdowns.len(), 1);
-        assert!(run1.speculation);
-        let run0 = plan.cluster_plan_for_run(0);
-        assert!(run0.crashes.is_empty() && run0.slowdowns.is_empty());
-        assert_eq!(plan.lost_partitions(2), vec![0, 1]);
-        assert!(plan.lost_partitions(1).is_empty());
-        assert_eq!(plan.cache_failures_for_run(1), vec![0]);
-        assert_eq!(plan.cache_recoveries_for_run(2), vec![0]);
+        assert_eq!(plan.runs.keys().copied().collect::<Vec<_>>(), [1, 2, 4]);
+        let run1 = &plan.runs[&1];
+        assert_eq!(run1.cluster, FaultPlan::none().crash(2, 3.0).slow(3, 0.5));
+        assert_eq!(run1.cache_failures, [0]);
+        assert!(run1.lost_partitions.is_empty() && !run1.fails);
+        let run2 = &plan.runs[&2];
+        assert_eq!(run2.cluster, FaultPlan::none().crash(1, 1.0));
+        assert_eq!(run2.lost_partitions, [0, 1]);
+        assert_eq!(run2.cache_recoveries, [0]);
+        assert!(plan.runs[&4].fails);
+        assert!(plan.speculation);
     }
 
     #[test]
@@ -392,19 +264,9 @@ mod tests {
             .corrupt_object(3, 1, 1)
             .lose_master(3);
         assert!(!plan.is_trivial());
-        assert_eq!(plan.corruptions_for_run(2), vec![(1, 3), (0, 2)]);
-        assert_eq!(plan.corruptions_for_run(1), vec![]);
-        assert!(plan.loses_master_before(3));
-        assert!(!plan.loses_master_before(2));
-    }
-
-    #[test]
-    fn validation_rejects_bad_values() {
-        assert!(JobFaultPlan::none()
-            .crash(0, 0, f64::NAN)
-            .validate()
-            .is_err());
-        assert!(JobFaultPlan::none().slow(0, 0, 0.0).validate().is_err());
-        assert!(JobFaultPlan::none().crash(0, 0, 1.0).validate().is_ok());
+        assert_eq!(plan.runs[&2].corruptions, [(1, 3), (0, 2)]);
+        assert!(!plan.runs.contains_key(&1));
+        assert!(plan.runs[&3].loses_master);
+        assert!(!plan.runs[&2].loses_master);
     }
 }

@@ -80,9 +80,7 @@ pub use error::JobError;
 pub use event::{
     EventFeeder, EventTimeConfig, EventTimeStats, FeedEvent, FeederCheckpoint, Stamped,
 };
-pub use fault::{
-    CacheCorruption, CacheNodeEvent, JobFaultPlan, JobMachineCrash, JobStraggler, MemoLoss,
-};
+pub use fault::JobFaultPlan;
 pub use pipeline::{InnerStageStats, Pipeline, PipelineRunResult, StageApp};
 pub use retry::RetryPolicy;
 pub use runtime::{Runtime, THREADS_ENV};

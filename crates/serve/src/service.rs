@@ -791,11 +791,11 @@ mod tests {
 
     #[test]
     fn a_failed_drain_still_counts_the_deregistration() {
-        // Cache node 99 does not exist, so run #2, the drain's first, fails.
+        // The plan fails run #2, the drain's first.
         let trace = slider_trace::TraceSink::enabled();
         let shared = EngineShared::builder()
             .cache(slider_dcache::CacheConfig::paper_defaults(2))
-            .faults(slider_mapreduce::JobFaultPlan::none().fail_cache_node(2, 99))
+            .faults(slider_mapreduce::JobFaultPlan::none().fail_run(2))
             .trace(trace.clone())
             .build();
         let mut service = ServiceRuntime::new(shared);
@@ -845,8 +845,36 @@ mod tests {
         sim.cluster.cost.task_startup_seconds = f64::NAN;
         assert!(matches!(
             service.register(Count, spec("timed").with_simulation(sim)),
-            Err(ServeError::BadSpec(_))
+            Err(ServeError::Job(JobError::BadConfig(_)))
         ));
+    }
+
+    #[test]
+    fn a_default_plan_naming_an_unknown_shared_cache_node_is_rejected() {
+        let shared = EngineShared::builder()
+            .cache(slider_dcache::CacheConfig::paper_defaults(2))
+            .faults(slider_mapreduce::JobFaultPlan::none().fail_cache_node(2, 99))
+            .build();
+        let mut service = ServiceRuntime::new(shared);
+        let err = service.register(Count, spec("alpha")).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Job(JobError::BadConfig(ref m)) if m.contains("n99")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_rejected_tenant_allocates_no_namespace() {
+        let shared = EngineShared::builder()
+            .cache(slider_dcache::CacheConfig::paper_defaults(2))
+            .build();
+        let mut service = ServiceRuntime::new(shared);
+        let mut sim = SimulationConfig::paper_defaults();
+        sim.cluster.cost.task_startup_seconds = f64::NAN;
+        assert!(service
+            .register(Count, spec("timed").with_simulation(sim))
+            .is_err());
+        assert_eq!(service.shared().namespace_watermark(), 1);
     }
 
     #[test]

@@ -203,10 +203,6 @@ impl TenantSpec {
                 "pressure budget must allow at least one record".into(),
             ));
         }
-        if let Some(sim) = &self.simulation {
-            sim.validate()
-                .map_err(|m| ServeError::BadSpec(format!("simulation: {m}")))?;
-        }
         if let Some(breaker) = &self.breaker {
             breaker
                 .validate()

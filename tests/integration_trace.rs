@@ -522,8 +522,8 @@ fn dcache_counters_reconcile_with_cache_stats() {
 
 #[test]
 fn a_failed_run_closes_its_run_span() {
-    // Job A's cache has no node 99, so its run #1 fails while applying
-    // faults; job B shares A's sink and keeps running.
+    // Job A's plan fails its run #1; job B shares A's sink and keeps
+    // running.
     let sink = TraceSink::enabled();
     let splits = make_splits(0, records(70), 5);
     let config = |faults: JobFaultPlan| {
@@ -533,11 +533,8 @@ fn a_failed_run_closes_its_run_span() {
             .with_faults(faults)
             .with_trace(sink.clone())
     };
-    let mut a = WindowedJob::new(
-        Hct::new(),
-        config(JobFaultPlan::none().fail_cache_node(1, 99)),
-    )
-    .expect("valid config");
+    let mut a = WindowedJob::new(Hct::new(), config(JobFaultPlan::none().fail_run(1)))
+        .expect("valid config");
     let mut b = WindowedJob::new(Hct::new(), config(JobFaultPlan::none())).expect("valid config");
     let mut completed = vec![
         a.initial_run(splits[..8].to_vec()).expect("initial A"),
