@@ -234,8 +234,10 @@ impl<J: JoinApp> JoinedJob<J> {
     /// # Errors
     ///
     /// [`JoinError::Job`] when a side's [`WindowedJob::with_shared`]
-    /// rejects its configuration: zero partitions, or a fault plan naming
-    /// a cache node or partition the side does not have.
+    /// would reject its configuration: zero partitions, or a fault plan
+    /// naming a cache node or partition the side does not have. Both sides
+    /// are checked before either is built, so a rejected join allocates no
+    /// cache namespace.
     pub fn new(app: J, config: JoinConfig, shared: &EngineShared) -> Result<Self, JoinError> {
         let app = Arc::new(app);
         let left_app = {
@@ -254,10 +256,12 @@ impl<J: JoinApp> JoinedJob<J> {
                 None => job_config,
             }
         };
-        let left_job =
-            WindowedJob::with_shared(left_app, side_config(&config.left_faults), shared)?;
-        let right_job =
-            WindowedJob::with_shared(right_app, side_config(&config.right_faults), shared)?;
+        let left_config = side_config(&config.left_faults);
+        let right_config = side_config(&config.right_faults);
+        left_config.validate_shared(&left_app, shared)?;
+        right_config.validate_shared(&right_app, shared)?;
+        let left_job = WindowedJob::with_shared(left_app, left_config, shared)?;
+        let right_job = WindowedJob::with_shared(right_app, right_config, shared)?;
         let mut left = EventFeeder::new(left_job, config.event)?;
         let mut right = EventFeeder::new(right_job, config.event)?;
         left.enable_journal();
@@ -1018,5 +1022,21 @@ mod tests {
         let job = job(&shared);
         assert_eq!(job.left_job().cache_namespace(), 1);
         assert_eq!(job.right_job().cache_namespace(), 2);
+    }
+
+    #[test]
+    fn a_join_rejected_for_its_right_side_uses_no_namespace() {
+        let shared = EngineShared::builder()
+            .cache(slider_dcache::CacheConfig::paper_defaults(2))
+            .build();
+        let bad = config().with_right_faults(JobFaultPlan::none().fail_cache_node(1, 99));
+        let err = JoinedJob::new(ModJoin, bad, &shared)
+            .err()
+            .expect("rejected");
+        assert!(
+            matches!(err, JoinError::Job(JobError::BadConfig(_))),
+            "{err}"
+        );
+        assert_eq!(shared.namespace_watermark(), 1);
     }
 }
