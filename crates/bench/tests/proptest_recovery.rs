@@ -86,7 +86,7 @@ proptest! {
         extra_loss_part in 0usize..PARTITIONS,
     ) {
         let runs = slides.len() as u64 + 1;
-        let plan = JobFaultPlan::seeded(seed, runs, 8, PARTITIONS)
+        let plan = JobFaultPlan::seeded(seed, runs, 8, PARTITIONS, PARTITIONS)
             .lose_memo(extra_loss_run, vec![extra_loss_part]);
         for mode in all_modes() {
             let base = || {

@@ -141,8 +141,15 @@ impl JobFaultPlan {
 
     /// Derives a reproducible random plan from `seed` for a job expected to
     /// span `runs` runs on `machines` simulated machines with `partitions`
-    /// reduce partitions. The same arguments always produce the same plan.
-    pub fn seeded(seed: u64, runs: u64, machines: usize, partitions: usize) -> Self {
+    /// reduce partitions and a `cache_nodes`-node cache. The same arguments
+    /// always produce the same plan.
+    pub fn seeded(
+        seed: u64,
+        runs: u64,
+        machines: usize,
+        partitions: usize,
+        cache_nodes: usize,
+    ) -> Self {
         let mut state = seed;
         let mut plan = JobFaultPlan::default();
         if runs == 0 || machines == 0 || partitions == 0 {
@@ -177,7 +184,7 @@ impl JobFaultPlan {
             }
             // A cache-node failure with a later recovery.
             if next(&mut state).is_multiple_of(2) {
-                let node = bounded(next(&mut state), partitions.max(2));
+                let node = bounded(next(&mut state), cache_nodes);
                 let run = 1 + next(&mut state) % (runs - 1);
                 plan = plan.fail_cache_node(run, node);
                 if run + 1 < runs {
@@ -211,17 +218,17 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_reproducible() {
-        let a = JobFaultPlan::seeded(42, 5, 8, 4);
-        let b = JobFaultPlan::seeded(42, 5, 8, 4);
+        let a = JobFaultPlan::seeded(42, 5, 8, 4, 4);
+        let b = JobFaultPlan::seeded(42, 5, 8, 4, 4);
         assert_eq!(a, b);
         // Some seed in a small range must produce a non-trivial plan.
-        assert!((0..16).any(|s| !JobFaultPlan::seeded(s, 5, 8, 4).is_trivial()));
+        assert!((0..16).any(|s| !JobFaultPlan::seeded(s, 5, 8, 4, 4).is_trivial()));
     }
 
     #[test]
     fn seeded_plans_never_crash_machine_zero() {
         for seed in 0..64 {
-            let plan = JobFaultPlan::seeded(seed, 6, 4, 3);
+            let plan = JobFaultPlan::seeded(seed, 6, 4, 3, 3);
             for (&run, planned) in &plan.runs {
                 // Crashing machine 0 as well adds a machine: it was spared.
                 let crashed = planned.cluster.crashed_machines();

@@ -77,7 +77,7 @@ fn run_stream(
         config = config
             .with_simulation(SimulationConfig::paper_defaults())
             .with_cache(CacheConfig::paper_defaults(PARTITIONS))
-            .with_faults(JobFaultPlan::seeded(seed, 24, 24, PARTITIONS));
+            .with_faults(JobFaultPlan::seeded(seed, 24, 24, PARTITIONS, PARTITIONS));
     }
     let job = WindowedJob::new(Hct::new(), config).expect("valid config");
     let mut feeder = EventFeeder::new(job, event).expect("valid event config");

@@ -198,7 +198,7 @@ fn seeded_plans_uphold_the_invariant_across_runs() {
     let records = varied_records(90);
     let splits = make_splits(0, records, 3); // 30 splits
     for seed in [3, 7, 11, 19] {
-        let plan = JobFaultPlan::seeded(seed, 6, 24, 4);
+        let plan = JobFaultPlan::seeded(seed, 6, 24, 4, 4);
         let base = || {
             JobConfig::new(ExecMode::slider_folding())
                 .with_partitions(4)
@@ -231,7 +231,7 @@ fn constant_time_aggregators_recover_from_seeded_plans() {
     let records = varied_records(90);
     let splits = make_splits(0, records, 3); // 30 splits
     for mode in [ExecMode::slider_two_stack(), ExecMode::slider_daba()] {
-        let plan = JobFaultPlan::seeded(13, 6, 24, 4);
+        let plan = JobFaultPlan::seeded(13, 6, 24, 4, 4);
         let base = || {
             JobConfig::new(mode)
                 .with_partitions(4)

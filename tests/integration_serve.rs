@@ -85,7 +85,7 @@ fn engine(threads: usize, faults: Option<u64>) -> EngineShared {
         .cache(CacheConfig::paper_defaults(PARTITIONS))
         .clock();
     if let Some(seed) = faults {
-        builder = builder.faults(JobFaultPlan::seeded(seed, 24, 24, PARTITIONS));
+        builder = builder.faults(JobFaultPlan::seeded(seed, 24, 24, PARTITIONS, PARTITIONS));
     }
     builder.build()
 }
