@@ -1,11 +1,13 @@
 //! Property test across the whole stack: for arbitrary slide histories,
 //! every incremental execution mode must agree with a plain in-memory
-//! reference model of windowed word count.
+//! reference model of windowed word count. Interior splices are checked
+//! with an order-sensitive app, whose outputs show a leaf spliced at the
+//! wrong window position.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
-use slider_mapreduce::{ExecMode, JobConfig, MapReduceApp, WindowedJob};
+use slider_mapreduce::{ExecMode, JobConfig, MapReduceApp, Split, WindowedJob};
 
 #[derive(Clone)]
 struct WordCount;
@@ -169,6 +171,179 @@ proptest! {
             }
             window.push_back(split.clone());
             prop_assert_eq!(job.output(), &reference(&window));
+        }
+    }
+}
+
+/// Lists, per word, the tags of the records it appeared in. The combine
+/// concatenates, so an output lists its key's occurrences in window order.
+struct Occurrences;
+impl MapReduceApp for Occurrences {
+    type Input = Record;
+    type Key = String;
+    type Value = Vec<u32>;
+    type Output = Vec<u32>;
+    fn map(&self, (tag, line): &Record, emit: &mut dyn FnMut(String, Vec<u32>)) {
+        for word in line.split_whitespace() {
+            emit(word.to_string(), vec![*tag]);
+        }
+    }
+    fn combine(&self, _k: &String, a: &Vec<u32>, b: &Vec<u32>) -> Vec<u32> {
+        a.iter().chain(b).copied().collect()
+    }
+    fn is_commutative(&self) -> bool {
+        false
+    }
+    fn reduce(&self, _k: &String, parts: &[&Vec<u32>]) -> Vec<u32> {
+        parts.iter().flat_map(|part| part.iter().copied()).collect()
+    }
+}
+
+/// One edit of the window. Splices sit `offset` splits from the front or
+/// from the back of the window, so that both ends are near some splice.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Drops the oldest `remove` splits (at most the window) and appends.
+    Slide(usize, Vec<Vec<String>>),
+    Insert {
+        from_back: bool,
+        offset: usize,
+        added: Vec<Vec<String>>,
+    },
+    Evict {
+        from_back: bool,
+        offset: usize,
+        count: usize,
+    },
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0usize..3, proptest::collection::vec(split_strategy(), 0..3))
+            .prop_map(|(remove, added)| Op::Slide(remove, added)),
+        (
+            proptest::bool::ANY,
+            0usize..3,
+            proptest::collection::vec(split_strategy(), 1..3)
+        )
+            .prop_map(|(from_back, offset, added)| Op::Insert {
+                from_back,
+                offset,
+                added
+            }),
+        (proptest::bool::ANY, 0usize..3, 1usize..3).prop_map(|(from_back, offset, count)| {
+            Op::Evict {
+                from_back,
+                offset,
+                count,
+            }
+        }),
+    ]
+}
+
+/// A record and its tag.
+type Record = (u32, String);
+
+/// The window as the reference sees it: tagged records, split by split.
+#[derive(Default)]
+struct TaggedWindow {
+    splits: VecDeque<Vec<Record>>,
+    next_tag: u32,
+    next_id: u64,
+}
+
+impl TaggedWindow {
+    /// Tags `lines` with fresh record tags and split ids.
+    fn make(&mut self, lines: &[Vec<String>]) -> Vec<Split<Record>> {
+        lines
+            .iter()
+            .map(|split| {
+                let tagged = split
+                    .iter()
+                    .map(|line| {
+                        self.next_tag += 1;
+                        (self.next_tag, line.clone())
+                    })
+                    .collect();
+                self.next_id += 1;
+                Split::from_records(self.next_id - 1, tagged)
+            })
+            .collect()
+    }
+
+    fn reference(&self) -> BTreeMap<String, Vec<u32>> {
+        let mut out: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+        for (tag, line) in self.splits.iter().flatten() {
+            for word in line.split_whitespace() {
+                out.entry(word.to_string()).or_default().push(*tag);
+            }
+        }
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn splices_keep_window_order_in_every_mode(
+        initial in proptest::collection::vec(split_strategy(), 4..12),
+        ops in proptest::collection::vec(op_strategy(), 1..8),
+    ) {
+        let append_only = [ExecMode::slider_coalescing(false), ExecMode::slider_coalescing(true)];
+        for mode in [
+            ExecMode::Recompute,
+            ExecMode::Strawman,
+            ExecMode::slider_folding(),
+            ExecMode::slider_randomized(),
+            ExecMode::slider_two_stack(),
+            ExecMode::slider_daba(),
+        ]
+        .into_iter()
+        .chain(append_only)
+        {
+            let evicts = !append_only.contains(&mode);
+            let mut job = WindowedJob::new(
+                Occurrences,
+                JobConfig::new(mode).with_partitions(2),
+            ).unwrap();
+            let mut window = TaggedWindow::default();
+            let splits = window.make(&initial);
+            window.splits.extend(splits.iter().map(|split| split.records().to_vec()));
+            job.initial_run(splits).unwrap();
+            prop_assert_eq!(job.output(), &window.reference(), "{}: initial", mode);
+
+            for op in &ops {
+                let len = window.splits.len();
+                match op {
+                    Op::Slide(remove, added) => {
+                        let remove = if evicts { (*remove).min(len) } else { 0 };
+                        let splits = window.make(added);
+                        window.splits.drain(..remove);
+                        window.splits.extend(splits.iter().map(|split| split.records().to_vec()));
+                        job.advance(remove, splits).unwrap();
+                    }
+                    Op::Insert { from_back, offset, added } => {
+                        let at = if *from_back { len - (*offset).min(len) } else { (*offset).min(len) };
+                        let splits = window.make(added);
+                        for (i, split) in splits.iter().enumerate() {
+                            window.splits.insert(at + i, split.records().to_vec());
+                        }
+                        job.insert_splits_at(at, splits).unwrap();
+                    }
+                    Op::Evict { from_back, offset, count } => {
+                        if !evicts || len == 0 {
+                            continue;
+                        }
+                        let count = (*count).min(len);
+                        let offset = (*offset).min(len - count);
+                        let at = if *from_back { len - count - offset } else { offset };
+                        window.splits.drain(at..at + count);
+                        job.evict_splits_range(at, count).unwrap();
+                    }
+                }
+                prop_assert_eq!(job.output(), &window.reference(), "{}: {:?}", mode, op);
+            }
         }
     }
 }
