@@ -127,10 +127,10 @@ done
 cmp examples/expected/trace_viewer_metrics.json "$trace_tmp/a/metrics.json"
 cmp examples/expected/trace_viewer_flame.folded "$trace_tmp/a/flame.folded"
 
-# Simulated-time and self-healing tables: a change that moves any of them
+# Simulated-time, self-healing and tree-geometry tables: a change that moves any of them
 # must check in the new output.
-echo "==> tables: Tables 1, 3 and 4, Figures 10 and 11 and the self-healing ablation match their pinned output"
-for bench in tab1_scheduler tab3_glasnost tab4_twitter fig10_query fig11_split_processing ablation_self_healing; do
+echo "==> tables: Tables 1, 3 and 4, Figures 10 and 11 and the self-healing and geometry ablations match their pinned output"
+for bench in tab1_scheduler tab3_glasnost tab4_twitter fig10_query fig11_split_processing ablation_self_healing ablation_geometry; do
   cargo bench -q -p slider-bench --bench "$bench" > "$trace_tmp/$bench.txt"
   cmp "examples/expected/$bench.txt" "$trace_tmp/$bench.txt"
 done

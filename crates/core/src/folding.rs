@@ -16,14 +16,15 @@
 //! invocations — while every off-path node is reused from its in-place
 //! memoized value.
 //!
-//! Every value the tree holds lives in its slab (see the `slab` module): a
-//! slot holds a handle, a pass-through node shares its only child's, and
-//! the slab's total is the memoization footprint.
+//! The levels, their slab and the change propagation are the binary-tree
+//! core this tree shares with the rotating tree (see the `levels` module);
+//! this module keeps the slot policy: the live range, unfolding, folding,
+//! the rebuild factor and the splices.
 
 use std::fmt;
 
 use crate::error::TreeError;
-use crate::slab::{Handle, Slab};
+use crate::levels::Levels;
 use crate::stats::Phase;
 #[cfg(feature = "oracle")]
 use crate::tree::MemoLayout;
@@ -32,14 +33,8 @@ use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 /// Variable-width self-adjusting contraction tree. See the module docs.
 #[derive(Clone)]
 pub struct FoldingTree<V> {
-    /// `levels[0]` are the leaf slots (power-of-two length); `levels[h]`
-    /// halves in length as `h` grows; the last level is the root. A
-    /// present slot holds a handle into `slab`: a leaf or a merged node its
-    /// own, a pass-through node its only child's.
-    levels: Vec<Vec<Option<Handle>>>,
-    /// Every value the levels hold, each once: its bytes are the
-    /// memoization footprint.
-    slab: Slab<V>,
+    /// The binary tree and the slab of its values.
+    core: Levels<V>,
     /// First live slot: slots `start..start+len` hold the window.
     start: usize,
     /// Number of live leaves.
@@ -48,21 +43,16 @@ pub struct FoldingTree<V> {
     /// slot capacity exceeds `factor × window size` — the simple rebalancing
     /// strategy §3.2 describes for workloads where drastic shrinks are rare.
     rebuild_factor: Option<u32>,
-    /// The leaf slots the current edit changed, empty between edits; kept
-    /// for its capacity.
-    dirty: Vec<usize>,
 }
 
 impl<V> FoldingTree<V> {
     /// Creates an empty folding tree that never voluntarily rebuilds.
     pub fn new() -> Self {
         FoldingTree {
-            levels: vec![vec![None]],
-            slab: Slab::new(),
+            core: Levels::new(1),
             start: 0,
             len: 0,
             rebuild_factor: None,
-            dirty: Vec::new(),
         }
     }
 
@@ -77,7 +67,7 @@ impl<V> FoldingTree<V> {
 
     /// Current leaf-slot capacity (always a power of two).
     pub fn capacity(&self) -> usize {
-        self.levels[0].len()
+        self.core.width()
     }
 
     fn end(&self) -> usize {
@@ -86,108 +76,49 @@ impl<V> FoldingTree<V> {
 
     /// Resets to the canonical empty state.
     fn clear(&mut self) {
-        self.levels.truncate(1);
-        self.levels[0].clear();
-        self.levels[0].push(None);
-        self.slab.clear();
+        self.core.clear();
         self.start = 0;
         self.len = 0;
-        self.dirty.clear();
-    }
-
-    /// Stores `value` in slot `i` of level `h`, releasing the old occupant.
-    fn write(&mut self, h: usize, i: usize, value: Option<Handle>) {
-        if let Some(old) = std::mem::replace(&mut self.levels[h][i], value) {
-            self.slab.release(old);
-        }
-    }
-
-    /// Moves leaf `value` into the slab and stores it in leaf slot `i`.
-    fn write_leaf<K>(&mut self, cx: &TreeCx<'_, K, V>, i: usize, value: V) {
-        let bytes = cx.value_bytes(&value);
-        let handle = self.slab.insert(value, bytes);
-        self.write(0, i, Some(handle));
-    }
-
-    /// Moves leaf slot `from` into the (void) leaf slot `to`.
-    fn move_leaf(&mut self, from: usize, to: usize) {
-        let value = self.levels[0][from].take();
-        self.write(0, to, value);
-    }
-
-    /// The parent of two possibly absent children: a fresh merge when both
-    /// are present, else the present child's value, shared.
-    fn join<K>(
-        &mut self,
-        cx: &mut TreeCx<'_, K, V>,
-        left: Option<Handle>,
-        right: Option<Handle>,
-    ) -> Option<Handle> {
-        match (left, right) {
-            (Some(l), Some(r)) => {
-                let (value, bytes) =
-                    cx.merge(Phase::Foreground, self.slab.get(l), self.slab.get(r));
-                Some(self.slab.insert(value, bytes))
-            }
-            (Some(child), None) | (None, Some(child)) => Some(self.slab.share(child)),
-            (None, None) => None,
-        }
-    }
-
-    /// Builds every interior level over `leaves`, the live leaf slots in
-    /// window order, with the slab holding only those leaves (the paper's
-    /// initial run).
-    fn build<K>(&mut self, cx: &mut TreeCx<'_, K, V>, mut leaves: Vec<Option<Handle>>) {
-        self.start = 0;
-        self.len = leaves.len();
-        leaves.resize(self.len.max(1).next_power_of_two(), None);
-        self.levels.clear();
-        self.levels.push(leaves);
-        let mut width = self.capacity() / 2;
-        while width >= 1 {
-            let mut level = Vec::with_capacity(width);
-            for i in 0..width {
-                let children = &self.levels[self.levels.len() - 1];
-                let (left, right) = (children[2 * i], children[2 * i + 1]);
-                level.push(self.join(cx, left, right));
-            }
-            self.levels.push(level);
-            width /= 2;
-        }
     }
 
     /// Doubles the capacity: the current tree becomes the left child of a
     /// new root; the right half starts void.
     fn unfold(&mut self) {
         let cap = self.capacity();
-        for level in &mut self.levels {
+        let core = &mut self.core;
+        for level in &mut core.levels {
             level.resize(2 * level.len(), None);
         }
         // New root level: left child is the old root, right child void, so
         // the new root passes the old one through.
-        let old_root = self.levels.last().and_then(|l| l[0]);
-        let root = old_root.map(|h| self.slab.share(h));
-        self.levels.push(vec![root]);
+        let old_root = core.levels.last().and_then(|l| l[0]);
+        let root = old_root.map(|h| core.slab.share(h));
+        core.levels.push(vec![root]);
         debug_assert_eq!(self.capacity(), cap * 2);
     }
 
     /// Halves the capacity by promoting the right child of the root, valid
     /// only when the whole left half of the leaf level is void. The dropped
     /// nodes (possibly stale until the caller propagates) release their
-    /// values.
+    /// values, and the dirty slots shift with the kept half.
     fn fold(&mut self) {
         let half = self.capacity() / 2;
         debug_assert!(self.start >= half, "fold requires a void left half");
-        let root = self.levels.pop().expect("a tree has a root level");
+        let core = &mut self.core;
+        let root = core.levels.pop().expect("a tree has a root level");
         for handle in root.into_iter().flatten() {
-            self.slab.release(handle);
+            core.slab.release(handle);
         }
-        for level in &mut self.levels {
+        for level in &mut core.levels {
             let keep = level.len() / 2;
             for handle in level.drain(..keep).flatten() {
-                self.slab.release(handle);
+                core.slab.release(handle);
             }
         }
+        // Voided slots in the dropped half no longer exist: their removal
+        // is subsumed by discarding the root that referenced them.
+        core.dirty
+            .retain_mut(|i| i.checked_sub(half).map(|shifted| *i = shifted).is_some());
         self.start -= half;
     }
 
@@ -197,13 +128,7 @@ impl<V> FoldingTree<V> {
     /// slots.
     fn settle<K>(&mut self, cx: &mut TreeCx<'_, K, V>) {
         while self.capacity() > 1 && self.start >= self.capacity() / 2 {
-            let half = self.capacity() / 2;
             self.fold();
-            // Slot indices shifted down by `half`; voided slots in the
-            // dropped half no longer exist (their removal is subsumed by
-            // discarding the root that referenced them).
-            self.dirty
-                .retain_mut(|i| i.checked_sub(half).map(|shifted| *i = shifted).is_some());
         }
         // Simple rebalancing strategy (§3.2): rebuild when the tree is far
         // taller than the window warrants. The live leaves keep their slab
@@ -211,53 +136,21 @@ impl<V> FoldingTree<V> {
         if let Some(factor) = self.rebuild_factor {
             let factor = usize::try_from(factor).unwrap_or(usize::MAX);
             if self.capacity() > factor.saturating_mul(self.len.max(1)) {
-                self.dirty.clear();
-                for level in self.levels.drain(1..) {
+                let live = self.start..self.end();
+                let core = &mut self.core;
+                core.dirty.clear();
+                for level in core.levels.drain(1..) {
                     for handle in level.into_iter().flatten() {
-                        self.slab.release(handle);
+                        core.slab.release(handle);
                     }
                 }
-                let leaves = self.levels[0][self.start..self.end()].to_vec();
-                self.build(cx, leaves);
+                let leaves = core.levels[0][live].to_vec();
+                core.build(cx, leaves, self.len.max(1).next_power_of_two());
+                self.start = 0;
                 return;
             }
         }
-        self.propagate(cx);
-    }
-
-    /// Propagates the changes at the leaf slots in `dirty` up to the root.
-    /// Each level walks its sorted changed slots once and leaves their
-    /// parents, the next level's changed slots, in their place.
-    fn propagate<K>(&mut self, cx: &mut TreeCx<'_, K, V>) {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_unstable();
-        dirty.dedup();
-        for child_level in 0..self.levels.len() - 1 {
-            let (mut read, mut parents) = (0, 0);
-            while read < dirty.len() {
-                let p = dirty[read] / 2;
-                let left_dirty = dirty[read] == 2 * p;
-                read += usize::from(left_dirty);
-                let right_dirty = dirty.get(read) == Some(&(2 * p + 1));
-                read += usize::from(right_dirty);
-                let children = &self.levels[child_level];
-                let (left, right) = (children[2 * p], children[2 * p + 1]);
-                // A present sibling that is not itself dirty is a reused
-                // memoized sub-computation.
-                for (child, changed) in [(left, left_dirty), (right, right_dirty)] {
-                    if let (Some(child), false) = (child, changed) {
-                        cx.reuse_many(1, self.slab.bytes_of(child));
-                    }
-                }
-                let value = self.join(cx, left, right);
-                self.write(child_level + 1, p, value);
-                dirty[parents] = p;
-                parents += 1;
-            }
-            dirty.truncate(parents);
-        }
-        dirty.clear();
-        self.dirty = dirty;
+        self.core.propagate(cx, Phase::Foreground);
     }
 }
 
@@ -273,7 +166,7 @@ impl<V> fmt::Debug for FoldingTree<V> {
             .field("capacity", &self.capacity())
             .field("start", &self.start)
             .field("len", &self.len)
-            .field("levels", &self.levels.len())
+            .field("levels", &self.core.levels.len())
             .finish()
     }
 }
@@ -287,16 +180,13 @@ where
         Box::new(self.clone())
     }
 
-    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<V>>) {
-        self.slab.clear();
-        self.dirty.clear();
-        let mut live = Vec::with_capacity(leaves.len());
-        for value in leaves.into_iter().flatten() {
-            let bytes = cx.value_bytes(&value);
-            live.push(Some(self.slab.insert(value, bytes)));
-        }
-        cx.note_added(live.len() as u64);
-        self.build(cx, live);
+    fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, mut leaves: Vec<Option<V>>) {
+        leaves.retain(Option::is_some);
+        cx.note_added(leaves.len() as u64);
+        self.start = 0;
+        self.len = leaves.len();
+        let width = self.len.max(1).next_power_of_two();
+        self.core.rebuild(cx, leaves, width);
     }
 
     fn advance(
@@ -317,8 +207,7 @@ where
 
         // Drop the oldest `remove` leaves: mark their slots void.
         for i in self.start..self.start + remove {
-            self.write(0, i, None);
-            self.dirty.push(i);
+            self.core.set_leaf(cx, i, None);
         }
         self.start += remove;
         self.len -= remove;
@@ -335,9 +224,7 @@ where
             if self.end() == self.capacity() {
                 self.unfold();
             }
-            let slot = self.end();
-            self.write_leaf(cx, slot, value);
-            self.dirty.push(slot);
+            self.core.set_leaf(cx, self.end(), Some(value));
             self.len += 1;
         }
         self.settle(cx);
@@ -369,13 +256,10 @@ where
             // `[a - k + at, a + at)` receives the new leaves. Ascending
             // order is safe because every target slot precedes its source.
             for i in a..a + at {
-                self.move_leaf(i, i - k);
-                self.dirty.extend([i - k, i]);
+                self.core.move_leaf(i, i - k);
             }
             for (j, v) in values.into_iter().enumerate() {
-                let slot = a - k + at + j;
-                self.write_leaf(cx, slot, v);
-                self.dirty.push(slot);
+                self.core.set_leaf(cx, a - k + at + j, Some(v));
             }
             self.start = a - k;
             self.len += k;
@@ -386,17 +270,14 @@ where
                 self.unfold();
             }
             for i in (a + at..a + self.len).rev() {
-                self.move_leaf(i, i + k);
-                self.dirty.extend([i, i + k]);
+                self.core.move_leaf(i, i + k);
             }
             for (j, v) in values.into_iter().enumerate() {
-                let slot = a + at + j;
-                self.write_leaf(cx, slot, v);
-                self.dirty.push(slot);
+                self.core.set_leaf(cx, a + at + j, Some(v));
             }
             self.len += k;
         }
-        self.propagate(cx);
+        self.core.propagate(cx, Phase::Foreground);
         Ok(())
     }
 
@@ -422,19 +303,16 @@ where
         // Void the evicted range, then close the gap by shifting whichever
         // side is smaller.
         for i in a + at..a + at + count {
-            self.write(0, i, None);
-            self.dirty.push(i);
+            self.core.set_leaf(cx, i, None);
         }
         if at <= suffix {
             for i in (a..a + at).rev() {
-                self.move_leaf(i, i + count);
-                self.dirty.extend([i, i + count]);
+                self.core.move_leaf(i, i + count);
             }
             self.start = a + count;
         } else {
             for i in a + at + count..a + self.len {
-                self.move_leaf(i, i - count);
-                self.dirty.extend([i, i - count]);
+                self.core.move_leaf(i, i - count);
             }
         }
         self.len -= count;
@@ -452,7 +330,7 @@ where
         if self.len == 0 {
             None
         } else {
-            self.levels.last()?[0].map(|h| self.slab.get(h))
+            self.core.root()
         }
     }
 
@@ -461,14 +339,12 @@ where
     }
 
     fn memo_bytes(&self) -> u64 {
-        self.slab.bytes()
+        self.core.slab.bytes()
     }
 
     #[cfg(feature = "oracle")]
     fn memo_layout(&self) -> MemoLayout<'_, V> {
-        let node = |slot: &Option<Handle>| slot.map(|h| (h.index(), self.slab.get(h)));
-        let levels = self.levels.iter();
-        MemoLayout::Levels(levels.map(|l| l.iter().map(node).collect()).collect())
+        self.core.memo_layout(None)
     }
 
     fn kind(&self) -> TreeKind {
@@ -485,7 +361,7 @@ where
         if self.len == 0 {
             0
         } else {
-            self.levels.len()
+            self.core.levels.len()
         }
     }
 }
@@ -494,6 +370,7 @@ where
 mod tests {
     use super::*;
     use crate::combiner::FnCombiner;
+    use crate::slab::Handle;
     use crate::stats::UpdateStats;
 
     fn sum_combiner() -> FnCombiner<impl Fn(&u8, &u64, &u64) -> u64> {
@@ -704,7 +581,8 @@ mod tests {
             tree.start + tree.len <= tree.capacity(),
             "window range exceeds capacity"
         );
-        for (i, slot) in tree.levels[0].iter().enumerate() {
+        let levels = &tree.core.levels;
+        for (i, slot) in levels[0].iter().enumerate() {
             let live = i >= tree.start && i < tree.start + tree.len;
             assert_eq!(
                 slot.is_some(),
@@ -714,20 +592,16 @@ mod tests {
                 tree.len
             );
         }
-        let value = |slot: Option<Handle>| slot.map(|h| *tree.slab.get(h));
+        let value = |slot: Option<Handle>| slot.map(|h| *tree.core.slab.get(h));
         for (i, want) in reference.iter().enumerate() {
-            let got = value(tree.levels[0][tree.start + i]);
+            let got = value(levels[0][tree.start + i]);
             assert_eq!(got, Some(*want), "leaf {i} value");
         }
-        for h in 1..tree.levels.len() {
-            assert_eq!(
-                tree.levels[h].len() * 2,
-                tree.levels[h - 1].len(),
-                "level {h} width"
-            );
-            for (i, &node) in tree.levels[h].iter().enumerate() {
-                let left = tree.levels[h - 1][2 * i];
-                let right = tree.levels[h - 1][2 * i + 1];
+        for h in 1..levels.len() {
+            assert_eq!(levels[h].len() * 2, levels[h - 1].len(), "level {h} width");
+            for (i, &node) in levels[h].iter().enumerate() {
+                let left = levels[h - 1][2 * i];
+                let right = levels[h - 1][2 * i + 1];
                 let want = match (value(left), value(right)) {
                     (Some(l), Some(r)) => Some(l + r),
                     (Some(l), None) => Some(l),
@@ -745,7 +619,7 @@ mod tests {
                 }
             }
         }
-        assert!(tree.dirty.is_empty(), "no dirty slot outlives an edit");
+        assert!(tree.core.dirty.is_empty(), "no dirty slot outlives an edit");
     }
 
     #[test]

@@ -50,11 +50,11 @@
 //! All structures implement the object-safe [`WindowAggregator`] contract
 //! so a host engine (see the `slider-mapreduce` crate) can drive them
 //! uniformly. Leaves cross it by value and each structure owns what it
-//! holds; only the rotating tree shares values between its nodes, behind
-//! `Arc`. Tree-shaped structures additionally implement the
-//! [`ContractionTree`] extension. The [`TreeKind`] enum plus [`build_tree`]
-//! provide a factory, and `TreeKind` parses from its `Display` form for
-//! env/config selection.
+//! holds: the folding and rotating trees run on one binary-tree core and
+//! keep their values, like the memo trees, in a per-tree slab. Tree-shaped
+//! structures additionally implement the [`ContractionTree`] extension. The
+//! [`TreeKind`] enum plus [`build_tree`] provide a factory, and `TreeKind`
+//! parses from its `Display` form for env/config selection.
 //!
 //! ## Example
 //!
@@ -91,6 +91,7 @@ mod dgim;
 mod error;
 mod folding;
 mod hash;
+mod levels;
 mod memo;
 mod randomized;
 mod rotating;

@@ -6,7 +6,6 @@
 //! [`MemoTree`]: super::MemoTree
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use super::Grouping;
 use crate::error::TreeError;
@@ -58,17 +57,17 @@ impl Grouping for Rule {
 /// must give the same roots, heights, [`crate::UpdateStats`], footprints
 /// and cache sizes.
 pub struct RecontractingTree<V> {
-    leaves: VecDeque<(u64, Arc<V>)>,
+    leaves: VecDeque<(u64, V)>,
     /// Each group of the last edit: its aggregate and modeled bytes.
-    cache: HashMap<u64, (Arc<V>, u64)>,
-    root: Option<Arc<V>>,
+    cache: HashMap<u64, (V, u64)>,
+    root: Option<V>,
     next_id: u64,
     height: usize,
     leaf_bytes: u64,
     rule: Rule,
 }
 
-impl<V> RecontractingTree<V> {
+impl<V: Clone> RecontractingTree<V> {
     fn with_rule(rule: Rule) -> Self {
         RecontractingTree {
             leaves: VecDeque::new(),
@@ -93,7 +92,7 @@ impl<V> RecontractingTree<V> {
 
     /// The aggregate of the whole window.
     pub fn root(&self) -> Option<&V> {
-        self.root.as_deref()
+        self.root.as_ref()
     }
 
     /// Number of leaves.
@@ -121,12 +120,12 @@ impl<V> RecontractingTree<V> {
         self.cache.len()
     }
 
-    fn fresh_leaf<K>(&mut self, cx: &mut TreeCx<'_, K, V>, value: V) -> (u64, Arc<V>) {
+    fn fresh_leaf<K>(&mut self, cx: &mut TreeCx<'_, K, V>, value: V) -> (u64, V) {
         let id = hash_one(self.next_id ^ self.rule.leaf_salt());
         self.next_id += 1;
         self.leaf_bytes += cx.value_bytes(&value);
         cx.note_added(1);
-        (id, Arc::new(value))
+        (id, value)
     }
 
     /// Discards all state and builds over the present `leaves`.
@@ -241,10 +240,7 @@ impl<V> RecontractingTree<V> {
             cx.note_removed((before - after) as u64);
         }
         self.leaf_bytes = leaves.iter().map(|(_, v)| cx.value_bytes(v)).sum();
-        self.leaves = leaves
-            .into_iter()
-            .map(|(id, v)| (id, Arc::new(v)))
-            .collect();
+        self.leaves = leaves.into_iter().collect();
         self.recombine(cx);
     }
 
@@ -252,7 +248,7 @@ impl<V> RecontractingTree<V> {
     /// groups; the groups this edit did not touch leave the cache.
     fn recombine<K>(&mut self, cx: &mut TreeCx<'_, K, V>) {
         let mut touched = HashMap::new();
-        let mut level: Vec<(u64, Arc<V>)> = self.leaves.iter().cloned().collect();
+        let mut level: Vec<(u64, V)> = self.leaves.iter().cloned().collect();
         let rule = self.rule;
         let mut height = usize::from(!level.is_empty());
         let mut level_no = 0u64;
@@ -283,10 +279,10 @@ impl<V> RecontractingTree<V> {
     fn contract<K>(
         &self,
         cx: &mut TreeCx<'_, K, V>,
-        touched: &mut HashMap<u64, (Arc<V>, u64)>,
-        level: &[(u64, Arc<V>)],
+        touched: &mut HashMap<u64, (V, u64)>,
+        level: &[(u64, V)],
         closes: impl Fn(u64, usize) -> bool,
-    ) -> Vec<(u64, Arc<V>)> {
+    ) -> Vec<(u64, V)> {
         let mut next = Vec::with_capacity(level.len() / 2 + 1);
         let mut start = 0;
         for (i, (id, _)) in level.iter().enumerate() {
@@ -303,27 +299,27 @@ impl<V> RecontractingTree<V> {
     fn parent<K>(
         &self,
         cx: &mut TreeCx<'_, K, V>,
-        touched: &mut HashMap<u64, (Arc<V>, u64)>,
+        touched: &mut HashMap<u64, (V, u64)>,
         position: u64,
-        group: &[(u64, Arc<V>)],
-    ) -> (u64, Arc<V>) {
+        group: &[(u64, V)],
+    ) -> (u64, V) {
         if let [(id, value)] = group {
-            return (*id, Arc::clone(value));
+            return (*id, value.clone());
         }
         let id = self
             .rule
             .group_id(position, group.iter().map(|(id, _)| *id));
         let hit = touched.get(&id).or_else(|| self.cache.get(&id));
-        if let Some((value, bytes)) = hit.map(|(v, b)| (Arc::clone(v), *b)) {
-            touched.insert(id, (Arc::clone(&value), bytes));
+        if let Some((value, bytes)) = hit.cloned() {
+            touched.insert(id, (value.clone(), bytes));
             cx.reuse(&value);
             return (id, value);
         }
-        let mut acc = Arc::clone(&group[0].1);
+        let mut acc = group[0].1.clone();
         for (_, v) in &group[1..] {
-            acc = Arc::new(cx.merge(Phase::Foreground, &acc, v).0);
+            acc = cx.merge(Phase::Foreground, &acc, v).0;
         }
-        touched.insert(id, (Arc::clone(&acc), cx.value_bytes(&acc)));
+        touched.insert(id, (acc.clone(), cx.value_bytes(&acc)));
         (id, acc)
     }
 }

@@ -2,10 +2,11 @@
 //! windows, with optional split (background/foreground) processing.
 //!
 //! The window is divided into `N` *buckets* (each the pre-combined output of
-//! `w` input splits). The buckets are the leaves of a balanced binary tree
-//! laid out as a segment tree; when the window slides by one bucket the new
-//! bucket replaces the oldest one in round-robin fashion and only the
-//! `log2(N)` nodes on the leaf-to-root path are recombined.
+//! `w` input splits). The buckets are the leaves of a balanced binary tree,
+//! the first `N` leaf slots of the binary-tree core it shares with the
+//! folding tree (see the `levels` module); when the window slides by one
+//! bucket the new bucket replaces the oldest one in round-robin fashion and
+//! only the `log2(N)` nodes on the leaf-to-root path are recombined.
 //!
 //! Because rotation reuses memoized aggregates that mix newer and older data
 //! out of window order, the combiner must be **commutative** (in addition to
@@ -18,54 +19,24 @@
 //! update is then a single combiner invocation (`new bucket ⊕ I`) — this is
 //! the mechanism behind the paper's Figure 11 latency savings.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::TreeError;
+use crate::levels::Levels;
 use crate::stats::Phase;
 #[cfg(feature = "oracle")]
 use crate::tree::MemoLayout;
 use crate::tree::{ContractionTree, TreeCx, TreeKind, WindowAggregator};
 
-/// The parent of two possibly absent children, with the bytes it adds to
-/// the footprint: a fresh merge (charged to `phase`) and its size when both
-/// are present, or the present child's value, shared, and 0 — a
-/// pass-through shares what its child already counts.
-fn join<K, V>(
-    cx: &mut TreeCx<'_, K, V>,
-    phase: Phase,
-    left: Option<&Arc<V>>,
-    right: Option<&Arc<V>>,
-) -> (Option<Arc<V>>, u64) {
-    match (left, right) {
-        (Some(l), Some(r)) => {
-            let (merged, bytes) = cx.merge(phase, l, r);
-            (Some(Arc::new(merged)), bytes)
-        }
-        (Some(child), None) | (None, Some(child)) => (Some(Arc::clone(child)), 0),
-        (None, None) => (None, 0),
-    }
-}
-
 /// Fixed-width rotating contraction tree. See the module docs.
-///
-/// Its values sit behind `Arc`, the only aggregator's that do: a
-/// pass-through node shares its only present child's value, and a prepared
-/// off-path aggregate over one present sibling shares that sibling's.
+#[derive(Clone)]
 pub struct RotatingTree<V> {
+    /// The binary tree and the slab of its values: bucket slot `s` is leaf
+    /// slot `s`, and an absent leaf is a bucket in which this key is absent.
+    core: Levels<V>,
     /// Number of bucket slots in the window.
     capacity: usize,
-    /// `capacity` rounded up to a power of two (segment-tree width).
-    width: usize,
-    /// Segment tree: `nodes[1]` is the root, leaves at `width..width+capacity`.
-    /// `None` marks a slot in which this key is absent.
-    nodes: Vec<Option<Arc<V>>>,
-    /// Modeled bytes each node adds to the footprint: a leaf's size, a
-    /// merged node's size, 0 for absent slots and for pass-through nodes
-    /// (they share their only present child's allocation).
-    bytes: Vec<u64>,
-    /// Sum of `bytes`.
-    memo: u64,
     /// Slots filled so far during the initial fill phase.
     filled: usize,
     /// Slot to be replaced by the next rotation once the window is full.
@@ -75,15 +46,27 @@ pub struct RotatingTree<V> {
     /// Pre-combined off-path aggregate `I` for the next insertion slot
     /// (outer `None` = not prepared; inner `None` = all siblings absent),
     /// with its modeled bytes (it counts in the footprint while prepared).
-    precombined: Option<(Option<Arc<V>>, u64)>,
-    /// Leaf insertion deferred to the next background step: (slot, value).
-    pending: Option<(usize, Option<Arc<V>>)>,
-    /// Equivalent root produced by the split-mode shortcut while `pending`
-    /// has not yet been applied to the tree.
-    root_override: Option<Option<Arc<V>>>,
+    precombined: Option<(Option<V>, u64)>,
+    /// The split-mode rotation whose leaf write waits for the next
+    /// background step.
+    pending: Option<Pending<V>>,
 }
 
-impl<V> RotatingTree<V> {
+/// A split-mode rotation whose leaf is not yet in the tree. Neither the
+/// leaf nor the shortcut's root counts in the footprint until the leaf is
+/// flushed.
+#[derive(Clone)]
+struct Pending<V> {
+    /// The bucket slot the leaf replaces.
+    slot: usize,
+    /// The new bucket's leaf, absent if the key is not in it.
+    leaf: Option<V>,
+    /// The window's root when it is not `leaf` itself: `leaf ⊕ I`, or `I`
+    /// when the leaf is absent.
+    root: Option<V>,
+}
+
+impl<V: Clone> RotatingTree<V> {
     /// Creates an empty rotating tree with `capacity` bucket slots.
     ///
     /// # Panics
@@ -91,19 +74,14 @@ impl<V> RotatingTree<V> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "rotating tree needs at least one bucket slot");
-        let width = capacity.next_power_of_two();
         RotatingTree {
+            core: Levels::new(capacity.next_power_of_two()),
             capacity,
-            width,
-            nodes: vec![None; 2 * width],
-            bytes: vec![0; 2 * width],
-            memo: 0,
             filled: 0,
             next_victim: 0,
             present: 0,
             precombined: None,
             pending: None,
-            root_override: None,
         }
     }
 
@@ -127,130 +105,74 @@ impl<V> RotatingTree<V> {
     }
 
     /// Adjusts the present-leaf count for replacing the current occupant of
-    /// `slot` with `value`. Called exactly once per leaf replacement — at
-    /// the moment the replacement is *decided* (eagerly in normal mode, at
-    /// defer time in split mode) — so `present` is always the exact window
-    /// occupancy and [`WindowAggregator::len`] never needs to reconstruct
-    /// it from deferred state.
-    fn count_replacement(&mut self, slot: usize, value: &Option<Arc<V>>) {
-        if self.nodes[self.width + slot].is_some() {
+    /// `slot` with a leaf that is present or not. Called exactly once per
+    /// leaf replacement — at the moment the replacement is *decided*
+    /// (eagerly in normal mode, at defer time in split mode) — so `present`
+    /// is always the exact window occupancy and [`WindowAggregator::len`]
+    /// never needs to reconstruct it from deferred state.
+    fn count_replacement(&mut self, slot: usize, present: bool) {
+        if self.core.levels[0][slot].is_some() {
             self.present -= 1;
         }
-        if value.is_some() {
+        if present {
             self.present += 1;
         }
     }
 
-    /// Stores `value` in node `i`, charging `bytes` to the footprint in
-    /// place of what the old occupant charged.
-    fn write(&mut self, i: usize, value: Option<Arc<V>>, bytes: u64) {
-        self.memo = self.memo - self.bytes[i] + bytes;
-        self.bytes[i] = bytes;
-        self.nodes[i] = value;
-    }
-
-    /// Writes `value` into `slot` and recombines the path to the root.
-    fn set_leaf<K>(
-        &mut self,
-        cx: &mut TreeCx<'_, K, V>,
-        phase: Phase,
-        slot: usize,
-        value: Option<Arc<V>>,
-    ) where
-        V: Send + Sync,
-    {
-        self.count_replacement(slot, &value);
-        self.store_and_recombine(cx, phase, slot, value);
-    }
-
-    /// Stores `value` into `slot` and recombines the root path *without*
-    /// touching the present count (the caller has already counted the
-    /// replacement, possibly at defer time).
-    fn store_and_recombine<K>(
-        &mut self,
-        cx: &mut TreeCx<'_, K, V>,
-        phase: Phase,
-        slot: usize,
-        value: Option<Arc<V>>,
-    ) where
-        V: Send + Sync,
-    {
-        let mut node = self.width + slot;
-        let bytes = value.as_deref().map_or(0, |v| cx.value_bytes(v));
-        self.write(node, value, bytes);
-        while node > 1 {
-            let sibling = node ^ 1;
-            if let Some(s) = &self.nodes[sibling] {
-                cx.reuse(s);
-            }
-            let parent = node / 2;
-            // Merge in left-right order for determinism; correctness relies
-            // on commutativity, checked at rotation time.
-            let left = 2 * parent;
-            let (value, bytes) = join(
-                cx,
-                phase,
-                self.nodes[left].as_ref(),
-                self.nodes[left + 1].as_ref(),
-            );
-            self.write(parent, value, bytes);
-            node = parent;
-        }
+    /// Stores `value` into `slot` and recombines the root path, charging
+    /// `phase`, *without* touching the present count (the caller has
+    /// already counted the replacement, possibly at defer time).
+    fn store<K>(&mut self, cx: &mut TreeCx<'_, K, V>, phase: Phase, slot: usize, value: Option<V>) {
+        self.core.set_leaf(cx, slot, value);
+        self.core.propagate(cx, phase);
     }
 
     /// Applies a deferred split-mode insertion, charging `phase`.
-    fn flush_pending<K>(&mut self, cx: &mut TreeCx<'_, K, V>, phase: Phase)
-    where
-        V: Send + Sync,
-    {
-        if let Some((slot, value)) = self.pending.take() {
+    fn flush_pending<K>(&mut self, cx: &mut TreeCx<'_, K, V>, phase: Phase) {
+        if let Some(pending) = self.pending.take() {
             // `present` was already adjusted when the rotation was deferred;
             // only the structural write and path update remain.
-            self.store_and_recombine(cx, phase, slot, value);
+            self.store(cx, phase, pending.slot, pending.leaf);
         }
-        self.root_override = None;
-    }
-
-    /// Pre-combines the off-path siblings of `slot` bottom-up.
-    fn combine_off_path<K>(
-        &mut self,
-        cx: &mut TreeCx<'_, K, V>,
-        phase: Phase,
-        slot: usize,
-    ) -> Option<Arc<V>>
-    where
-        V: Send + Sync,
-    {
-        let mut node = self.width + slot;
-        let mut acc: Option<Arc<V>> = None;
-        while node > 1 {
-            let sibling = node ^ 1;
-            if let Some(s) = &self.nodes[sibling] {
-                cx.reuse(s);
-                acc = Some(match acc {
-                    Some(a) => Arc::new(cx.merge(phase, &a, s).0),
-                    None => Arc::clone(s),
-                });
-            }
-            node /= 2;
-        }
-        acc
     }
 
     /// Performs one rotation (or fill) with `value` in normal mode.
-    fn insert<K>(&mut self, cx: &mut TreeCx<'_, K, V>, value: Option<V>)
-    where
-        V: Send + Sync,
-    {
+    fn insert<K>(&mut self, cx: &mut TreeCx<'_, K, V>, value: Option<V>) {
         let slot = self.next_slot();
-        let was_full = self.is_full();
-        self.set_leaf(cx, Phase::Foreground, slot, value.map(Arc::new));
-        if was_full {
+        self.count_replacement(slot, value.is_some());
+        self.store(cx, Phase::Foreground, slot, value);
+        if self.is_full() {
             self.next_victim = (self.next_victim + 1) % self.capacity;
         } else {
             self.filled += 1;
         }
         self.precombined = None;
+    }
+
+    /// Pre-combines the off-path siblings of `slot` bottom-up. Two or more
+    /// present siblings merge from the slab's borrows; a lone one is
+    /// cloned.
+    fn combine_off_path<K>(
+        &self,
+        cx: &mut TreeCx<'_, K, V>,
+        phase: Phase,
+        slot: usize,
+    ) -> Option<V> {
+        let levels = &self.core.levels;
+        let mut acc: Option<Cow<'_, V>> = None;
+        let mut node = slot;
+        for level in &levels[..levels.len() - 1] {
+            if let Some(sibling) = level[node ^ 1] {
+                cx.reuse_many(1, self.core.slab.bytes_of(sibling));
+                let sibling = self.core.slab.get(sibling);
+                acc = Some(match acc {
+                    Some(a) => Cow::Owned(cx.merge(phase, &a, sibling).0),
+                    None => Cow::Borrowed(sibling),
+                });
+            }
+            node /= 2;
+        }
+        acc.map(Cow::into_owned)
     }
 }
 
@@ -266,55 +188,28 @@ impl<V> fmt::Debug for RotatingTree<V> {
     }
 }
 
-impl<V> Clone for RotatingTree<V> {
-    fn clone(&self) -> Self {
-        RotatingTree {
-            capacity: self.capacity,
-            width: self.width,
-            nodes: self.nodes.clone(),
-            bytes: self.bytes.clone(),
-            memo: self.memo,
-            filled: self.filled,
-            next_victim: self.next_victim,
-            present: self.present,
-            precombined: self.precombined.clone(),
-            pending: self.pending.clone(),
-            root_override: self.root_override.clone(),
-        }
-    }
-}
-
 impl<K, V> WindowAggregator<K, V> for RotatingTree<V>
 where
     K: Send + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn boxed_clone(&self) -> Box<dyn WindowAggregator<K, V>> {
         Box::new(self.clone())
     }
 
     fn rebuild(&mut self, cx: &mut TreeCx<'_, K, V>, leaves: Vec<Option<V>>) {
-        let capacity = self.capacity.max(leaves.len());
-        *self = RotatingTree::new(capacity);
-        cx.note_added(leaves.iter().filter(|l| l.is_some()).count() as u64);
         // Bottom-up construction (paper §4.1 initial run: buckets combined
         // "in pairs hierarchically"): exactly one merge per internal node
         // with two present children, instead of one path update per leaf.
+        self.capacity = self.capacity.max(leaves.len());
         self.filled = leaves.len();
+        self.next_victim = 0;
         self.present = leaves.iter().filter(|l| l.is_some()).count();
-        for (slot, value) in leaves.into_iter().enumerate() {
-            let bytes = value.as_ref().map_or(0, |v| cx.value_bytes(v));
-            self.write(self.width + slot, value.map(Arc::new), bytes);
-        }
-        for node in (1..self.width).rev() {
-            let (value, bytes) = join(
-                cx,
-                Phase::Foreground,
-                self.nodes[2 * node].as_ref(),
-                self.nodes[2 * node + 1].as_ref(),
-            );
-            self.write(node, value, bytes);
-        }
+        self.precombined = None;
+        self.pending = None;
+        cx.note_added(self.present as u64);
+        let width = self.capacity.next_power_of_two();
+        self.core.rebuild(cx, leaves, width);
     }
 
     fn advance(
@@ -362,23 +257,23 @@ where
         // deferred to the next background step.
         if remove == 1 && self.pending.is_none() {
             if let Some((off_path, _)) = self.precombined.take() {
-                let value = added
-                    .next()
-                    .expect("remove == added.len() == 1")
-                    .map(Arc::new);
-                let root = match (&value, &off_path) {
-                    (Some(v), Some(i)) => Some(Arc::new(cx.merge(Phase::Foreground, v, i).0)),
-                    (Some(v), None) => Some(Arc::clone(v)),
-                    (None, Some(i)) => Some(Arc::clone(i)),
-                    (None, None) => None,
+                let leaf = added.next().expect("remove == added.len() == 1");
+                // The root takes the prepared aggregate or borrows the
+                // leaf (see `root`): only a merge makes a value.
+                let root = match (&leaf, off_path) {
+                    (Some(v), Some(i)) => Some(cx.merge(Phase::Foreground, v, &i).0),
+                    (_, off_path) => off_path,
                 };
-                self.root_override = Some(root);
                 // Count the replacement now, not at flush time: `present` is
                 // always the exact occupancy and `len` needs no deferred
                 // reconstruction (which could underflow on a pending removal
                 // against an absent slot).
-                self.count_replacement(self.next_victim, &value);
-                self.pending = Some((self.next_victim, value));
+                self.count_replacement(self.next_victim, leaf.is_some());
+                self.pending = Some(Pending {
+                    slot: self.next_victim,
+                    leaf,
+                    root,
+                });
                 // The victim rotates now so a subsequent advance targets the
                 // right slot.
                 self.next_victim = (self.next_victim + 1) % self.capacity;
@@ -403,7 +298,7 @@ where
         // The rotation must not drop a present leaf silently; the pending
         // slot (if any) is a *different*, already-rotated slot and can stay
         // deferred.
-        if self.nodes[self.width + self.next_victim].is_some() {
+        if self.core.levels[0][self.next_victim].is_some() {
             return Err(TreeError::FixedWidthViolation {
                 removed: 1,
                 added: 0,
@@ -422,14 +317,14 @@ where
         // next insertion slot.
         let slot = self.next_slot();
         let off_path = self.combine_off_path(cx, Phase::Background, slot);
-        let bytes = off_path.as_deref().map_or(0, |v| cx.value_bytes(v));
+        let bytes = off_path.as_ref().map_or(0, |v| cx.value_bytes(v));
         self.precombined = Some((off_path, bytes));
     }
 
     fn root(&self) -> Option<&V> {
-        match &self.root_override {
-            Some(root) => root.as_deref(),
-            None => self.nodes[1].as_deref(),
+        match &self.pending {
+            Some(pending) => pending.root.as_ref().or(pending.leaf.as_ref()),
+            None => self.core.root(),
         }
     }
 
@@ -444,16 +339,13 @@ where
     }
 
     fn memo_bytes(&self) -> u64 {
-        self.memo + self.precombined.as_ref().map_or(0, |(_, bytes)| *bytes)
+        self.core.slab.bytes() + self.precombined.as_ref().map_or(0, |(_, bytes)| *bytes)
     }
 
     #[cfg(feature = "oracle")]
     fn memo_layout(&self) -> MemoLayout<'_, V> {
-        MemoLayout::Heap {
-            nodes: self.nodes.clone(),
-            width: self.width,
-            prepared: self.precombined.as_ref().and_then(|(i, _)| i.clone()),
-        }
+        let prepared = self.precombined.as_ref().and_then(|(i, _)| i.as_ref());
+        self.core.memo_layout(prepared)
     }
 
     fn kind(&self) -> TreeKind {
@@ -464,13 +356,13 @@ where
 impl<K, V> ContractionTree<K, V> for RotatingTree<V>
 where
     K: Send + 'static,
-    V: Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn height(&self) -> usize {
-        if WindowAggregator::<K, V>::is_empty(self) {
+        if self.present == 0 {
             0
         } else {
-            usize::try_from(self.width.trailing_zeros()).unwrap() + 1
+            self.core.levels.len()
         }
     }
 }

@@ -1,8 +1,9 @@
-//! The value store of the folding and memo trees: every aggregate one tree
-//! holds, leaves included, lives inline in one slab and is addressed by a
-//! `u32` [`Handle`]. A merge stores its result without an allocation of
-//! its own, and a node that shares a child's value (a folding
-//! pass-through, a promoted singleton) shares the child's handle.
+//! The value store of the folding, rotating and memo trees: every
+//! aggregate one tree holds, leaves included, lives inline in one slab and
+//! is addressed by a `u32` [`Handle`]. A merge stores its result without an
+//! allocation of its own, and a node that shares a child's value (a
+//! pass-through of the binary trees, a promoted singleton) shares the
+//! child's handle.
 //!
 //! Each slot counts its holders and keeps the modeled bytes it was stored
 //! with. The last release frees the slot onto a free list, which later

@@ -5,8 +5,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-#[cfg(feature = "oracle")]
-use std::sync::Arc;
 
 use crate::coalescing::CoalescingTree;
 use crate::combiner::Combiner;
@@ -256,13 +254,12 @@ impl<K, V> fmt::Debug for TreeCx<'_, K, V> {
 /// Leaves cross this boundary by value, as `Option<V>`: a `None` leaf is a
 /// window slot in which this key did not appear (relevant for the
 /// slot-addressed rotating tree; the other structures simply skip absent
-/// leaves). Each structure owns what it is handed: the folding and memo
-/// trees move each leaf into their own slab (see
-/// [`FoldingTree`](crate::FoldingTree)), the twin stacks and the coalescing
-/// tree hold plain values, and only the rotating tree puts its values
-/// behind `Arc`, for its pass-through nodes to share. Every aggregate
-/// leaves a structure as a borrow ([`WindowAggregator::root`],
-/// [`WindowAggregator::reduce_parts`]).
+/// leaves). Each structure owns what it is handed: the folding, rotating
+/// and memo trees move each leaf into their own slab (see
+/// [`FoldingTree`](crate::FoldingTree)), where a pass-through node shares
+/// its child's slot, and the twin stacks and the coalescing tree hold plain
+/// values. Every aggregate leaves a structure as a borrow
+/// ([`WindowAggregator::root`], [`WindowAggregator::reduce_parts`]).
 pub trait WindowAggregator<K, V>: fmt::Debug + Send {
     /// Discards all state and rebuilds from `leaves` (the paper's *initial
     /// run*). All construction work is charged to the foreground phase.
@@ -401,7 +398,7 @@ pub trait WindowAggregator<K, V>: fmt::Debug + Send {
     /// The copy duplicates all state — slot layout, slab, memo caches,
     /// pending repairs — so that the clone and the original **meter
     /// identical work on identical future slides**. Every structure copies
-    /// its values, except the rotating tree, which shares its `Arc`ed ones.
+    /// its values.
     ///
     /// This is the checkpoint primitive: rebuilding from window contents
     /// via `rebuild` is answer-equivalent but not stats-canonical (the
@@ -421,21 +418,17 @@ pub enum MemoLayout<'a, V> {
     /// root and the pending delta; twin stacks: leaves, suffix aggregates
     /// and running totals).
     Each(Vec<&'a V>),
-    /// Binary levels, leaves first: node `i` of level `h` has the children
-    /// `2i` and `2i + 1` of level `h - 1`, and names its slab slot beside
-    /// its value. A node that shares a child's slot (a pass-through) is not
-    /// counted again (folding tree).
-    Levels(Vec<Vec<Option<(u32, &'a V)>>>),
-    /// A 1-based segment tree (node `i` has children `2i` and `2i + 1`;
-    /// nodes from `width` on are leaves) with the same pass-through rule,
-    /// plus the prepared off-path aggregate, always counted (rotating tree).
-    Heap {
-        /// Segment-tree nodes; index 0 is unused.
-        nodes: Vec<Option<Arc<V>>>,
-        /// Index of the first leaf.
-        width: usize,
-        /// Split-mode off-path aggregate, if prepared.
-        prepared: Option<Arc<V>>,
+    /// A binary tree and a value held beside it (folding and rotating
+    /// trees).
+    Levels {
+        /// The levels, leaves first: node `i` of level `h` has the children
+        /// `2i` and `2i + 1` of level `h - 1`, and names its slab slot beside
+        /// its value. A node that shares a child's slot (a pass-through) is
+        /// not counted again.
+        levels: Vec<Vec<Option<(u32, &'a V)>>>,
+        /// The rotating tree's prepared off-path aggregate, counted whenever
+        /// it is prepared.
+        prepared: Option<&'a V>,
     },
 }
 

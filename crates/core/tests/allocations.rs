@@ -1,9 +1,9 @@
 //! Allocation guard for the structures that own their values: once warm, a
-//! single-leaf slide of the folding, strawman and randomized trees and of
-//! the two twin stacks makes a bounded number of heap allocations, whatever
-//! the window and however many merges the slide takes. A merge stores its
-//! result in the tree's slab or in a twin stack's buffers, so it allocates
-//! nothing.
+//! single-leaf slide of the folding, strawman, randomized and rotating trees
+//! and of the two twin stacks makes a bounded number of heap allocations,
+//! whatever the window and however many merges the slide takes. A merge
+//! stores its result in the tree's slab or in a twin stack's buffers, so it
+//! allocates nothing. The rotating tree's slide is a one-bucket rotation.
 //!
 //! This file is a test binary of its own so that its counting global
 //! allocator sees no other test. Each thread counts its own allocations,
@@ -94,6 +94,7 @@ fn warm_single_leaf_slides_allocate_a_bounded_amount() {
         TreeKind::Folding,
         TreeKind::Strawman,
         TreeKind::RandomizedFolding,
+        TreeKind::Rotating,
         TreeKind::TwoStack,
         TreeKind::Daba,
     ] {

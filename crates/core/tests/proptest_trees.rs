@@ -5,7 +5,6 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use slider_core::{
@@ -406,22 +405,13 @@ fn list_bytes(v: &List) -> u64 {
     ListCombiner.value_bytes(&0, v)
 }
 
-/// Whether `node` shares the allocation of one of its children.
-fn passes_through(node: &Arc<List>, children: [Option<&Option<Arc<List>>>; 2]) -> bool {
-    children
-        .into_iter()
-        .flatten()
-        .flatten()
-        .any(|child| Arc::ptr_eq(child, node))
-}
-
 /// Recounts a footprint from every memoized value, per the layout's
 /// sharing rules.
 fn recount(layout: MemoLayout<List>) -> u64 {
     match layout {
         MemoLayout::Each(held) => held.iter().map(|v| list_bytes(v)).sum(),
-        MemoLayout::Levels(levels) => {
-            let mut bytes = 0;
+        MemoLayout::Levels { levels, prepared } => {
+            let mut bytes = prepared.map_or(0, list_bytes);
             for (h, level) in levels.iter().enumerate() {
                 for (i, node) in level.iter().enumerate() {
                     let Some((slot, v)) = node else { continue };
@@ -436,22 +426,6 @@ fn recount(layout: MemoLayout<List>) -> u64 {
                 }
             }
             bytes
-        }
-        MemoLayout::Heap {
-            nodes,
-            width,
-            prepared,
-        } => {
-            let mut bytes = 0;
-            for (i, node) in nodes.iter().enumerate().skip(1) {
-                let Some(v) = node else { continue };
-                let shared =
-                    i < width && passes_through(v, [nodes.get(2 * i), nodes.get(2 * i + 1)]);
-                if !shared {
-                    bytes += list_bytes(v);
-                }
-            }
-            bytes + prepared.as_deref().map_or(0, list_bytes)
         }
     }
 }

@@ -234,10 +234,11 @@ impl<J: JoinApp> JoinedJob<J> {
     /// # Errors
     ///
     /// [`JoinError::Job`] when a side's [`WindowedJob::with_shared`]
-    /// would reject its configuration: zero partitions, or a fault plan
-    /// naming a cache node or partition the side does not have. Both sides
-    /// are checked before either is built, so a rejected join allocates no
-    /// cache namespace.
+    /// would reject its configuration (zero partitions, or a fault plan
+    /// naming a cache node or partition the side does not have) or when
+    /// [`EventFeeder::new`] would reject the event-time config. Both sides
+    /// and the event-time config are checked before either side is built,
+    /// so a rejected join allocates no cache namespace.
     pub fn new(app: J, config: JoinConfig, shared: &EngineShared) -> Result<Self, JoinError> {
         let app = Arc::new(app);
         let left_app = {
@@ -260,6 +261,7 @@ impl<J: JoinApp> JoinedJob<J> {
         let right_config = side_config(&config.right_faults);
         left_config.validate_shared(&left_app, shared)?;
         right_config.validate_shared(&right_app, shared)?;
+        config.event.validate()?;
         let left_job = WindowedJob::with_shared(left_app, left_config, shared)?;
         let right_job = WindowedJob::with_shared(right_app, right_config, shared)?;
         let mut left = EventFeeder::new(left_job, config.event)?;
@@ -1030,6 +1032,23 @@ mod tests {
             .cache(slider_dcache::CacheConfig::paper_defaults(2))
             .build();
         let bad = config().with_right_faults(JobFaultPlan::none().fail_cache_node(1, 99));
+        let err = JoinedJob::new(ModJoin, bad, &shared)
+            .err()
+            .expect("rejected");
+        assert!(
+            matches!(err, JoinError::Job(JobError::BadConfig(_))),
+            "{err}"
+        );
+        assert_eq!(shared.namespace_watermark(), 1);
+    }
+
+    #[test]
+    fn a_join_rejected_for_its_event_time_config_uses_no_namespace() {
+        let shared = EngineShared::builder()
+            .cache(slider_dcache::CacheConfig::paper_defaults(2))
+            .build();
+        let mut bad = config();
+        bad.event.epoch_len = 0;
         let err = JoinedJob::new(ModJoin, bad, &shared)
             .err()
             .expect("rejected");

@@ -81,8 +81,14 @@ pub struct EventTimeConfig {
 }
 
 impl EventTimeConfig {
-    /// Validates the configuration.
-    fn validate(&self) -> Result<(), JobError> {
+    /// Checks the configuration as [`EventFeeder::new`] does, for callers
+    /// that must reject it before they build the job it would wrap.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::BadConfig`] for a zero `epoch_len` or
+    /// `records_per_split`, or a window of zero epochs.
+    pub fn validate(&self) -> Result<(), JobError> {
         if self.epoch_len == 0 {
             return Err(JobError::BadConfig("epoch_len must be positive".into()));
         }

@@ -293,8 +293,9 @@ where
         }
     }
 
-    /// Fixed-width bucket rotation of this shard. Returns the dirty keys,
-    /// sorted, borrowed from the run's map output.
+    /// Fixed-width bucket rotation of this shard. Each bucket step merges
+    /// the leaving and arriving bucket's runs once, like a slide's edit.
+    /// Returns the dirty keys, sorted, borrowed from the run's map output.
     fn rotate<'a, A: MapReduceApp<Key = K, Value = V>>(
         &mut self,
         p: usize,
@@ -313,52 +314,38 @@ where
 
         let mut dirty = Vec::new();
         for _ in 0..steps {
-            let outgoing = out_buckets.next().filter(|_| was_full).unwrap_or_default();
-            // The keys of the bucket that leaves, in key order.
-            let leaving: Vec<&'a K> = RunMerge::new(p, outgoing, &[])
-                .map(|(key, _, _)| key)
+            let leaving = out_buckets.next().filter(|_| was_full).unwrap_or_default();
+            let arriving = in_buckets.next().unwrap_or_default();
+            // Every key that leaves or arrives in this step, in key order,
+            // with its arriving values folded into the leaf it adds.
+            let mut step: Vec<(&'a K, Option<V>)> = RunMerge::new(p, leaving, arriving)
+                .map(|(key, _, values)| {
+                    let mut tree_cx = TreeCx::new(cx.combiner, key, stats);
+                    (
+                        key,
+                        tree_cx.fold(Phase::Foreground, values.into_iter().flatten()),
+                    )
+                })
                 .collect();
-            // This bucket's keys, in key order, each with its values folded
-            // into the leaf it adds.
-            let mut incoming: Vec<(&'a K, Option<V>)> =
-                RunMerge::new(p, &[], in_buckets.next().unwrap_or_default())
-                    .map(|(key, _, values)| {
-                        let mut tree_cx = TreeCx::new(cx.combiner, key, stats);
-                        (
-                            key,
-                            tree_cx.fold(Phase::Foreground, values.into_iter().flatten()),
-                        )
-                    })
-                    .collect();
             if !was_full {
                 buckets_now += 1;
             }
 
             for (key, tree) in &mut self.trees {
-                let arriving = incoming.binary_search_by(|(k, _)| (*k).cmp(key)).ok();
-                // A live key takes its leaf, so the leaves left over below
-                // belong to brand-new keys.
-                let leaf = arriving.and_then(|i| incoming[i].1.take());
-                // The key as the run's map output holds it, if it arrives
-                // or leaves in this step.
-                let touched = match arriving {
-                    Some(i) => Some(incoming[i].0),
-                    None => leaving
-                        .binary_search_by(|k| (*k).cmp(key))
-                        .ok()
-                        .map(|i| leaving[i]),
-                };
                 let mut tree_cx = TreeCx::new(cx.combiner, key, stats);
-                match touched {
-                    Some(touched) => {
-                        dirty.push(touched);
+                match step.binary_search_by(|(k, _)| (*k).cmp(key)) {
+                    // A live key takes its leaf, so the leaves left over
+                    // below belong to brand-new keys.
+                    Ok(i) => {
+                        dirty.push(step[i].0);
+                        let leaf = step[i].1.take();
                         tree.advance(&mut tree_cx, usize::from(was_full), vec![leaf])?;
                     }
-                    None => tree.advance_absent(&mut tree_cx)?,
+                    Err(_) => tree.advance_absent(&mut tree_cx)?,
                 }
             }
             // Brand-new keys in this bucket.
-            for (key, leaf) in incoming {
+            for (key, leaf) in step {
                 let Some(leaf) = leaf else { continue };
                 dirty.push(key);
                 let mut tree = build_tree::<A::Key, A::Value>(TreeKind::Rotating, n);

@@ -875,6 +875,13 @@ mod tests {
             .register(Count, spec("timed").with_simulation(sim))
             .is_err());
         assert_eq!(service.shared().namespace_watermark(), 1);
+        let mut epochless = spec("epochless");
+        epochless.event.epoch_len = 0;
+        assert!(matches!(
+            service.register(Count, epochless),
+            Err(ServeError::Job(JobError::BadConfig(_)))
+        ));
+        assert_eq!(service.shared().namespace_watermark(), 1);
     }
 
     #[test]

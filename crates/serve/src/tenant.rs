@@ -166,12 +166,14 @@ impl TenantSpec {
     }
 
     /// Validates the spec (the checks the underlying job cannot make for
-    /// us). Job-level config errors surface from registration as
-    /// [`ServeError::Job`].
+    /// us) and its event-time config, before registration builds any job.
+    /// Job-level config errors, the event-time config's included, surface
+    /// from registration as [`ServeError::Job`].
     pub(crate) fn validate(&self) -> Result<(), ServeError> {
         if self.name.is_empty() {
             return Err(ServeError::BadSpec("tenant name must be non-empty".into()));
         }
+        self.event.validate()?;
         if let ExecMode::Slider {
             tree: TreeKind::Rotating,
             ..

@@ -393,8 +393,9 @@ fn retracting_an_epoch_matches_a_twin_that_never_saw_it() {
     let (left, right) = streams(64);
     let shared = EngineShared::builder().build();
     // Window of 5 epochs x 16 ticks over 64 ticks: nothing evicts, so a
-    // twin that never ingests left epoch 1 holds exactly the records the
-    // retracting job holds after the retraction.
+    // twin that never ingests epoch 1 of a side holds exactly the records
+    // the retracting job holds after retracting it.
+    let epoch_1 = 16..32;
     let mut job = build(&shared, JoinConfig::new(event_config()));
     job.ingest_left(left.iter().cloned());
     job.ingest_right(right.iter().cloned());
@@ -404,13 +405,31 @@ fn retracting_an_epoch_matches_a_twin_that_never_saw_it() {
     assert_eq!(job.view(), &job.reference_view());
 
     let mut twin = build(&shared, JoinConfig::new(event_config()));
-    twin.ingest_left(left.iter().filter(|s| !(16..32).contains(&s.time)).cloned());
+    twin.ingest_left(left.iter().filter(|s| !epoch_1.contains(&s.time)).cloned());
     twin.ingest_right(right.iter().cloned());
     twin.close_all().expect("close_all");
     assert_eq!(
         job.view(),
         twin.view(),
         "retraction must equal the never-saw-it twin"
+    );
+
+    // The right side's retraction path: right epoch 1 goes too.
+    let run = job.retract_right(1).expect("retract right epoch 1");
+    assert!(
+        run.stats.pairs_removed > 0,
+        "right epoch 1's pairs must retract"
+    );
+    assert_eq!(job.view(), &job.reference_view());
+
+    let mut twin = build(&shared, JoinConfig::new(event_config()));
+    twin.ingest_left(left.iter().filter(|s| !epoch_1.contains(&s.time)).cloned());
+    twin.ingest_right(right.iter().filter(|s| !epoch_1.contains(&s.time)).cloned());
+    twin.close_all().expect("close_all");
+    assert_eq!(
+        job.view(),
+        twin.view(),
+        "retracting both sides must equal the twin that saw neither epoch"
     );
 }
 
